@@ -24,10 +24,10 @@ rng = np.random.default_rng(0)
 
 for spec in SPECS:
     fb = family_bounds(spec)
-    theta = np.array([0.5 * (spec.theta_lo + spec.theta_hi)])
+    theta = 0.5 * (spec.theta_lo + spec.theta_hi)
     mean = float(b_prime(spec, theta))
-    draws = sample_response(spec, np.repeat(theta, 20000), rng)
-    print(f"{spec.family:18s} theta={theta[0]:+.2f} "
+    draws = sample_response(spec, np.full(20000, theta), rng)
+    print(f"{spec.family:18s} theta={theta:+.2f} "
           f"b={float(b_value(spec, theta)):+.4f} "
           f"b'={mean:+.4f} b''={float(b_second(spec, theta)):.4f} "
           f"C_L={fb.c_l:.4f} C_U={fb.c_u:.4f} U_1={fb.u_1:.4f} "
@@ -37,5 +37,5 @@ for spec in SPECS:
 print("\nprobit link: eta -> theta")
 probit = FamilySpec("bernoulli_probit")
 for eta in (-2.0, 0.0, 2.0):
-    th = float(theta_from_eta(probit, np.array([eta])))
-    print(f"  eta={eta:+.1f}  theta={th:+.5f}  mean={float(b_prime(probit, np.array([th]))):.5f}")
+    th = float(theta_from_eta(probit, eta))
+    print(f"  eta={eta:+.1f}  theta={th:+.5f}  mean={float(b_prime(probit, th)):.5f}")

@@ -19,14 +19,17 @@ from .experiments import (KLFit, MisspecConfig, MisspecStudyResult,
 from .families import (FAMILY_IDS, Dataset, FamilyBounds, FamilySpec,
                        InvalidParameterError, b_prime, b_second, b_value,
                        dtheta_deta, family_bounds, linear_predictor,
-                       sample_response, theta_from_eta, theta_raw_from_eta)
+                       link_terms, sample_response, theta_from_eta,
+                       theta_raw_from_eta)
 from .posterior import (Chain, FractionalConfig, SamplerDivergence,
                         default_step_size, effective_rank,
                         grad_log_fractional_posterior, grad_log_likelihood,
                         load_chain, log_fractional_posterior, log_likelihood,
-                        posterior_mean, run_sampler, save_chain)
+                        log_likelihood_and_grad, posterior_mean, run_sampler,
+                        save_chain, value_and_grad)
 from .prior import (PriorConfig, grad_log_prior, log_prior,
-                    prior_second_moment_check, sample_prior, tau_preset)
+                    log_prior_and_grad, prior_second_moment_check,
+                    sample_prior, tau_preset)
 from .simulate import (SyntheticTruth, calibrate_scale, compute_kappa,
                        generate_dataset, load_dataset, make_design,
                        make_low_rank_truth, prediction_error, save_dataset)

@@ -123,8 +123,8 @@ def _count_support(spec, theta, zeta, tail=1e-10):
     if spec.family.startswith("bernoulli"):
         return np.arange(2)
     d1, d2 = _entry_dist(spec, theta), _entry_dist(spec, zeta)
-    hi = int(max(d1.ppf(1.0 - tail / 10), d2.ppf(1.0 - tail / 10))) + 10
-    assert d1.sf(hi) < tail and d2.sf(hi) < tail
+    hi = int(np.max([d1.ppf(1.0 - tail / 10), d2.ppf(1.0 - tail / 10)])) + 10
+    assert np.all(d1.sf(hi) < tail) and np.all(d2.sf(hi) < tail)
     return np.arange(hi + 1)
 
 

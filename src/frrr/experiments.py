@@ -6,42 +6,21 @@ replication averages with the design matrix and truth held fixed per cell,
 and posterior integrals by averages over retained chain samples.
 """
 
-import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit, logit
+from scipy.special import logit
 
-from .divergence import (LemmaBounds, c_alpha, expected_log_ratio_sq,
-                         kl_per_entry, lemma_bounds, misspec_kl_lhs,
-                         rate_formulas, renyi_per_entry)
+from .divergence import c_alpha, kl_per_entry, rate_formulas, renyi_per_entry
 from .families import (Dataset, FamilySpec, b_prime, b_second, b_value,
                        dtheta_deta, family_bounds, theta_from_eta,
                        theta_raw_from_eta)
-from .posterior import (Chain, FractionalConfig, grad_log_likelihood,
+from .posterior import (FractionalConfig, log_likelihood_and_grad,
                         posterior_mean, run_sampler)
 from .prior import PriorConfig, tau_preset
 from .simulate import (calibrate_scale, compute_kappa, generate_dataset,
                        make_design, make_low_rank_truth, prediction_error)
-
-
-def n_workers():
-    """Parallelism cap from the FRRR_THREADS environment variable."""
-    try:
-        return max(1, int(os.environ.get("FRRR_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    w = n_workers()
-    if w == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +96,9 @@ def likelihood_ridge_fit(data, ridge=1e-3, maxiter=300):
 
     def fun(v):
         B = v.reshape(p, q)
-        eta = data.X @ B
-        theta = theta_from_eta(data.family, eta)
-        nll = -float(np.sum(data.Y * theta - b_value(data.family, theta))
-                     / data.family.a)
-        val = nll + 0.5 * ridge * float(np.sum(B ** 2))
-        g = -grad_log_likelihood(data, B) + ridge * B
-        return val, g.ravel()
+        lik, grad = log_likelihood_and_grad(data, B)
+        val = -lik + 0.5 * ridge * float(np.sum(B ** 2))
+        return val, (ridge * B - grad).ravel()
 
     res = minimize(fun, np.zeros(p * q), jac=True, method="L-BFGS-B",
                    options={"maxiter": maxiter})
@@ -291,7 +266,7 @@ def _run_rate_cell(cfg, cell_index, n, r):
             d_alpha=div,
             acceptance=chain.acceptance_rate)
 
-    reps = _map(one_rep, list(range(cfg.replications)))
+    reps = [one_rep(rep) for rep in range(cfg.replications)]
     return RateCell(
         n=n, r=r, alpha=cfg.alpha, tau=tau,
         kappa=compute_kappa(X), x_frob=x_frob, b_frob=truth.frob,
@@ -618,7 +593,7 @@ def run_misspec_study(cfg):
                 for i in idx]
             return lhs, float(np.mean(dvals))
 
-        reps = _map(one_rep, list(range(cfg.replications)))
+        reps = [one_rep(rep) for rep in range(cfg.replications)]
         cells.append(MisspecCell(
             n=n, kl_floor=fit.kl_value, r_n=r_n, rank_bar=rank_bar,
             b_bar_frob=float(np.linalg.norm(b_bar)),

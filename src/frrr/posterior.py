@@ -4,16 +4,22 @@ The target is U(B) = alpha * log-likelihood(B) + log-prior(B) for a
 fractional power alpha in (0, 1).  ULA iterates
 B <- B + gamma grad U(B) + sqrt(2 gamma) xi; MALA adds a Metropolis-Hastings
 correction with the asymmetric Gaussian proposal density.
+
+One kernel, ``value_and_grad``, evaluates U and grad U together: one
+eta = X @ B, one pass of the link (theta and d theta / d eta, zero on
+clipped cells), one X^T S for the likelihood gradient, and one Cholesky
+factor for the prior.  Each sampler step calls it once per proposal; the
+separate value and gradient functions below are views of the same kernel.
 """
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .families import (b_prime, b_value, dtheta_deta, family_bounds,
-                       linear_predictor, theta_from_eta)
-from .prior import grad_log_prior, log_prior
+from .families import (b_prime, b_second, b_value, family_bounds,
+                       linear_predictor, link_terms, theta_from_eta)
+from .prior import log_prior_and_grad
 
 CHAIN_MAGIC = b"FRRRCHN1"
 
@@ -70,39 +76,59 @@ class Chain:
             raise ValueError("non-finite log-posterior in retained samples")
 
 
+def log_likelihood_and_grad(data, B):
+    """Sum of (y theta - b(theta)) / a over all cells, dropping c(y, a), and
+    its gradient X^T [(Y - b'(theta)) * dtheta/deta] / a."""
+    spec = data.family
+    theta, dtheta = link_terms(spec, linear_predictor(data.X, B))
+    value = float(np.sum(data.Y * theta - b_value(spec, theta)) / spec.a)
+    S = (data.Y - b_prime(spec, theta)) * dtheta
+    return value, data.X.T @ S / spec.a
+
+
+def value_and_grad(data, B, prior_cfg, alpha):
+    """alpha * log-likelihood + log-prior and its gradient (alpha = 1 allowed
+    for diagnostics)."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
+    lik, lik_grad = log_likelihood_and_grad(data, B)
+    prior, prior_grad = log_prior_and_grad(B, prior_cfg)
+    return alpha * lik + prior, alpha * lik_grad + prior_grad
+
+
 def log_likelihood(data, B):
-    """Sum of (y theta - b(theta)) / a over all cells, dropping c(y, a)."""
-    eta = linear_predictor(data.X, B)
-    theta = theta_from_eta(data.family, eta)
-    return float(np.sum(data.Y * theta - b_value(data.family, theta)) / data.family.a)
+    """Value of log_likelihood_and_grad."""
+    return log_likelihood_and_grad(data, B)[0]
 
 
 def grad_log_likelihood(data, B):
-    """X^T [(Y - b'(theta)) * dtheta/deta] / a, the chain-rule gradient."""
-    eta = linear_predictor(data.X, B)
-    spec = data.family
-    theta = theta_from_eta(spec, eta)
-    S = (data.Y - b_prime(spec, theta)) * dtheta_deta(spec, eta)
-    return data.X.T @ S / spec.a
+    """Gradient of log_likelihood_and_grad."""
+    return log_likelihood_and_grad(data, B)[1]
 
 
 def log_fractional_posterior(data, B, prior_cfg, alpha):
-    """alpha * log-likelihood + log-prior (alpha = 1 allowed for diagnostics)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    return alpha * log_likelihood(data, B) + log_prior(B, prior_cfg)
+    """Value of value_and_grad."""
+    return value_and_grad(data, B, prior_cfg, alpha)[0]
 
 
 def grad_log_fractional_posterior(data, B, prior_cfg, alpha):
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    return alpha * grad_log_likelihood(data, B) + grad_log_prior(B, prior_cfg)
+    """Gradient of value_and_grad."""
+    return value_and_grad(data, B, prior_cfg, alpha)[1]
 
 
-def default_step_size(data, prior_cfg, alpha):
-    """Conservative inverse of a smoothness bound on the target."""
-    c_u = family_bounds(data.family).c_u
-    lik_curv = alpha * c_u * np.sum(data.X ** 2) / data.family.a
+def default_step_size(data, prior_cfg, alpha, B=None):
+    """Conservative inverse of a smoothness bound on the target.
+
+    Where b'' is unbounded on the interval (c_u = inf), its largest value at
+    the start point B (the zero matrix by default) stands in for c_u.
+    """
+    spec = data.family
+    c_u = family_bounds(spec).c_u
+    if np.isinf(c_u):
+        B = np.zeros((prior_cfg.p, prior_cfg.q)) if B is None else B
+        theta = theta_from_eta(spec, linear_predictor(data.X, B))
+        c_u = float(np.max(b_second(spec, theta), initial=0.0))
+    lik_curv = alpha * c_u * np.sum(data.X ** 2) / spec.a
     prior_curv = (prior_cfg.p + prior_cfg.q + 2) / prior_cfg.tau ** 2
     return 0.5 / (lik_curv + prior_curv)
 
@@ -121,9 +147,8 @@ def run_sampler(data, prior_cfg, frac_cfg):
         raise ValueError("init matrix has the wrong shape")
 
     gamma = cfg.step_size if cfg.step_size is not None else \
-        default_step_size(data, prior_cfg, cfg.alpha)
-    value = log_fractional_posterior(data, B, prior_cfg, cfg.alpha)
-    grad = grad_log_fractional_posterior(data, B, prior_cfg, cfg.alpha)
+        default_step_size(data, prior_cfg, cfg.alpha, B)
+    value, grad = value_and_grad(data, B, prior_cfg, cfg.alpha)
 
     mala = cfg.algorithm == "mala"
     retained, log_posts, flags = [], [], []
@@ -133,8 +158,7 @@ def run_sampler(data, prior_cfg, frac_cfg):
     for step in range(cfg.n_steps):
         noise = rng.standard_normal((p, q))
         prop = B + gamma * grad + np.sqrt(2.0 * gamma) * noise
-        prop_value = log_fractional_posterior(data, prop, prior_cfg, cfg.alpha)
-        prop_grad = grad_log_fractional_posterior(data, prop, prior_cfg, cfg.alpha)
+        prop_value, prop_grad = value_and_grad(data, prop, prior_cfg, cfg.alpha)
         if mala:
             fwd = -np.sum((prop - B - gamma * grad) ** 2) / (4.0 * gamma)
             bwd = -np.sum((B - prop - gamma * prop_grad) ** 2) / (4.0 * gamma)

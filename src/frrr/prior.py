@@ -45,48 +45,33 @@ class PriorConfig:
             raise ValueError("p and q must be positive")
 
 
-def _small_gram(B, tau):
-    """tau^2 I + G on the smaller side, plus the log-det correction term."""
-    p, q = B.shape
-    if p <= q:
-        G = B @ B.T
-        extra = 0.0
-    else:
-        G = B.T @ B
-        extra = (p - q) * 2.0 * np.log(tau)
-    m = G.shape[0]
-    return G + tau ** 2 * np.eye(m), extra
-
-
-def log_prior(B, cfg):
-    """Unnormalized log-density of the spectral scaled Student prior."""
-    B = np.asarray(B, dtype=float)
-    if B.shape != (cfg.p, cfg.q):
-        raise ValueError(f"B has shape {B.shape}, expected {(cfg.p, cfg.q)}")
-    if not np.all(np.isfinite(B)):
-        raise ValueError("B has non-finite entries")
-    M, extra = _small_gram(B, cfg.tau)
-    c, _ = cho_factor(M, lower=True)
-    logdet = 2.0 * np.sum(np.log(np.diag(c))) + extra
-    return -0.5 * (cfg.p + cfg.q + 2) * logdet
-
-
-def grad_log_prior(B, cfg):
-    """Gradient -(p+q+2) (tau^2 I_p + B B^T)^{-1} B of log_prior.
-
-    Uses the push-through identity to solve on the smaller Gram side.
-    """
+def log_prior_and_grad(B, cfg):
+    """Unnormalized log-density of the spectral scaled Student prior and its
+    gradient -(p+q+2) (tau^2 I_p + B B^T)^{-1} B, from one Cholesky factor
+    on the smaller Gram side (push-through identity for p > q)."""
     B = np.asarray(B, dtype=float)
     p, q = cfg.p, cfg.q
     if B.shape != (p, q):
         raise ValueError(f"B has shape {B.shape}, expected {(p, q)}")
-    if p <= q:
-        M = B @ B.T + cfg.tau ** 2 * np.eye(p)
-        sol = cho_solve(cho_factor(M, lower=True), B)
-    else:
-        M = B.T @ B + cfg.tau ** 2 * np.eye(q)
-        sol = B @ cho_solve(cho_factor(M, lower=True), np.eye(q))
-    return -(p + q + 2) * sol
+    if not np.all(np.isfinite(B)):
+        raise ValueError("B has non-finite entries")
+    W = B if p <= q else B.T
+    fac = cho_factor(W @ W.T + cfg.tau ** 2 * np.eye(min(p, q)), lower=True,
+                     check_finite=False)
+    sol = cho_solve(fac, W, check_finite=False)
+    logdet = 2.0 * np.sum(np.log(np.diag(fac[0]))) \
+        + max(p - q, 0) * 2.0 * np.log(cfg.tau)
+    return -0.5 * (p + q + 2) * logdet, -(p + q + 2) * (sol if p <= q else sol.T)
+
+
+def log_prior(B, cfg):
+    """Unnormalized log-density of the spectral scaled Student prior."""
+    return log_prior_and_grad(B, cfg)[0]
+
+
+def grad_log_prior(B, cfg):
+    """Gradient -(p+q+2) (tau^2 I_p + B B^T)^{-1} B of log_prior."""
+    return log_prior_and_grad(B, cfg)[1]
 
 
 def sample_prior(cfg, size, rng):

@@ -78,6 +78,21 @@ class TestGradients:
             g = grad_log_likelihood(data, B)
             assert np.allclose(g, fd, rtol=1e-4, atol=1e-6)
 
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0),
+        FamilySpec("poisson_log", theta_lo=-1.0, theta_hi=1.0),
+    ], ids=["bernoulli_logit", "poisson_log"])
+    def test_clipped_cells_match_finite_differences(self, spec, rng):
+        """The gradient is that of the clipped likelihood actually sampled."""
+        data, B0 = make_data(spec, 300, 4, 3, rng)
+        B = 2.0 * B0
+        eta = data.X @ B
+        clipped = (eta < spec.theta_min) | (eta > spec.theta_max)
+        assert clipped.mean() > 0.1
+        fd = central_diff(lambda M: log_likelihood(data, M), B)
+        g = grad_log_likelihood(data, B)
+        assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
+
 
 class TestFractionalPosterior:
     def test_small_alpha_tracks_prior(self, rng):
@@ -180,6 +195,19 @@ class TestSampler:
         cfg = PriorConfig(tau=0.5, p=2, q=1)
         expected = 0.5 / (0.5 * 1.0 * np.sum(data.X ** 2) + 5 / 0.25)
         assert abs(default_step_size(data, cfg, 0.5) - expected) < 1e-15
+
+    def test_unbounded_curvature_chain_moves(self, rng):
+        """poisson_log on the whole line has c_u = inf; the step size falls
+        back to b'' at the start point and the chain still moves."""
+        spec = FamilySpec("poisson_log")
+        data, _ = make_data(spec, 50, 3, 2, rng, b_scale=0.2)
+        cfg = PriorConfig(tau=1.0, p=3, q=2)
+        expected = 0.5 / (0.5 * np.sum(data.X ** 2) + 7.0)
+        assert abs(default_step_size(data, cfg, 0.5) - expected) < 1e-15
+        frac = FractionalConfig(n_steps=300, burn_in=100, thin=1, seed=4)
+        chain = run_sampler(data, cfg, frac)
+        assert len(np.unique(chain.samples, axis=0)) > 1
+        assert chain.acceptance_rate > 0
 
 
 class TestPosteriorMeanAndRank:
