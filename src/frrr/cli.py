@@ -30,7 +30,8 @@ from .posterior import (Chain, FractionalConfig, SamplerDivergence,
                         run_sampler, save_chain)
 from .prior import PriorConfig, tau_preset
 from .simulate import (calibrate_scale, generate_dataset, load_dataset,
-                       make_design, make_low_rank_truth, save_dataset)
+                       make_design, make_low_rank_truth, save_dataset,
+                       write_matrix)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,7 +52,7 @@ _SCHEMA = {
     "design": {"n", "mode"},
     "data": {"dataset_dir", "chain_file"},
     "study": {"n_grid", "r_grid", "n_ref", "replications", "trials",
-              "alphas", "n_steps", "burn_in", "thin"},
+              "n_steps", "burn_in", "thin"},
     "divergence": {"theta_file", "zeta_file", "alphas"},
     "output": {"dir"},
     "run": {"seed"},
@@ -138,16 +139,23 @@ def write_manifest(outdir, command, cfg, seed):
         "seed": seed,
         "version": __version__,
     }
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(outdir, "manifest.json"), manifest)
+
+
+def _write_json(path, obj):
+    """Indented JSON with sorted keys and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
 
 
-def _write_matrix_csv(path, M):
+def _write_table(path, header, fmt, rows):
+    """``header`` (if any), then one ``fmt % row`` line per row."""
     with open(path, "w") as fh:
-        for row in np.atleast_2d(np.asarray(M, dtype=float)):
-            fh.write(",".join("%.17g" % v for v in row))
-            fh.write("\n")
+        if header:
+            fh.write(header + "\n")
+        for row in rows:
+            fh.write(fmt % row + "\n")
 
 
 def _outdir(cfg):
@@ -185,14 +193,14 @@ def cmd_generate(cfg):
         truth = calibrate_scale(X, truth)
     data = generate_dataset(X, truth, spec, rng)
     save_dataset(out, data, seed=seed)
-    _write_matrix_csv(os.path.join(out, "truth.csv"), truth.b0)
+    write_matrix(os.path.join(out, "truth.csv"), truth.b0)
     write_manifest(out, "generate", cfg, seed)
     return EXIT_OK
 
 
 def _write_fit_outputs(outdir, chain):
     b_hat = posterior_mean(chain)
-    _write_matrix_csv(os.path.join(outdir, "bhat.csv"), b_hat)
+    write_matrix(os.path.join(outdir, "bhat.csv"), b_hat)
     summary = {
         "acceptance_rate": chain.acceptance_rate,
         "effective_rank_bhat": effective_rank(b_hat),
@@ -201,9 +209,7 @@ def _write_fit_outputs(outdir, chain):
         "alpha": chain.config.alpha if chain.config else None,
         "dataset_digest": chain.dataset_digest,
     }
-    with open(os.path.join(outdir, "fit_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "fit_summary.json"), summary)
 
 
 def cmd_fit(cfg):
@@ -256,7 +262,7 @@ def cmd_summarize(cfg):
                   config=None, dataset_digest="", step_size=gamma,
                   acceptance_rate=float(np.mean(flags)) if len(flags) else 1.0)
     b_hat = posterior_mean(chain)
-    _write_matrix_csv(os.path.join(out, "bhat.csv"), b_hat)
+    write_matrix(os.path.join(out, "bhat.csv"), b_hat)
     summary = {
         "alpha": alpha,
         "step_size": gamma,
@@ -264,9 +270,7 @@ def cmd_summarize(cfg):
         "effective_rank_bhat": effective_rank(b_hat),
         "acceptance_rate": chain.acceptance_rate,
     }
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "summary.json"), summary)
     write_manifest(out, "summarize", cfg, _get(cfg, "run", "seed", 0, int))
     return EXIT_OK
 
@@ -298,31 +302,29 @@ def cmd_verify_bounds(cfg):
     out = _outdir(cfg)
     rng = np.random.default_rng(seed)
     res = verify_divergence_bounds(spec, trials, rng)
-    with open(os.path.join(out, "bounds.csv"), "w") as fh:
-        fh.write("trial,kl_exact,kl_bound,kl_ok,renyi_half,renyi_lower,"
-                 "renyi_ok,logsq_exact,logsq_bound,logsq_ok,"
-                 "misspec_exact,misspec_bound,misspec_ok\n")
-        sat = res["satisfied"]
-        for i in range(trials):
-            fh.write("%d,%.17g,%.17g,%d,%.17g,%.17g,%d,%.17g,%.17g,%d,"
-                     "%.17g,%.17g,%d\n" % (
-                         i, res["kl_exact"][i], res["kl_bound"][i],
-                         sat["kl_upper"][i],
-                         res["renyi_exact"][0.5][i],
-                         res["renyi_lower_bound"][0.5][i],
-                         sat["renyi_lower"][i],
-                         res["logsq_exact"][i], res["logsq_bound"][i],
-                         sat["log_sq"][i],
-                         res["misspec_exact"][i], res["misspec_bound"][i],
-                         sat["misspec_kl"][i]))
+    sat = res["satisfied"]
+    _write_table(
+        os.path.join(out, "bounds.csv"),
+        "trial,kl_exact,kl_bound,kl_ok,renyi_half,renyi_lower,renyi_ok,"
+        "logsq_exact,logsq_bound,logsq_ok,misspec_exact,misspec_bound,"
+        "misspec_ok",
+        "%d,%.17g,%.17g,%d,%.17g,%.17g,%d,%.17g,%.17g,%d,%.17g,%.17g,%d",
+        ((i, res["kl_exact"][i], res["kl_bound"][i], sat["kl_upper"][i],
+          res["renyi_exact"][0.5][i], res["renyi_lower_bound"][0.5][i],
+          sat["renyi_lower"][i], res["logsq_exact"][i],
+          res["logsq_bound"][i], sat["log_sq"][i], res["misspec_exact"][i],
+          res["misspec_bound"][i], sat["misspec_kl"][i])
+         for i in range(trials)))
     frac = res["satisfied_fraction"]
-    summary = {"satisfied_fraction": min(frac.values()),
-               "per_lemma": frac, "trials": trials}
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "summary.json"),
+                {"satisfied_fraction": min(frac.values()),
+                 "per_lemma": frac, "trials": trials})
     write_manifest(out, "verify-bounds", cfg, seed)
     return EXIT_OK
+
+
+_RATE_HEADER = ("n,r,rep,pred_err,pred_err_post,est_err,d_alpha,prop1_bound,"
+                "acceptance")
 
 
 def cmd_rate_study(cfg):
@@ -350,33 +352,22 @@ def cmd_rate_study(cfg):
     try:
         result = run_rate_study(study)
     except Exception as exc:  # partial results are flushed with a marker
-        with open(rows_path, "w") as fh:
-            fh.write("n,r,rep,pred_err,pred_err_post,est_err,d_alpha,"
-                     "prop1_bound,acceptance\n")
-            fh.write("PARTIAL,,,,,,,,\n")
+        _write_table(rows_path, _RATE_HEADER, "%s,,,,,,,,", [("PARTIAL",)])
         print(f"error: rate study failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    with open(rows_path, "w") as fh:
-        fh.write("n,r,rep,pred_err,pred_err_post,est_err,d_alpha,"
-                 "prop1_bound,acceptance\n")
-        for row in result.to_rows():
-            fh.write("%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
-                row["n"], row["r"], row["rep"], row["pred_err"],
-                row["pred_err_post"], row["est_err"], row["d_alpha"],
-                row["prop1_bound"], row["acceptance"]))
+    _write_table(rows_path, _RATE_HEADER,
+                 "%(n)d,%(r)d,%(rep)d,%(pred_err).17g,%(pred_err_post).17g,"
+                 "%(est_err).17g,%(d_alpha).17g,%(prop1_bound).17g,"
+                 "%(acceptance).17g", result.to_rows())
     summary = result.summary()
     summary["hellinger_check"] = hellinger_consistency_check(result)
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    _write_json(os.path.join(out, "summary.json"), summary)
     # gnuplot-ready two-column data
     ncells = result.n_cells()
-    with open(os.path.join(out, "error_vs_n.dat"), "w") as fh:
-        for c in ncells:
-            fh.write("%d %.17g\n" % (c.n, float(np.mean(c.pred_err))))
-    with open(os.path.join(out, "bound_vs_n.dat"), "w") as fh:
-        for c in ncells:
-            fh.write("%d %.17g\n" % (c.n, c.prop1_bound))
+    _write_table(os.path.join(out, "error_vs_n.dat"), None, "%d %.17g",
+                 ((c.n, float(np.mean(c.pred_err))) for c in ncells))
+    _write_table(os.path.join(out, "bound_vs_n.dat"), None, "%d %.17g",
+                 ((c.n, c.prop1_bound) for c in ncells))
     write_manifest(out, "rate-study", cfg, seed)
     return EXIT_OK
 
@@ -393,6 +384,7 @@ def cmd_misspec(cfg):
         alpha=_get(cfg, "sampler", "alpha", 0.5, float),
         n_steps=_get(cfg, "study", "n_steps", 3000, int),
         burn_in=_get(cfg, "study", "burn_in", 800, int),
+        thin=_get(cfg, "study", "thin", 5, int),
         seed=seed,
     )
     try:
@@ -400,19 +392,15 @@ def cmd_misspec(cfg):
     except Exception as exc:
         print(f"error: misspec study failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    with open(os.path.join(out, "misspec_cells.csv"), "w") as fh:
-        fh.write("n,rep,lhs_pred,d_alpha,oracle_rhs,theorem2_rhs,kl_floor\n")
-        for c in result.cells:
-            for i in range(len(c.lhs_pred)):
-                fh.write("%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
-                    c.n, i, c.lhs_pred[i], c.d_alpha[i], c.oracle_rhs,
-                    c.theorem2_rhs, c.kl_floor))
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(result.summary(), fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
-    with open(os.path.join(out, "dalpha_vs_n.dat"), "w") as fh:
-        for c in result.cells:
-            fh.write("%d %.17g\n" % (c.n, float(np.mean(c.d_alpha))))
+    _write_table(
+        os.path.join(out, "misspec_cells.csv"),
+        "n,rep,lhs_pred,d_alpha,oracle_rhs,theorem2_rhs,kl_floor",
+        "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g",
+        ((c.n, i, c.lhs_pred[i], c.d_alpha[i], c.oracle_rhs, c.theorem2_rhs,
+          c.kl_floor) for c in result.cells for i in range(len(c.lhs_pred))))
+    _write_json(os.path.join(out, "summary.json"), result.summary())
+    _write_table(os.path.join(out, "dalpha_vs_n.dat"), None, "%d %.17g",
+                 ((c.n, float(np.mean(c.d_alpha))) for c in result.cells))
     write_manifest(out, "misspec", cfg, seed)
     return EXIT_OK
 

@@ -4,6 +4,10 @@ Per-entry KL and alpha-Renyi divergences have closed forms in the natural
 parameter; product-measure divergences are their sums.  Theorem-facing
 quantities use the per-entry-averaged convention (the 1/(nq) factor the
 proofs insert); totals are exposed alongside.
+
+The KL, the log-ratio second moment and the misspecified-KL left-hand side
+share one per-entry core, ``_log_ratio_mean``; ``lemma_rhs`` alone writes
+the lemma right-hand sides.
 """
 
 import itertools
@@ -16,13 +20,16 @@ from scipy.special import expit
 from .families import b_prime, b_second, b_value, _check_domain
 
 
+def _log_ratio_mean(spec, theta0, theta, zeta):
+    """a E_theta0 log(p_theta / p_zeta) = b'(theta0)(theta - zeta) - b(theta) + b(zeta)."""
+    theta, zeta = np.asarray(theta, dtype=float), np.asarray(zeta, dtype=float)
+    return (b_prime(spec, theta0) * (theta - zeta)
+            - b_value(spec, theta) + b_value(spec, zeta))
+
+
 def kl_per_entry(spec, theta, zeta):
     """KL(P_theta || P_zeta) = [b'(theta)(theta - zeta) - b(theta) + b(zeta)] / a."""
-    theta = _check_domain(spec, theta)
-    zeta = _check_domain(spec, zeta)
-    val = (b_prime(spec, theta) * (theta - zeta)
-           - b_value(spec, theta) + b_value(spec, zeta)) / spec.a
-    return np.maximum(val, 0.0)
+    return np.maximum(_log_ratio_mean(spec, theta, theta, zeta) / spec.a, 0.0)
 
 
 def renyi_per_entry(spec, theta, zeta, alpha):
@@ -207,17 +214,9 @@ class LemmaBounds:
         return self.logsq_first + self.logsq_second
 
 
-def lemma_bounds(bounds, a, Theta, Zeta, alpha=1.0):
-    """Evaluate the lemma right-hand sides for parameter matrices Theta, Zeta.
-
-    The Renyi lower bound carries the order alpha as a prefactor: strong
-    convexity of b gives a Jensen gap of at least alpha(1-alpha) C_L d^2 / 2,
-    so D_alpha >= alpha C_L d^2 / (2a), with equality for gaussian.  At
-    alpha = 1 (the default) this reduces to the KL lower bound.
-    """
-    diff = np.asarray(Zeta, dtype=float) - np.asarray(Theta, dtype=float)
-    m = diff.size
-    sq = float(np.sum(diff ** 2))
+def lemma_rhs(bounds, a, sq, m, alpha=1.0):
+    """Lemma right-hand sides from the squared gap ``sq`` = ||zeta - theta||_F^2
+    over ``m`` entries.  ``sq`` may be an array of per-trial gaps (m = 1)."""
     return LemmaBounds(
         kl_upper=bounds.c_u / (2.0 * a) * sq / m,
         renyi_lower=alpha * bounds.c_l / (2.0 * a) * sq / m,
@@ -227,29 +226,43 @@ def lemma_bounds(bounds, a, Theta, Zeta, alpha=1.0):
     )
 
 
-def expected_log_ratio_sq(spec, Theta, Zeta):
-    """Averaged second moment of the log likelihood ratio under P_Theta.
+def lemma_bounds(bounds, a, Theta, Zeta, alpha=1.0):
+    """Evaluate the lemma right-hand sides for parameter matrices Theta, Zeta.
+
+    The Renyi lower bound carries the order alpha as a prefactor: strong
+    convexity of b gives a Jensen gap of at least alpha(1-alpha) C_L d^2 / 2,
+    so D_alpha >= alpha C_L d^2 / (2a), with equality for gaussian.  At
+    alpha = 1 (the default) this reduces to the KL lower bound.
+    """
+    diff = np.asarray(Zeta, dtype=float) - np.asarray(Theta, dtype=float)
+    return lemma_rhs(bounds, a, float(np.sum(diff ** 2)), diff.size, alpha)
+
+
+def log_ratio_sq_per_entry(spec, theta, zeta):
+    """Second moment of the log likelihood ratio under P_theta, per entry.
 
     Uses E Y^2 = b'(theta)^2 + a b''(theta), giving
-    (1/(a^2 nq)) sum_ij [a b''(theta) d^2 + (b'(theta) d - b(theta) + b(zeta))^2]
+    [a b''(theta) d^2 + (b'(theta) d - b(theta) + b(zeta))^2] / a^2
     with d = theta - zeta.
     """
-    Theta = np.asarray(Theta, dtype=float)
-    Zeta = np.asarray(Zeta, dtype=float)
-    d = Theta - Zeta
-    lin = b_prime(spec, Theta) * d - b_value(spec, Theta) + b_value(spec, Zeta)
-    per = spec.a * b_second(spec, Theta) * d ** 2 + lin ** 2
-    return float(np.sum(per) / (spec.a ** 2 * Theta.size))
+    theta, zeta = np.asarray(theta, dtype=float), np.asarray(zeta, dtype=float)
+    return (spec.a * b_second(spec, theta) * (theta - zeta) ** 2
+            + _log_ratio_mean(spec, theta, theta, zeta) ** 2) / spec.a ** 2
+
+
+def expected_log_ratio_sq(spec, Theta, Zeta):
+    """Averaged second moment of the log likelihood ratio under P_Theta."""
+    return float(np.mean(log_ratio_sq_per_entry(spec, Theta, Zeta)))
+
+
+def misspec_kl_per_entry(spec, theta0, theta_bar, zeta):
+    """E_theta0 log(p_theta_bar / p_zeta) per entry, the misspecified-lemma LHS."""
+    return _log_ratio_mean(spec, theta0, theta_bar, zeta) / spec.a
 
 
 def misspec_kl_lhs(spec, Theta0, ThetaBar, Zeta):
     """Averaged E_{Theta0} log(p_ThetaBar / p_Zeta), the misspecified-lemma LHS."""
-    Theta0 = np.asarray(Theta0, dtype=float)
-    ThetaBar = np.asarray(ThetaBar, dtype=float)
-    Zeta = np.asarray(Zeta, dtype=float)
-    per = (b_prime(spec, Theta0) * (ThetaBar - Zeta)
-           - b_value(spec, ThetaBar) + b_value(spec, Zeta))
-    return float(np.sum(per) / (spec.a * Theta0.size))
+    return float(np.mean(misspec_kl_per_entry(spec, Theta0, ThetaBar, Zeta)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logit
 
-from .divergence import c_alpha, kl_per_entry, rate_formulas, renyi_per_entry
-from .families import (Dataset, FamilySpec, b_prime, b_second, b_value,
-                       dtheta_deta, family_bounds, theta_from_eta,
-                       theta_raw_from_eta)
+from .divergence import (c_alpha, kl_per_entry, lemma_rhs,
+                         log_ratio_sq_per_entry, misspec_kl_per_entry,
+                         rate_formulas, renyi_per_entry)
+from .families import (Dataset, FamilySpec, b_prime, b_value, dtheta_deta,
+                       family_bounds, theta_from_eta, theta_raw_from_eta)
 from .posterior import (FractionalConfig, log_likelihood_and_grad,
                         posterior_mean, run_sampler)
 from .prior import PriorConfig, tau_preset
@@ -50,37 +51,31 @@ def verify_divergence_bounds(spec, trials, rng, alphas=(0.25, 0.5, 0.75)):
     zeta = rng.uniform(lo, hi, size=trials)
     theta0 = rng.uniform(lo, hi, size=trials)
 
-    a = spec.a
     diff_sq = (zeta - theta) ** 2
+    rhs = lemma_rhs(bounds, spec.a, diff_sq, 1)
     kl_exact = kl_per_entry(spec, theta, zeta)
-    kl_bound = bounds.c_u / (2.0 * a) * diff_sq
-    # D_alpha >= alpha C_L d^2 / (2a): Jensen gap of the C_L-strongly-convex b
-    renyi_lower = {al: al * bounds.c_l / (2.0 * a) * diff_sq for al in alphas}
+    renyi_lower = {al: lemma_rhs(bounds, spec.a, diff_sq, 1, al).renyi_lower
+                   for al in alphas}
     renyi_exact = {al: renyi_per_entry(spec, theta, zeta, al) for al in alphas}
-    lin = b_prime(spec, theta) * (theta - zeta) \
-        - b_value(spec, theta) + b_value(spec, zeta)
-    logsq_exact = (a * b_second(spec, theta) * diff_sq + lin ** 2) / a ** 2
-    logsq_bound = bounds.c_u / a * diff_sq + bounds.c_u ** 2 / (4 * a ** 2) * diff_sq ** 2
-    mis_exact = (b_prime(spec, theta0) * (theta - zeta)
-                 - b_value(spec, theta) + b_value(spec, zeta)) / a
-    mis_bound = 2.0 * bounds.u_1 / a * np.abs(zeta - theta)
+    logsq_exact = log_ratio_sq_per_entry(spec, theta, zeta)
+    mis_exact = misspec_kl_per_entry(spec, theta0, theta, zeta)
 
     tol = 1e-12
     sat = {
-        "kl_upper": kl_exact <= kl_bound * (1 + 1e-9) + tol,
+        "kl_upper": kl_exact <= rhs.kl_upper * (1 + 1e-9) + tol,
         "renyi_lower": np.all(
             [renyi_exact[al] >= renyi_lower[al] * (1 - 1e-9) - tol
              for al in alphas],
             axis=0),
-        "log_sq": logsq_exact <= logsq_bound * (1 + 1e-9) + tol,
-        "misspec_kl": mis_exact <= mis_bound * (1 + 1e-9) + tol,
+        "log_sq": logsq_exact <= rhs.logsq_upper * (1 + 1e-9) + tol,
+        "misspec_kl": mis_exact <= rhs.misspec_kl * (1 + 1e-9) + tol,
     }
     return {
         "theta": theta, "zeta": zeta, "theta0": theta0,
-        "kl_exact": kl_exact, "kl_bound": kl_bound,
+        "kl_exact": kl_exact, "kl_bound": rhs.kl_upper,
         "renyi_exact": renyi_exact, "renyi_lower_bound": renyi_lower,
-        "logsq_exact": logsq_exact, "logsq_bound": logsq_bound,
-        "misspec_exact": mis_exact, "misspec_bound": mis_bound,
+        "logsq_exact": logsq_exact, "logsq_bound": rhs.logsq_upper,
+        "misspec_exact": mis_exact, "misspec_bound": rhs.misspec_kl,
         "satisfied": sat,
         "satisfied_fraction": {k: float(np.mean(v)) for k, v in sat.items()},
     }

@@ -240,20 +240,18 @@ def save_chain(path, chain):
 
 
 def load_chain(path):
-    """Read a chain file back; returns (samples, alpha, gamma, log_post, flags)."""
+    """Read a chain file and its sidecar CSV back; returns
+    (samples, alpha, gamma, log_post, flags).  A missing sidecar raises
+    OSError, one whose row count differs from the sample count ValueError."""
     with open(path, "rb") as fh:
         if fh.read(8) != CHAIN_MAGIC:
             raise ValueError("not a chain file")
         p, q, m = struct.unpack("<iii", fh.read(12))
         alpha, gamma = struct.unpack("<dd", fh.read(16))
         samples = np.frombuffer(fh.read(8 * m * p * q), dtype="<f8").reshape(m, p, q)
-    log_post = np.zeros(m)
-    flags = np.ones(m, dtype=bool)
-    try:
-        side = np.genfromtxt(str(path) + ".csv", delimiter=",", skip_header=1)
-        side = side.reshape(-1, 3)
-        log_post = side[:, 1]
-        flags = side[:, 2].astype(bool)
-    except OSError:
-        pass
-    return samples.copy(), alpha, gamma, log_post, flags
+    side = np.loadtxt(str(path) + ".csv", delimiter=",", skiprows=1)
+    side = side.reshape(-1, 3)
+    if side.shape[0] != m:
+        raise ValueError(f"chain sidecar has {side.shape[0]} rows, "
+                         f"expected {m}")
+    return samples.copy(), alpha, gamma, side[:, 1], side[:, 2].astype(bool)

@@ -2,7 +2,7 @@
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +109,8 @@ def prediction_error(X, B_hat, B0):
 # dataset persistence: X.csv, Y.csv plus an INI meta file
 
 
-def _write_matrix(path, M):
+def write_matrix(path, M):
+    """One CSV line per row, each value as %.17g (round-trips float64)."""
     with open(path, "w") as fh:
         for row in np.atleast_2d(M):
             fh.write(",".join("%.17g" % v for v in row))
@@ -122,8 +123,8 @@ def _read_matrix(path):
 
 def save_dataset(dirpath, data, seed=None):
     os.makedirs(dirpath, exist_ok=True)
-    _write_matrix(os.path.join(dirpath, "X.csv"), data.X)
-    _write_matrix(os.path.join(dirpath, "Y.csv"), data.Y)
+    write_matrix(os.path.join(dirpath, "X.csv"), data.X)
+    write_matrix(os.path.join(dirpath, "Y.csv"), data.Y)
     meta = configparser.ConfigParser()
     spec = data.family
     meta["family"] = {

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from frrr.cli import (EXIT_CONFIG, EXIT_DATA, canonical_text,
+from frrr import cli
+from frrr.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, canonical_text,
                       family_from_config, main, read_config)
 
 
@@ -47,6 +48,42 @@ dir = {out}
 seed = 5
 """
 
+RATE = """
+[family]
+family = gaussian
+[truth]
+p = 3
+q = 2
+r = 1
+[study]
+n_grid = 40 80
+replications = 2
+n_steps = 300
+burn_in = 100
+thin = 5
+[output]
+dir = {out}
+[run]
+seed = 3
+"""
+
+MISSPEC = """
+[truth]
+p = 3
+q = 2
+r = 1
+[study]
+n_grid = 60 120
+replications = 2
+n_steps = 300
+burn_in = 100
+thin = 5
+[output]
+dir = {out}
+[run]
+seed = 3
+"""
+
 
 def run_generate(tmp_path):
     data_dir = tmp_path / "data"
@@ -77,6 +114,12 @@ class TestConfigParsing:
         text = canonical_text(parsed)
         again = write_ini(tmp_path / "c2.ini", text)
         assert read_config(again) == parsed
+
+    def test_unread_study_alphas_rejected(self, tmp_path):
+        text = RATE.format(out=tmp_path / "o").replace(
+            "thin = 5\n", "thin = 5\nalphas = 0.5\n")
+        cfg = write_ini(tmp_path / "c.ini", text)
+        assert main(["rate-study", cfg]) == EXIT_CONFIG
 
     def test_family_from_config(self):
         spec = family_from_config(
@@ -139,6 +182,18 @@ class TestFitAndSummarize:
         assert (out / "bhat.csv").read_bytes() == \
             (sum_out / "bhat.csv").read_bytes()
 
+    def test_missing_sidecar_is_data_error(self, tmp_path):
+        data = run_generate(tmp_path)
+        out = tmp_path / "fit"
+        cfg = write_ini(tmp_path / "f.ini", FIT.format(data=data, out=out))
+        assert main(["fit", cfg]) == 0
+        (out / "chain.bin.csv").unlink()
+        scfg = write_ini(tmp_path / "s.ini", (
+            f"[data]\nchain_file = {out / 'chain.bin'}\n"
+            f"[output]\ndir = {tmp_path / 'sum'}\n"))
+        assert main(["summarize", scfg]) == EXIT_DATA
+        assert not (tmp_path / "sum" / "summary.json").exists()
+
 
 class TestDivergenceCommand:
     def test_identical_inputs_zero_report(self, tmp_path):
@@ -166,6 +221,69 @@ class TestVerifyBoundsCommand:
         assert main(["verify-bounds", cfg]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["satisfied_fraction"] == 1.0
+
+
+def run_twice(tmp_path, command, template):
+    """Run a study command into two directories; return both output dirs."""
+    outs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        cfg = write_ini(tmp_path / f"{tag}.ini", template.format(out=out))
+        assert main([command, cfg]) == 0
+        outs.append(out)
+    return outs
+
+
+def assert_same_bytes(a, b):
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    for name in names:
+        if name != "manifest.json":
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestRateStudyCommand:
+    def test_outputs_and_rerun(self, tmp_path):
+        out, again = run_twice(tmp_path, "rate-study", RATE)
+        rows = (out / "rate_cells.csv").read_text().splitlines()
+        assert rows[0] == ("n,r,rep,pred_err,pred_err_post,est_err,d_alpha,"
+                           "prop1_bound,acceptance")
+        assert len(rows) - 1 == 2 * 2           # cells x replications
+        for name in ("error_vs_n.dat", "bound_vs_n.dat"):
+            lines = (out / name).read_text().splitlines()
+            assert [int(x.split()[0]) for x in lines] == [40, 80]
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"cells", "hellinger_check", "slope",
+                                "slope_se"}
+        assert_same_bytes(out, again)
+
+
+class TestMisspecCommand:
+    def test_outputs_and_rerun(self, tmp_path):
+        out, again = run_twice(tmp_path, "misspec", MISSPEC)
+        rows = (out / "misspec_cells.csv").read_text().splitlines()
+        assert rows[0] == ("n,rep,lhs_pred,d_alpha,oracle_rhs,theorem2_rhs,"
+                           "kl_floor")
+        assert len(rows) - 1 == 2 * 2           # cells x replications
+        lines = (out / "dalpha_vs_n.dat").read_text().splitlines()
+        assert [int(x.split()[0]) for x in lines] == [60, 120]
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"cells"}
+        assert_same_bytes(out, again)
+
+    def test_study_thin_is_read(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def capture(study):
+            seen["thin"] = study.thin
+            raise RuntimeError("stop after capturing the config")
+
+        monkeypatch.setattr(cli, "run_misspec_study", capture)
+        text = MISSPEC.format(out=tmp_path / "o").replace("thin = 5",
+                                                          "thin = 7")
+        cfg = write_ini(tmp_path / "m.ini", text)
+        assert main(["misspec", cfg]) == EXIT_NUMERIC
+        assert seen["thin"] == 7
 
 
 class TestManifest:

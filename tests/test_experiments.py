@@ -7,7 +7,9 @@ from frrr.experiments import (MisspecConfig, RateStudyConfig, cross_kl_avg,
                               likelihood_ridge_fit, run_misspec_study,
                               run_rate_study, sampling_box,
                               verify_divergence_bounds)
-from frrr.families import FamilySpec, b_prime, theta_from_eta
+from frrr.divergence import (expected_log_ratio_sq, lemma_bounds,
+                             misspec_kl_lhs)
+from frrr.families import FamilySpec, b_prime, family_bounds, theta_from_eta
 from frrr.simulate import make_design, make_low_rank_truth
 
 from conftest import bounded_specs
@@ -40,6 +42,23 @@ class TestVerifyDivergenceBounds:
         res = verify_divergence_bounds(spec, 5, FixedRng())
         assert np.all(res["kl_exact"] == 0)
         assert np.all(res["kl_bound"] == 0)
+
+    @pytest.mark.parametrize("name", sorted(bounded_specs()))
+    def test_columns_are_the_library_lemmas(self, name, rng):
+        # The harness must check the exported formulas, not a copy of them.
+        spec = bounded_specs()[name]
+        fb = family_bounds(spec)
+        res = verify_divergence_bounds(spec, 50, rng)
+        for i in range(50):
+            T, Z = np.array([[res["theta"][i]]]), np.array([[res["zeta"][i]]])
+            T0 = np.array([[res["theta0"][i]]])
+            lb = lemma_bounds(fb, spec.a, T, Z, alpha=0.5)
+            assert res["kl_bound"][i] == lb.kl_upper
+            assert res["logsq_bound"][i] == lb.logsq_upper
+            assert res["misspec_bound"][i] == lb.misspec_kl
+            assert res["renyi_lower_bound"][0.5][i] == lb.renyi_lower
+            assert res["logsq_exact"][i] == expected_log_ratio_sq(spec, T, Z)
+            assert res["misspec_exact"][i] == misspec_kl_lhs(spec, T0, T, Z)
 
     def test_sampling_box(self):
         spec = FamilySpec("gamma_log", a=0.5, k=2.0,

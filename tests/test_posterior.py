@@ -265,6 +265,20 @@ class TestChainPersistence:
         assert np.allclose(log_post, chain.log_post)
         assert np.array_equal(flags, chain.accept_flags)
 
+    def test_sidecar_row_count_must_match(self, rng, tmp_path):
+        data, _ = make_data(default_specs()["gaussian"], 20, 2, 2, rng)
+        frac = FractionalConfig(alpha=0.5, n_steps=40, burn_in=10, thin=5)
+        chain = run_sampler(data, PriorConfig(tau=1.0, p=2, q=2), frac)
+        path = tmp_path / "chain.bin"
+        save_chain(path, chain)
+        side = tmp_path / "chain.bin.csv"
+        side.write_text("".join(side.read_text().splitlines(True)[:-1]))
+        with pytest.raises(ValueError, match="sidecar"):
+            load_chain(path)
+        side.unlink()
+        with pytest.raises(OSError):
+            load_chain(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTACHAIN")
