@@ -11,8 +11,7 @@ from .divergence import (DivergenceReport, LemmaBounds, RateFormulas, c_alpha,
                          misspec_kl_lhs, rate_formulas, renyi_bruteforce,
                          renyi_per_entry, tv_bruteforce)
 from .experiments import (KLFit, MisspecConfig, MisspecStudyResult,
-                          RateStudyConfig, RateStudyResult, cross_kl_avg,
-                          cross_renyi_avg, fit_kl_minimizer,
+                          RateStudyConfig, RateStudyResult, fit_kl_minimizer,
                           hellinger_consistency_check, likelihood_ridge_fit,
                           posterior_average_divergence, run_misspec_study,
                           run_rate_study, verify_divergence_bounds)

@@ -206,7 +206,7 @@ def _write_fit_outputs(outdir, chain):
         "effective_rank_bhat": effective_rank(b_hat),
         "step_size": chain.step_size,
         "n_retained": int(len(chain.samples)),
-        "alpha": chain.config.alpha if chain.config else None,
+        "alpha": chain.config.alpha,
         "dataset_digest": chain.dataset_digest,
     }
     _write_json(os.path.join(outdir, "fit_summary.json"), summary)
@@ -218,9 +218,18 @@ def cmd_fit(cfg):
     if dataset_dir is None:
         raise ConfigError("missing [data] dataset_dir")
     out = _outdir(cfg)
-    alpha = _get(cfg, "sampler", "alpha", 0.5, float)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
+    try:
+        frac = FractionalConfig(
+            alpha=_get(cfg, "sampler", "alpha", 0.5, float),
+            step_size=_get(cfg, "sampler", "step_size", cast=float),
+            n_steps=_get(cfg, "sampler", "n_steps", 10000, int),
+            burn_in=_get(cfg, "sampler", "burn_in", cast=int),
+            thin=_get(cfg, "sampler", "thin", 10, int),
+            seed=seed,
+            algorithm=_get(cfg, "sampler", "algorithm", "mala"),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     try:
         data = load_dataset(dataset_dir)
     except (OSError, ValueError) as exc:
@@ -228,15 +237,6 @@ def cmd_fit(cfg):
         return EXIT_DATA
     prior_cfg = resolve_prior(cfg, data.n, data.p, data.q, data.family.a,
                               float(np.linalg.norm(data.X)))
-    frac = FractionalConfig(
-        alpha=alpha,
-        step_size=_get(cfg, "sampler", "step_size", cast=float),
-        n_steps=_get(cfg, "sampler", "n_steps", 10000, int),
-        burn_in=_get(cfg, "sampler", "burn_in", cast=int),
-        thin=_get(cfg, "sampler", "thin", 10, int),
-        seed=seed,
-        algorithm=_get(cfg, "sampler", "algorithm", "mala"),
-    )
     try:
         chain = run_sampler(data, prior_cfg, frac)
     except SamplerDivergence as exc:

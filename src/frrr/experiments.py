@@ -4,6 +4,15 @@ All theorem comparisons use exactly the constant prefactors of the stated
 bounds; both sides are recorded.  Expectations over data are approximated by
 replication averages with the design matrix and truth held fixed per cell,
 and posterior integrals by averages over retained chain samples.
+
+Both studies run each replicate the same way (``_replicate_chain``): draw Y
+from the true family, start a MALA chain of the fitted model at the
+likelihood ridge fit, and average D_alpha to the true natural parameter over
+the chain (``posterior_average_divergence``).  The rate study computes D_alpha
+at its fractional power alpha and at 1/2 (for the Hellinger check); the
+misspecification study at alpha.  Its fitted and true families must share a
+law up to the link (``fit_kl_minimizer``), so the closed-form divergences of
+the fitted family apply to the pair.
 """
 
 from dataclasses import dataclass, field
@@ -100,10 +109,10 @@ def likelihood_ridge_fit(data, ridge=1e-3, maxiter=300):
     return res.x.reshape(p, q)
 
 
-def posterior_average_divergence(spec, X, samples, B_ref, alphas, subsample=40):
-    """Average per-entry-averaged D_alpha between theta(B) and theta(B_ref)
-    over (a subsample of) retained chain samples."""
-    theta_ref = theta_from_eta(spec, X @ B_ref)
+def posterior_average_divergence(spec, X, samples, theta_ref, alphas,
+                                 subsample=40):
+    """Average per-entry-averaged D_alpha between theta(B) and the natural
+    parameter theta_ref over (a subsample of) retained chain samples."""
     idx = np.linspace(0, len(samples) - 1, min(subsample, len(samples))).astype(int)
     out = {}
     for al in alphas:
@@ -112,6 +121,21 @@ def posterior_average_divergence(spec, X, samples, B_ref, alphas, subsample=40):
             for i in idx]
         out[al] = float(np.mean(vals))
     return out
+
+
+def _replicate_chain(cfg, rep_key, X, truth, true_spec, fit_spec, prior_cfg):
+    """One study replicate: Y drawn from ``true_spec`` at the truth, then a
+    MALA chain of the ``fit_spec`` model started at the likelihood ridge fit.
+    The chain seed is drawn from the replicate's stream after Y."""
+    rep_rng = np.random.default_rng(rep_key)
+    Y = generate_dataset(X, truth, true_spec, rep_rng).Y
+    data = Dataset(X=X, Y=Y, family=fit_spec)
+    init = likelihood_ridge_fit(data)
+    frac = FractionalConfig(
+        alpha=cfg.alpha, n_steps=cfg.n_steps, burn_in=cfg.burn_in,
+        thin=cfg.thin, seed=int(rep_rng.integers(2 ** 63)),
+        algorithm="mala", init=init)
+    return run_sampler(data, prior_cfg, frac)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +153,6 @@ class RateStudyConfig:
     n_ref: int = 400
     replications: int = 20
     alpha: float = 0.5
-    alphas_div: tuple = (0.25, 0.5, 0.75)
     tau_preset: str = "theorem1"
     design_mode: str = "iid"
     n_steps: int = 3500
@@ -153,7 +176,7 @@ class RateCell:
     pred_err: np.ndarray          # per-rep ||X(Bhat - B0)||_F^2/(nq)
     pred_err_post: np.ndarray     # per-rep posterior-integrated version
     est_err: np.ndarray           # per-rep ||Bhat - B0||_F^2
-    d_alpha: dict                 # alpha -> per-rep posterior-avg divergence
+    d_alpha: dict                 # {alpha, 1/2} -> per-rep posterior-avg D_alpha
     acceptance: np.ndarray
     failures: list = field(default_factory=list)
 
@@ -240,20 +263,17 @@ def _run_rate_cell(cfg, cell_index, n, r):
     rates = rate_formulas(n, cfg.p, cfg.q, truth.rank, spec.a, fb,
                           x_frob, truth.frob)
 
+    theta0 = theta_from_eta(spec, X @ truth.b0)
+    orders = sorted({cfg.alpha, 0.5})
+
     def one_rep(rep):
-        rep_rng = np.random.default_rng([cfg.seed, 7919, cell_index, rep])
-        data = generate_dataset(X, truth, spec, rep_rng)
-        init = likelihood_ridge_fit(data)
-        frac = FractionalConfig(
-            alpha=cfg.alpha, n_steps=cfg.n_steps, burn_in=cfg.burn_in,
-            thin=cfg.thin, seed=int(rep_rng.integers(2 ** 63)),
-            algorithm="mala", init=init)
-        chain = run_sampler(data, prior_cfg, frac)
+        chain = _replicate_chain(cfg, [cfg.seed, 7919, cell_index, rep],
+                                 X, truth, spec, spec, prior_cfg)
         b_hat = posterior_mean(chain)
         post_pe = float(np.mean([
             prediction_error(X, s, truth.b0) for s in chain.samples[::10]]))
         div = posterior_average_divergence(
-            spec, X, chain.samples, truth.b0, cfg.alphas_div)
+            spec, X, chain.samples, theta0, orders)
         return dict(
             pred_err=prediction_error(X, b_hat, truth.b0),
             pred_err_post=post_pe,
@@ -270,7 +290,7 @@ def _run_rate_cell(cfg, cell_index, n, r):
         pred_err_post=np.array([x["pred_err_post"] for x in reps]),
         est_err=np.array([x["est_err"] for x in reps]),
         d_alpha={al: np.array([x["d_alpha"][al] for x in reps])
-                 for al in cfg.alphas_div},
+                 for al in orders},
         acceptance=np.array([x["acceptance"] for x in reps]),
     )
 
@@ -326,45 +346,6 @@ def hellinger_consistency_check(result):
 # misspecification study
 
 
-def _true_means(true_spec, X, B0):
-    theta0 = theta_from_eta(true_spec, X @ B0)
-    return b_prime(true_spec, theta0), theta0
-
-
-def cross_kl_avg(true_spec, theta0, fit_spec, theta):
-    """Per-entry-averaged KL from the true law to the fitted law.
-
-    Exact for bernoulli/bernoulli pairs and for identical families;
-    other cross-family combinations are not supported.
-    """
-    both_bern = (true_spec.family.startswith("bernoulli")
-                 and fit_spec.family.startswith("bernoulli"))
-    if both_bern:
-        p0 = b_prime(true_spec, theta0)
-        p1 = b_prime(fit_spec, theta)
-        val = (p0 * (np.log(p0) - np.log(p1))
-               + (1 - p0) * (np.log1p(-p0) - np.log1p(-p1)))
-        return float(np.mean(val))
-    if true_spec.family == fit_spec.family:
-        return float(np.mean(kl_per_entry(true_spec, theta0, theta)))
-    raise ValueError("cross-family KL only available for bernoulli pairs")
-
-
-def cross_renyi_avg(true_spec, theta0, fit_spec, theta, alpha):
-    """Per-entry-averaged D_alpha between fitted and true law (bernoulli pairs)."""
-    both_bern = (true_spec.family.startswith("bernoulli")
-                 and fit_spec.family.startswith("bernoulli"))
-    if both_bern:
-        p1 = b_prime(fit_spec, theta)
-        p0 = b_prime(true_spec, theta0)
-        integ = (p1 ** alpha * p0 ** (1 - alpha)
-                 + (1 - p1) ** alpha * (1 - p0) ** (1 - alpha))
-        return float(np.mean(np.log(integ) / (alpha - 1.0)))
-    if true_spec.family == fit_spec.family:
-        return float(np.mean(renyi_per_entry(true_spec, theta, theta0, alpha)))
-    raise ValueError("cross-family Renyi only available for bernoulli pairs")
-
-
 @dataclass
 class KLFit:
     b_bar: np.ndarray
@@ -382,10 +363,18 @@ def fit_kl_minimizer(true_spec, B0, fit_spec, X, max_rank=None,
     B (the KL up to a B-free constant), chain-ruled through the fitted link;
     an optional rank cap is enforced by truncated-SVD projection steps.  The
     per-entry normalization keeps the gradient scale independent of n.
+
+    The two families must share a law up to the link (both bernoulli, or
+    equal family, a and k), so the KL has the fitted family's closed form.
     """
+    if _law(true_spec) != _law(fit_spec):
+        raise ValueError("true and fitted families must share a law up to "
+                         "the link")
     X = np.asarray(X, dtype=float)
-    p, q = X.shape[1], np.asarray(B0).shape[1]
-    mu0, _ = _true_means(true_spec, X, np.asarray(B0, dtype=float))
+    B0 = np.asarray(B0, dtype=float)
+    p, q = X.shape[1], B0.shape[1]
+    theta0 = theta_from_eta(true_spec, X @ B0)
+    mu0 = b_prime(true_spec, theta0)
     a = fit_spec.a
     m = mu0.size
 
@@ -437,14 +426,21 @@ def fit_kl_minimizer(true_spec, B0, fit_spec, X, max_rank=None,
     _, g = objective(best)
     gnorm = float(np.linalg.norm(g))
     theta_bar = theta_from_eta(fit_spec, X @ best)
-    theta0 = theta_from_eta(true_spec, X @ np.asarray(B0, dtype=float))
     return KLFit(
         b_bar=best,
-        kl_value=cross_kl_avg(true_spec, theta0, fit_spec, theta_bar),
+        kl_value=float(np.mean(kl_per_entry(fit_spec, theta0, theta_bar))),
         grad_norm=gnorm,
         restart_spread=float(spread),
         converged=gnorm < 1e-6 or max_rank is not None,
     )
+
+
+def _law(spec):
+    """What the entry law depends on besides theta (the link is not part of
+    it): b and a, fixed for the bernoulli links, else family, a and k."""
+    if spec.family.startswith("bernoulli"):
+        return "bernoulli"
+    return spec.family, spec.a, spec.k
 
 
 def _svd_truncate(B, r):
@@ -567,26 +563,17 @@ def run_misspec_study(cfg):
                       # second Corollary term = 4a(1+alpha)/(C_L(1-alpha)) * r_n/2
                       + 4.0 * a * (1 + al) / (fb.c_l * (1 - al)) * r_n / 2.0)
 
+        theta0 = theta_from_eta(cfg.true_family, X @ truth.b0)
+
         def one_rep(rep):
-            rep_rng = np.random.default_rng([cfg.seed, 104729, ci, rep])
-            data_true = generate_dataset(X, truth, cfg.true_family, rep_rng)
-            data = Dataset(X=X, Y=data_true.Y, family=fit_spec)
-            init = likelihood_ridge_fit(data)
-            frac = FractionalConfig(
-                alpha=al, n_steps=cfg.n_steps, burn_in=cfg.burn_in,
-                thin=cfg.thin, seed=int(rep_rng.integers(2 ** 63)),
-                algorithm="mala", init=init)
-            chain = run_sampler(data, prior_cfg, frac)
+            chain = _replicate_chain(cfg, [cfg.seed, 104729, ci, rep], X,
+                                     truth, cfg.true_family, fit_spec,
+                                     prior_cfg)
             lhs = float(np.mean([
                 prediction_error(X, s, truth.b0) for s in chain.samples]))
-            theta0 = theta_from_eta(cfg.true_family, X @ truth.b0)
-            idx = np.linspace(0, len(chain.samples) - 1,
-                              min(40, len(chain.samples))).astype(int)
-            dvals = [cross_renyi_avg(
-                cfg.true_family, theta0, fit_spec,
-                theta_from_eta(fit_spec, X @ chain.samples[i]), al)
-                for i in idx]
-            return lhs, float(np.mean(dvals))
+            div = posterior_average_divergence(
+                fit_spec, X, chain.samples, theta0, (al,))
+            return lhs, div[al]
 
         reps = [one_rep(rep) for rep in range(cfg.replications)]
         cells.append(MisspecCell(

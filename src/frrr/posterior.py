@@ -22,6 +22,7 @@ from .families import (b_prime, b_second, b_value, family_bounds,
 from .prior import log_prior_and_grad
 
 CHAIN_MAGIC = b"FRRRCHN1"
+LOG_POST_FLOOR = -1e12        # a lower log-posterior is a diverged chain
 
 
 class SamplerDivergence(RuntimeError):
@@ -38,8 +39,6 @@ class FractionalConfig:
     seed: int = 0
     algorithm: str = "mala"
     init: np.ndarray = None   # None -> zero matrix (the prior mode)
-    autotune: bool = True
-    log_post_floor: float = -1e12
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -48,10 +47,9 @@ class FractionalConfig:
             raise ValueError("step_size must be positive")
         if self.n_steps < 1 or self.thin < 1:
             raise ValueError("n_steps and thin must be positive")
-        # burn_in == n_steps is allowed and retains nothing
         burn = self.n_steps // 5 if self.burn_in is None else self.burn_in
-        if not 0 <= burn <= self.n_steps:
-            raise ValueError("burn_in must satisfy 0 <= burn_in <= n_steps")
+        if not 0 <= burn < self.n_steps:
+            raise ValueError("burn_in must satisfy 0 <= burn_in < n_steps")
         object.__setattr__(self, "burn_in", burn)
         if self.algorithm not in ("ula", "mala"):
             raise ValueError("algorithm must be 'ula' or 'mala'")
@@ -175,12 +173,12 @@ def run_sampler(data, prior_cfg, frac_cfg):
             accepted = True
             B, value, grad = prop, prop_value, prop_grad
 
-        if not np.isfinite(value) or value < cfg.log_post_floor:
+        if not np.isfinite(value) or value < LOG_POST_FLOOR:
             raise SamplerDivergence(
-                f"log-posterior {value} at step {step} (floor {cfg.log_post_floor})")
+                f"log-posterior {value} at step {step} (floor {LOG_POST_FLOOR})")
 
         # step-size tuning, burn-in only so the retained chain has fixed gamma
-        if mala and cfg.autotune and step < cfg.burn_in and window_n >= 50:
+        if mala and step < cfg.burn_in and window_n >= 50:
             rate = window_acc / window_n
             if rate > 0.6:
                 gamma *= 2.0
@@ -212,14 +210,12 @@ def posterior_mean(chain):
     return chain.samples.mean(axis=0)
 
 
-def effective_rank(B, threshold_ratio=1e-3):
-    """Number of singular values above threshold_ratio times the largest."""
-    if not 0.0 < threshold_ratio < 1.0:
-        raise ValueError("threshold_ratio must lie in (0, 1)")
+def effective_rank(B):
+    """Number of singular values above 1e-3 times the largest."""
     s = np.linalg.svd(np.asarray(B, dtype=float), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > threshold_ratio * s[0]))
+    return int(np.sum(s > 1e-3 * s[0]))
 
 
 def save_chain(path, chain):

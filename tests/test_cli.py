@@ -164,6 +164,21 @@ class TestFitAndSummarize:
         bhat = np.loadtxt(out / "bhat.csv", delimiter=",")
         assert bhat.shape == (4, 3)
 
+    @pytest.mark.parametrize("old,new", [
+        ("n_steps = 300", "n_steps = 0"),
+        ("thin = 3", "thin = 0"),
+        ("thin = 3", "thin = 3\nalgorithm = hmc"),
+        ("burn_in = 100", "burn_in = 300"),     # would retain no sample
+    ], ids=["n_steps_0", "thin_0", "hmc", "burn_in_n_steps"])
+    def test_bad_sampler_is_config_error(self, tmp_path, old, new):
+        data = run_generate(tmp_path)
+        out = tmp_path / "fit"
+        text = FIT.format(data=data, out=out)
+        assert old in text
+        cfg = write_ini(tmp_path / "f.ini", text.replace(old, new))
+        assert main(["fit", cfg]) == EXIT_CONFIG
+        assert not (out / "chain.bin").exists()
+
     def test_missing_dataset_is_data_error(self, tmp_path):
         cfg = write_ini(tmp_path / "f.ini",
                         FIT.format(data=tmp_path / "nope", out=tmp_path / "f"))
@@ -256,6 +271,18 @@ class TestRateStudyCommand:
         assert set(summary) == {"cells", "hellinger_check", "slope",
                                 "slope_se"}
         assert_same_bytes(out, again)
+
+
+    def test_sampler_alpha_is_the_reported_order(self, tmp_path):
+        out = tmp_path / "o"
+        text = RATE.format(out=out) + "[sampler]\nalpha = 0.6\n"
+        cfg = write_ini(tmp_path / "c.ini", text)
+        assert main(["rate-study", cfg]) == 0
+        rows = np.genfromtxt(out / "rate_cells.csv", delimiter=",",
+                             names=True)
+        assert len(rows) == 2 * 2
+        assert np.all(np.isfinite(rows["d_alpha"]))
+        assert np.all(rows["d_alpha"] >= 0)
 
 
 class TestMisspecCommand:

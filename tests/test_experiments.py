@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from frrr.experiments import (MisspecConfig, RateStudyConfig, cross_kl_avg,
-                              cross_renyi_avg, fit_kl_minimizer,
-                              hellinger_consistency_check,
+from frrr.experiments import (MisspecConfig, RateStudyConfig,
+                              fit_kl_minimizer, hellinger_consistency_check,
                               likelihood_ridge_fit, run_misspec_study,
                               run_rate_study, sampling_box,
                               verify_divergence_bounds)
-from frrr.divergence import (expected_log_ratio_sq, lemma_bounds,
-                             misspec_kl_lhs)
+from frrr.divergence import (expected_log_ratio_sq, kl_per_entry,
+                             lemma_bounds, misspec_kl_lhs, renyi_per_entry)
 from frrr.families import FamilySpec, b_prime, family_bounds, theta_from_eta
 from frrr.simulate import make_design, make_low_rank_truth
 
@@ -118,33 +117,55 @@ class TestFitKLMinimizer:
 
 
 class TestCrossDivergences:
+    """Probit and logit share b(theta) = log(1 + e^theta) and a = 1, so the
+    fitted family's closed forms are the divergences between the two laws."""
+
     def test_cross_kl_zero_at_matched_means(self):
         """Probit and logit laws with equal success prob have zero KL."""
         t = FamilySpec("bernoulli_probit")
         f = FamilySpec("bernoulli_logit")
         from scipy.special import logit
-        theta0 = np.array(0.3)
-        p = float(b_prime(t, theta0))
-        theta = np.array(logit(p))
-        assert cross_kl_avg(t, theta0, f, theta) < 1e-14
-        assert cross_renyi_avg(t, theta0, f, theta, 0.5) < 1e-14
+        theta0 = theta_from_eta(t, np.array(0.3))
+        theta = np.array(logit(b_prime(t, theta0)))
+        assert kl_per_entry(f, theta0, theta) < 1e-14
+        assert renyi_per_entry(f, theta, theta0, 0.5) < 1e-14
 
     def test_cross_kl_positive(self):
         t = FamilySpec("bernoulli_probit")
         f = FamilySpec("bernoulli_logit")
-        assert cross_kl_avg(t, np.array(0.5), f, np.array(-0.5)) > 0
+        theta0 = theta_from_eta(t, np.array(0.5))
+        theta = theta_from_eta(f, np.array(-0.5))
+        assert kl_per_entry(f, theta0, theta) > 0
+        assert renyi_per_entry(f, theta, theta0, 0.5) > 0
 
     def test_same_family_fallback(self, rng):
+        """One family on both sides passes the law check; the KL floor is the
+        closed form at the minimiser."""
         spec = FamilySpec("poisson_log")
-        from frrr.divergence import kl_per_entry
-        t0, t1 = np.array(0.2), np.array(-0.1)
-        assert abs(cross_kl_avg(spec, t0, spec, t1)
-                   - float(kl_per_entry(spec, t0, t1))) < 1e-14
+        X = make_design(30, 2, "iid", rng)
+        B0 = 0.3 * rng.standard_normal((2, 2))
+        fit = fit_kl_minimizer(spec, B0, spec, X)
+        theta0 = theta_from_eta(spec, X @ B0)
+        theta_bar = theta_from_eta(spec, X @ fit.b_bar)
+        assert fit.kl_value == float(np.mean(
+            kl_per_entry(spec, theta0, theta_bar)))
+        assert fit.kl_value < 1e-10
 
-    def test_unsupported_pair(self):
-        with pytest.raises(ValueError):
-            cross_kl_avg(FamilySpec("poisson_log"), np.array(0.1),
-                         FamilySpec("gaussian"), np.array(0.1))
+    def test_unsupported_pair(self, monkeypatch):
+        """Laws that differ beyond the link (another family, or another
+        dispersion a) are rejected before any minimising."""
+        import frrr.experiments as ex
+
+        def no_minimize(*args, **kwargs):
+            raise AssertionError("minimised before the law check")
+
+        monkeypatch.setattr(ex, "minimize", no_minimize)
+        X, B0 = np.ones((2, 1)), np.full((1, 1), 0.1)
+        for true_spec, fit_spec in (
+                (FamilySpec("poisson_log"), FamilySpec("gaussian")),
+                (FamilySpec("gaussian", a=1.0), FamilySpec("gaussian", a=2.0))):
+            with pytest.raises(ValueError, match="share a law"):
+                fit_kl_minimizer(true_spec, B0, fit_spec, X)
 
 
 class TestSmallStudies:
