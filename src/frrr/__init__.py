@@ -1,7 +1,7 @@
 """Fractional-posterior Bayesian inference for generalized reduced-rank
 regression: exponential-family likelihoods, a spectral scaled Student prior,
-Langevin samplers, closed-form divergences, and a verification harness for
-the associated contraction-rate bounds."""
+a batched MALA sampler, closed-form divergences, and a verification harness
+for the associated contraction-rate bounds."""
 
 __version__ = "1.0.0"
 
@@ -16,16 +16,16 @@ from .experiments import (KLFit, MisspecConfig, MisspecStudyResult,
                           posterior_average_divergence, run_misspec_study,
                           run_rate_study, verify_divergence_bounds)
 from .families import (FAMILY_IDS, Dataset, FamilyBounds, FamilySpec,
-                       InvalidParameterError, b_prime, b_second, b_value,
-                       dtheta_deta, family_bounds, linear_predictor,
+                       InvalidParameterError, b_and_prime, b_prime, b_second,
+                       b_value, dtheta_deta, family_bounds, linear_predictor,
                        link_terms, sample_response, theta_from_eta,
                        theta_raw_from_eta)
 from .posterior import (Chain, FractionalConfig, SamplerDivergence,
                         default_step_size, effective_rank,
                         grad_log_fractional_posterior, grad_log_likelihood,
                         load_chain, log_fractional_posterior, log_likelihood,
-                        log_likelihood_and_grad, posterior_mean, run_sampler,
-                        save_chain, value_and_grad)
+                        log_likelihood_and_grad, posterior_mean, run_chains,
+                        run_sampler, save_chain, value_and_grad)
 from .prior import (PriorConfig, grad_log_prior, log_prior,
                     log_prior_and_grad, prior_second_moment_check,
                     sample_prior, tau_preset)

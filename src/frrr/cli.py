@@ -46,8 +46,7 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "family": {"family", "a", "k", "theta_lo", "theta_hi", "clip_margin"},
     "prior": {"tau_preset", "tau_manual"},
-    "sampler": {"alpha", "step_size", "n_steps", "burn_in", "thin",
-                "algorithm"},
+    "sampler": {"alpha", "step_size", "n_steps", "burn_in", "thin"},
     "truth": {"p", "q", "r", "scale", "calibrate"},
     "design": {"n", "mode"},
     "data": {"dataset_dir", "chain_file"},
@@ -226,7 +225,6 @@ def cmd_fit(cfg):
             burn_in=_get(cfg, "sampler", "burn_in", cast=int),
             thin=_get(cfg, "sampler", "thin", 10, int),
             seed=seed,
-            algorithm=_get(cfg, "sampler", "algorithm", "mala"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))

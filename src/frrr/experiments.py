@@ -5,10 +5,11 @@ bounds; both sides are recorded.  Expectations over data are approximated by
 replication averages with the design matrix and truth held fixed per cell,
 and posterior integrals by averages over retained chain samples.
 
-Both studies run each replicate the same way (``_replicate_chain``): draw Y
-from the true family, start a MALA chain of the fitted model at the
-likelihood ridge fit, and average D_alpha to the true natural parameter over
-the chain (``posterior_average_divergence``).  The rate study computes D_alpha
+Both studies run the replicates of a cell the same way (``_cell_chains``):
+draw each Y from the true family, start a MALA chain of the fitted model at
+the likelihood ridge fit, advance all the cell's chains in one batched
+sampler call, and average D_alpha to the true natural parameter over each
+chain (``posterior_average_divergence``).  The rate study computes D_alpha
 at its fractional power alpha and at 1/2 (for the Hellinger check); the
 misspecification study at alpha.  Its fitted and true families must share a
 law up to the link (``fit_kl_minimizer``), so the closed-form divergences of
@@ -27,7 +28,7 @@ from .divergence import (c_alpha, kl_per_entry, lemma_rhs,
 from .families import (Dataset, FamilySpec, b_prime, b_value, dtheta_deta,
                        family_bounds, theta_from_eta, theta_raw_from_eta)
 from .posterior import (FractionalConfig, log_likelihood_and_grad,
-                        posterior_mean, run_sampler)
+                        posterior_mean, run_chains)
 from .prior import PriorConfig, tau_preset
 from .simulate import (calibrate_scale, compute_kappa, generate_dataset,
                        make_design, make_low_rank_truth, prediction_error)
@@ -123,19 +124,23 @@ def posterior_average_divergence(spec, X, samples, theta_ref, alphas,
     return out
 
 
-def _replicate_chain(cfg, rep_key, X, truth, true_spec, fit_spec, prior_cfg):
-    """One study replicate: Y drawn from ``true_spec`` at the truth, then a
-    MALA chain of the ``fit_spec`` model started at the likelihood ridge fit.
-    The chain seed is drawn from the replicate's stream after Y."""
-    rep_rng = np.random.default_rng(rep_key)
-    Y = generate_dataset(X, truth, true_spec, rep_rng).Y
-    data = Dataset(X=X, Y=Y, family=fit_spec)
-    init = likelihood_ridge_fit(data)
-    frac = FractionalConfig(
-        alpha=cfg.alpha, n_steps=cfg.n_steps, burn_in=cfg.burn_in,
-        thin=cfg.thin, seed=int(rep_rng.integers(2 ** 63)),
-        algorithm="mala", init=init)
-    return run_sampler(data, prior_cfg, frac)
+def _cell_chains(cfg, cell_key, X, truth, true_spec, fit_spec, prior_cfg):
+    """The replicates of one study cell.  Replicate ``rep`` draws Y from
+    ``true_spec`` at the truth with the stream ``cell_key + [rep]``, starts a
+    chain of the ``fit_spec`` model at the likelihood ridge fit, and draws
+    its chain seed from that stream after Y.  One batched MALA run then
+    advances every replicate's chain."""
+    datasets, fracs = [], []
+    for rep in range(cfg.replications):
+        rep_rng = np.random.default_rng(cell_key + [rep])
+        Y = generate_dataset(X, truth, true_spec, rep_rng).Y
+        data = Dataset(X=X, Y=Y, family=fit_spec)
+        datasets.append(data)
+        fracs.append(FractionalConfig(
+            alpha=cfg.alpha, n_steps=cfg.n_steps, burn_in=cfg.burn_in,
+            thin=cfg.thin, seed=int(rep_rng.integers(2 ** 63)),
+            init=likelihood_ridge_fit(data)))
+    return run_chains(datasets, prior_cfg, fracs)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +271,7 @@ def _run_rate_cell(cfg, cell_index, n, r):
     theta0 = theta_from_eta(spec, X @ truth.b0)
     orders = sorted({cfg.alpha, 0.5})
 
-    def one_rep(rep):
-        chain = _replicate_chain(cfg, [cfg.seed, 7919, cell_index, rep],
-                                 X, truth, spec, spec, prior_cfg)
+    def summarize(chain):
         b_hat = posterior_mean(chain)
         post_pe = float(np.mean([
             prediction_error(X, s, truth.b0) for s in chain.samples[::10]]))
@@ -281,7 +284,8 @@ def _run_rate_cell(cfg, cell_index, n, r):
             d_alpha=div,
             acceptance=chain.acceptance_rate)
 
-    reps = [one_rep(rep) for rep in range(cfg.replications)]
+    reps = [summarize(chain) for chain in _cell_chains(
+        cfg, [cfg.seed, 7919, cell_index], X, truth, spec, spec, prior_cfg)]
     return RateCell(
         n=n, r=r, alpha=cfg.alpha, tau=tau,
         kappa=compute_kappa(X), x_frob=x_frob, b_frob=truth.frob,
@@ -565,17 +569,16 @@ def run_misspec_study(cfg):
 
         theta0 = theta_from_eta(cfg.true_family, X @ truth.b0)
 
-        def one_rep(rep):
-            chain = _replicate_chain(cfg, [cfg.seed, 104729, ci, rep], X,
-                                     truth, cfg.true_family, fit_spec,
-                                     prior_cfg)
+        def summarize(chain):
             lhs = float(np.mean([
                 prediction_error(X, s, truth.b0) for s in chain.samples]))
             div = posterior_average_divergence(
                 fit_spec, X, chain.samples, theta0, (al,))
             return lhs, div[al]
 
-        reps = [one_rep(rep) for rep in range(cfg.replications)]
+        reps = [summarize(chain) for chain in _cell_chains(
+            cfg, [cfg.seed, 104729, ci], X, truth, cfg.true_family,
+            fit_spec, prior_cfg)]
         cells.append(MisspecCell(
             n=n, kl_floor=fit.kl_value, r_n=r_n, rank_bar=rank_bar,
             b_bar_frob=float(np.linalg.norm(b_bar)),

@@ -139,6 +139,19 @@ def b_prime(spec, theta):
     return spec.k * e / (1.0 - e)
 
 
+def b_and_prime(spec, theta):
+    """b(theta) and b'(theta), reusing b where b' is a function of it: the
+    bernoulli mean is exp(theta - b(theta)), with no expit pass, and the
+    poisson mean is b itself."""
+    b = b_value(spec, theta)
+    f = spec.family
+    if f in ("bernoulli_logit", "bernoulli_probit"):
+        return b, np.exp(theta - b)
+    if f == "poisson_log":
+        return b, b
+    return b, b_prime(spec, theta)
+
+
 def b_second(spec, theta):
     """Variance function b''(theta), always nonnegative."""
     theta = _check_domain(spec, theta)
@@ -273,10 +286,11 @@ def response_in_support(spec, y):
 
 
 def linear_predictor(X, B):
-    """eta = X @ B with shape checking."""
+    """eta = X @ B with shape checking; a stack B (R, p, q) gives (R, n, q)
+    by one broadcast product per matrix."""
     X = np.asarray(X, dtype=float)
     B = np.asarray(B, dtype=float)
-    if X.ndim != 2 or B.ndim != 2 or X.shape[1] != B.shape[0]:
+    if X.ndim != 2 or B.ndim < 2 or X.shape[1] != B.shape[-2]:
         raise ValueError(f"shape mismatch: X {X.shape} vs B {B.shape}")
     return X @ B
 

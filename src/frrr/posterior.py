@@ -1,15 +1,24 @@
-"""Fractional log-posterior, Langevin samplers and the posterior mean.
+"""Fractional log-posterior, the batched MALA sampler and the posterior mean.
 
 The target is U(B) = alpha * log-likelihood(B) + log-prior(B) for a
-fractional power alpha in (0, 1).  ULA iterates
-B <- B + gamma grad U(B) + sqrt(2 gamma) xi; MALA adds a Metropolis-Hastings
-correction with the asymmetric Gaussian proposal density.
+fractional power alpha in (0, 1).  MALA proposes
+B' = B + gamma grad U(B) + sqrt(2 gamma) xi and accepts it with the
+Metropolis-Hastings ratio of the asymmetric Gaussian proposal density.
 
-One kernel, ``value_and_grad``, evaluates U and grad U together: one
-eta = X @ B, one pass of the link (theta and d theta / d eta, zero on
-clipped cells), one X^T S for the likelihood gradient, and one Cholesky
-factor for the prior.  Each sampler step calls it once per proposal; the
-separate value and gradient functions below are views of the same kernel.
+One kernel, ``value_and_grad``, evaluates U and grad U together, for one
+(p, q) matrix or a stack (R, p, q) of them: one eta = X @ B per matrix, one
+pass of the link (theta and d theta / d eta, zero on clipped cells), one
+X^T S for the likelihood gradient, and one batched Cholesky factor for the
+prior.  An unclipped gaussian family skips eta altogether: its likelihood
+needs only X^T X and X^T Y, computed once per dataset, so a step costs the
+same at every n.  The separate value and gradient functions below are views
+of the same kernel.
+
+``run_chains`` advances the chains of datasets that share X (the replicates
+of a study cell) together, over an (R, p, q) state; ``run_sampler`` is its
+one-chain call.  Each chain keeps its own random stream, step-size tuning,
+acceptance count and divergence checks, and is bit-identical to its
+one-chain run.
 """
 
 import struct
@@ -17,16 +26,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import (b_prime, b_second, b_value, family_bounds,
+from .families import (FamilySpec, b_and_prime, b_second, family_bounds,
                        linear_predictor, link_terms, theta_from_eta)
 from .prior import log_prior_and_grad
 
 CHAIN_MAGIC = b"FRRRCHN1"
 LOG_POST_FLOOR = -1e12        # a lower log-posterior is a diverged chain
+# Largest n * q * chains that one block of the cell-wise kernel holds: a
+# temporary above 128 KiB is mapped afresh on every allocation, and the page
+# faults make a wider block slower per chain than a narrower one.
+BLOCK_CELLS = 16384
+TUNE_WINDOW = 50              # burn-in steps between step-size updates
 
 
 class SamplerDivergence(RuntimeError):
-    """Log-posterior fell below the floor or became non-finite."""
+    """Log-posterior fell below the floor or became non-finite, or a chain
+    accepted no proposal after burn-in."""
 
 
 @dataclass(frozen=True)
@@ -37,7 +52,6 @@ class FractionalConfig:
     burn_in: int = None       # None -> n_steps // 5
     thin: int = 10
     seed: int = 0
-    algorithm: str = "mala"
     init: np.ndarray = None   # None -> zero matrix (the prior mode)
 
     def __post_init__(self):
@@ -51,8 +65,6 @@ class FractionalConfig:
         if not 0 <= burn < self.n_steps:
             raise ValueError("burn_in must satisfy 0 <= burn_in < n_steps")
         object.__setattr__(self, "burn_in", burn)
-        if self.algorithm not in ("ula", "mala"):
-            raise ValueError("algorithm must be 'ula' or 'mala'")
 
 
 @dataclass
@@ -61,7 +73,7 @@ class Chain:
 
     samples: np.ndarray           # (m, p, q)
     log_post: np.ndarray          # (m,)
-    accept_flags: np.ndarray      # (m,) bool, all True for ULA
+    accept_flags: np.ndarray      # (m,) bool
     config: FractionalConfig
     dataset_digest: str
     step_size: float = 0.0        # step size actually used after tuning
@@ -74,19 +86,56 @@ class Chain:
             raise ValueError("non-finite log-posterior in retained samples")
 
 
+@dataclass(frozen=True)
+class _Stack:
+    """The responses of R datasets on one design and family.  For an
+    unclipped gaussian family the sufficient statistics G = X^T X and
+    C_r = X^T Y_r stand in for Y."""
+
+    X: np.ndarray                 # (n, p)
+    Y: np.ndarray                 # (R, n, q); None with gram and cross
+    family: FamilySpec
+    gram: np.ndarray = None       # (p, p)
+    cross: np.ndarray = None      # (R, p, q)
+
+
+def _sufficient(spec):
+    """Whether the likelihood of ``spec`` reduces to X^T X and X^T Y."""
+    return spec.family == "gaussian" and spec.theta_min == -np.inf \
+        and spec.theta_max == np.inf
+
+
+def _stack(datasets):
+    X, spec = datasets[0].X, datasets[0].family
+    if _sufficient(spec):
+        return _Stack(X, None, spec, X.T @ X,
+                      np.stack([X.T @ d.Y for d in datasets]))
+    return _Stack(X, np.stack([d.Y for d in datasets]), spec)
+
+
 def log_likelihood_and_grad(data, B):
     """Sum of (y theta - b(theta)) / a over all cells, dropping c(y, a), and
-    its gradient X^T [(Y - b'(theta)) * dtheta/deta] / a."""
+    its gradient X^T [(Y - b'(theta)) * dtheta/deta] / a.
+
+    B is one (p, q) matrix or a stack (R, p, q); the value then has shape
+    (R,).  With the sufficient statistics of an unclipped gaussian stack the
+    value is [<B, C> - <B, G B> / 2] / a and the gradient (C - G B) / a.
+    """
     spec = data.family
+    if getattr(data, "gram", None) is not None:
+        GB = data.gram @ B
+        value = (B * (data.cross - 0.5 * GB)).sum(axis=(-2, -1)) / spec.a
+        return value, (data.cross - GB) / spec.a
     theta, dtheta = link_terms(spec, linear_predictor(data.X, B))
-    value = float(np.sum(data.Y * theta - b_value(spec, theta)) / spec.a)
-    S = (data.Y - b_prime(spec, theta)) * dtheta
-    return value, data.X.T @ S / spec.a
+    b, mean = b_and_prime(spec, theta)
+    value = (data.Y * theta - b).sum(axis=(-2, -1)) / spec.a
+    return value, data.X.T @ ((data.Y - mean) * dtheta) / spec.a
 
 
 def value_and_grad(data, B, prior_cfg, alpha):
     """alpha * log-likelihood + log-prior and its gradient (alpha = 1 allowed
-    for diagnostics)."""
+    for diagnostics), for one matrix or a stack as in
+    ``log_likelihood_and_grad``."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     lik, lik_grad = log_likelihood_and_grad(data, B)
@@ -132,75 +181,145 @@ def default_step_size(data, prior_cfg, alpha, B=None):
 
 
 def run_sampler(data, prior_cfg, frac_cfg):
-    """Run ULA or MALA on the fractional posterior; deterministic given seed.
+    """Run MALA on the fractional posterior; deterministic given the seed.
+    The one-chain call of ``run_chains``."""
+    return run_chains([data], prior_cfg, [frac_cfg])[0]
 
-    MALA step size is doubled/halved during burn-in targeting acceptance
-    around 0.5, then frozen for the retained part of the chain.
+
+def run_chains(datasets, prior_cfg, frac_cfgs):
+    """One MALA chain per (dataset, config) pair, all advancing together.
+
+    The datasets share X and the family; the configs share alpha, n_steps,
+    burn_in and thin, and differ in seed, init and step_size.  During
+    burn-in each chain's step size is doubled (acceptance above 0.6) or
+    halved (below 0.4) after every window of min(50, burn_in) steps, the
+    last update only halving, then frozen for the retained part.  Proposals
+    with a non-finite entry, value or gradient are rejected.  Raises
+    SamplerDivergence when a chain's log-posterior falls below the floor or
+    a chain accepts nothing after burn-in.
+
+    Chains of a cell-wise likelihood run in blocks of at most BLOCK_CELLS
+    cells; chain r is bit-identical to its one-chain run.
     """
-    cfg = frac_cfg
-    rng = np.random.default_rng(cfg.seed)
-    p, q = prior_cfg.p, prior_cfg.q
-    B = np.zeros((p, q)) if cfg.init is None else np.array(cfg.init, dtype=float)
-    if B.shape != (p, q):
-        raise ValueError("init matrix has the wrong shape")
+    if len(datasets) != len(frac_cfgs) or not datasets:
+        raise ValueError("need one config per dataset")
+    if len({(c.alpha, c.n_steps, c.burn_in, c.thin) for c in frac_cfgs}) > 1:
+        raise ValueError("the chains of one call must share alpha, n_steps, "
+                         "burn_in and thin")
+    X, spec = datasets[0].X, datasets[0].family
+    if any(d.family != spec or not np.array_equal(d.X, X)
+           for d in datasets[1:]):
+        raise ValueError("the chains of one call must share X and the family")
+    size = len(datasets) if _sufficient(spec) else \
+        max(1, BLOCK_CELLS // max(1, X.shape[0] * datasets[0].q))
+    return [chain for i in range(0, len(datasets), size)
+            for chain in _mala(datasets[i:i + size], prior_cfg,
+                               frac_cfgs[i:i + size])]
 
-    gamma = cfg.step_size if cfg.step_size is not None else \
-        default_step_size(data, prior_cfg, cfg.alpha, B)
+
+def _mala(datasets, prior_cfg, cfgs):
+    cfg = cfgs[0]
+    data = _stack(datasets)
+    R, p, q = len(cfgs), prior_cfg.p, prior_cfg.q
+    B = np.array([np.zeros((p, q)) if c.init is None else c.init
+                  for c in cfgs], dtype=float)
+    if B.shape != (R, p, q):
+        raise ValueError("init matrix has the wrong shape")
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    gamma = np.array([
+        c.step_size if c.step_size is not None else
+        default_step_size(data, prior_cfg, cfg.alpha, b)
+        for c, b in zip(cfgs, B)])
     value, grad = value_and_grad(data, B, prior_cfg, cfg.alpha)
 
-    mala = cfg.algorithm == "mala"
-    retained, log_posts, flags = [], [], []
-    n_acc = n_prop = 0
-    window_acc = window_n = 0
+    kept = range(cfg.burn_in, cfg.n_steps, cfg.thin)
+    samples = np.empty((R, len(kept), p, q))
+    log_post = np.empty((R, len(kept)))
+    flags = np.empty((R, len(kept)), dtype=bool)
+    noise = np.empty((R, p, q))
+    n_acc = np.zeros(R, dtype=int)
+    n_acc_kept = np.zeros(R, dtype=int)
+    window = min(TUNE_WINDOW, cfg.burn_in)
+    window_acc = np.zeros(R, dtype=int)
 
-    for step in range(cfg.n_steps):
-        noise = rng.standard_normal((p, q))
-        prop = B + gamma * grad + np.sqrt(2.0 * gamma) * noise
-        prop_value, prop_grad = value_and_grad(data, prop, prior_cfg, cfg.alpha)
-        if mala:
-            fwd = -np.sum((prop - B - gamma * grad) ** 2) / (4.0 * gamma)
-            bwd = -np.sum((B - prop - gamma * prop_grad) ** 2) / (4.0 * gamma)
-            log_ratio = prop_value - value + bwd - fwd
-            accepted = np.isfinite(prop_value) and \
-                np.log(rng.random()) < log_ratio
-            n_prop += 1
-            window_n += 1
-            if accepted:
-                B, value, grad = prop, prop_value, prop_grad
-                n_acc += 1
-                window_acc += 1
-        else:
-            accepted = True
-            B, value, grad = prop, prop_value, prop_grad
+    _check_floor(value, None)
+    g = gamma[:, None, None]
+    scale = np.sqrt(2.0 * g)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(cfg.n_steps):
+            for rng, z in zip(rngs, noise):
+                rng.standard_normal(out=z)
+            fwd = scale * noise
+            drift = B + g * grad
+            prop = drift + fwd
+            finite = None
+            if not np.isfinite(prop).all():
+                finite = np.isfinite(prop).all(axis=(1, 2))
+                prop[~finite] = B[~finite]      # evaluated, then rejected
+            prop_value, prop_grad = value_and_grad(data, prop, prior_cfg,
+                                                   cfg.alpha)
+            bwd = B - prop - g * prop_grad
+            log_ratio = prop_value - value + (
+                (fwd * fwd).sum(axis=(1, 2))
+                - (bwd * bwd).sum(axis=(1, 2))) / (4.0 * gamma)
+            # a non-finite value or gradient makes log_ratio non-finite; a
+            # uniform is drawn only for a proposal that can be accepted
+            ok = np.isfinite(log_ratio)
+            if finite is not None:
+                ok &= finite
+            u = np.array([rng.random() if k else 1.0
+                          for rng, k in zip(rngs, ok)])
+            accepted = ok & (np.log(u) < log_ratio)
+            if accepted.any():
+                np.copyto(B, prop, where=accepted[:, None, None])
+                np.copyto(grad, prop_grad, where=accepted[:, None, None])
+                np.copyto(value, prop_value, where=accepted)
+                n_acc += accepted
+                _check_floor(value, step)
 
-        if not np.isfinite(value) or value < LOG_POST_FLOOR:
-            raise SamplerDivergence(
-                f"log-posterior {value} at step {step} (floor {LOG_POST_FLOOR})")
+            # step-size tuning, burn-in only so the retained chain has fixed
+            # gamma.  No later window can check the last update, and a chain
+            # frozen on an untried larger step may never accept again, so the
+            # last update only shrinks gamma.
+            if step < cfg.burn_in:
+                window_acc += accepted
+                if (step + 1) % window == 0:
+                    up = 2.0 if step + 1 + window <= cfg.burn_in else 1.0
+                    rate = window_acc / window
+                    gamma = np.where(rate > 0.6, up * gamma,
+                                     np.where(rate < 0.4, 0.5 * gamma, gamma))
+                    g = gamma[:, None, None]
+                    scale = np.sqrt(2.0 * g)
+                    window_acc[:] = 0
+            else:
+                n_acc_kept += accepted
+                k, off = divmod(step - cfg.burn_in, cfg.thin)
+                if off == 0:
+                    samples[:, k] = B
+                    log_post[:, k] = value
+                    flags[:, k] = accepted
 
-        # step-size tuning, burn-in only so the retained chain has fixed gamma
-        if mala and step < cfg.burn_in and window_n >= 50:
-            rate = window_acc / window_n
-            if rate > 0.6:
-                gamma *= 2.0
-            elif rate < 0.4:
-                gamma *= 0.5
-            window_acc = window_n = 0
+    stuck = np.flatnonzero(n_acc_kept == 0)
+    if stuck.size:
+        raise SamplerDivergence(
+            f"chain {stuck[0]} accepted no proposal in "
+            f"{cfg.n_steps - cfg.burn_in} steps after burn-in (step size "
+            f"{gamma[stuck[0]]:.3g})")
+    return [Chain(samples=samples[r], log_post=log_post[r],
+                  accept_flags=flags[r], config=c, dataset_digest=d.digest(),
+                  step_size=float(gamma[r]),
+                  acceptance_rate=int(n_acc[r]) / cfg.n_steps)
+            for r, (c, d) in enumerate(zip(cfgs, datasets))]
 
-        if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
-            retained.append(B.copy())
-            log_posts.append(value)
-            flags.append(bool(accepted))
 
-    m = len(retained)
-    return Chain(
-        samples=np.array(retained).reshape(m, p, q),
-        log_post=np.array(log_posts, dtype=float),
-        accept_flags=np.array(flags, dtype=bool),
-        config=cfg,
-        dataset_digest=data.digest(),
-        step_size=gamma,
-        acceptance_rate=(n_acc / n_prop) if n_prop else 1.0,
-    )
+def _check_floor(value, step):
+    """SamplerDivergence for the first chain whose log-posterior is below
+    LOG_POST_FLOOR or not a number, at ``step`` (None: at the start)."""
+    if not (value >= LOG_POST_FLOOR).all():
+        r = np.flatnonzero(~(value >= LOG_POST_FLOOR))[0]
+        when = "at the start" if step is None else f"at step {step}"
+        raise SamplerDivergence(f"chain {r}: log-posterior {value[r]} {when} "
+                                f"(floor {LOG_POST_FLOOR})")
 
 
 def posterior_mean(chain):

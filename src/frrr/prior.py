@@ -8,7 +8,6 @@ shrinks most singular values toward zero.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import wishart
 
 TAU_PRESETS = ("theorem1", "theorem3", "misspecified", "manual")
@@ -47,21 +46,53 @@ class PriorConfig:
 
 def log_prior_and_grad(B, cfg):
     """Unnormalized log-density of the spectral scaled Student prior and its
-    gradient -(p+q+2) (tau^2 I_p + B B^T)^{-1} B, from one Cholesky factor
-    on the smaller Gram side (push-through identity for p > q)."""
+    gradient -(p+q+2) (tau^2 I_p + B B^T)^{-1} B, for one (p, q) matrix or a
+    stack (..., p, q) of them.  One batched Cholesky factor on the smaller
+    Gram side (push-through identity for p > q) gives the log-determinant
+    and one batched solve the gradient.  A Gram matrix that overflows or is
+    not numerically positive definite, far out in the tails, gets a NaN
+    value rather than stopping the other matrices of the stack."""
     B = np.asarray(B, dtype=float)
     p, q = cfg.p, cfg.q
-    if B.shape != (p, q):
-        raise ValueError(f"B has shape {B.shape}, expected {(p, q)}")
-    if not np.all(np.isfinite(B)):
+    if B.shape[-2:] != (p, q):
+        raise ValueError(f"B has shape {B.shape}, expected (..., {p}, {q})")
+    if not np.isfinite(B).all():
         raise ValueError("B has non-finite entries")
-    W = B if p <= q else B.T
-    fac = cho_factor(W @ W.T + cfg.tau ** 2 * np.eye(min(p, q)), lower=True,
-                     check_finite=False)
-    sol = cho_solve(fac, W, check_finite=False)
-    logdet = 2.0 * np.sum(np.log(np.diag(fac[0]))) \
-        + max(p - q, 0) * 2.0 * np.log(cfg.tau)
-    return -0.5 * (p + q + 2) * logdet, -(p + q + 2) * (sol if p <= q else sol.T)
+    k = min(p, q)
+    W = B.reshape(-1, p, q)
+    if p > q:
+        W = W.transpose(0, 2, 1)
+    M = W @ W.transpose(0, 2, 1)
+    M.reshape(-1, k * k)[:, ::k + 1] += cfg.tau ** 2
+    L, bad = _cholesky(M)
+    if bad is not None:
+        M[bad] = np.eye(k)      # its value is NaN; keep the solve finite
+    sol = np.linalg.solve(M, W)
+    logdet = 2.0 * np.log(L.reshape(-1, k * k)[:, ::k + 1]).sum(axis=1)
+    if p > q:
+        logdet += (p - q) * 2.0 * np.log(cfg.tau)
+    value = -0.5 * (p + q + 2) * logdet
+    grad = -(p + q + 2) * (sol if p <= q else sol.transpose(0, 2, 1))
+    return value.reshape(B.shape[:-2])[()], grad.reshape(B.shape)
+
+
+def _cholesky(M):
+    """Lower Cholesky factors of a stack of matrices, and the mask of the
+    matrices that have non-finite entries or are not numerically positive
+    definite, whose factor is NaN (None when there is no such matrix)."""
+    try:
+        if np.isfinite(M).all():
+            return np.linalg.cholesky(M), None
+    except np.linalg.LinAlgError:
+        pass
+    L = np.full_like(M, np.nan)
+    for i, m in enumerate(M):
+        try:
+            if np.isfinite(m).all():
+                L[i] = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            pass
+    return L, np.isnan(L[:, 0, 0])
 
 
 def log_prior(B, cfg):

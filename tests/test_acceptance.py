@@ -165,8 +165,7 @@ class TestCriterion5Sampler:
         data = generate_dataset(X, SyntheticTruth(B0, 1, 1.0), spec, rng)
         ols, *_ = np.linalg.lstsq(data.X, data.Y, rcond=None)
         prior_cfg = PriorConfig(tau=1e3, p=2, q=1)
-        frac = FractionalConfig(alpha=0.5, n_steps=200000, thin=10, seed=1,
-                                algorithm="mala")
+        frac = FractionalConfig(alpha=0.5, n_steps=200000, thin=10, seed=1)
         chain = run_sampler(data, prior_cfg, frac)
         err = float(np.linalg.norm(posterior_mean(chain) - ols))
         assert err < 0.05, err

@@ -179,6 +179,20 @@ class TestFitAndSummarize:
         assert main(["fit", cfg]) == EXIT_CONFIG
         assert not (out / "chain.bin").exists()
 
+    def test_sampler_failure_is_numeric_error(self, tmp_path):
+        """Proposals that overflow are rejections, so the chain never
+        accepts and fit exits 4, not 3 (the prior's ValueError)."""
+        data_dir = tmp_path / "data"
+        gen = GEN.replace("family = gaussian", "family = poisson_log")
+        assert main(["generate", write_ini(tmp_path / "gen.ini",
+                                           gen.format(out=data_dir))]) == 0
+        out = tmp_path / "fit"
+        text = FIT.format(data=data_dir, out=out).replace(
+            "thin = 3", "thin = 3\nstep_size = 1e160")
+        assert main(["fit", write_ini(tmp_path / "f.ini", text)]) \
+            == EXIT_NUMERIC
+        assert not (out / "chain.bin").exists()
+
     def test_missing_dataset_is_data_error(self, tmp_path):
         cfg = write_ini(tmp_path / "f.ini",
                         FIT.format(data=tmp_path / "nope", out=tmp_path / "f"))

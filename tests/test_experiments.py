@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frrr import experiments
 from frrr.experiments import (MisspecConfig, RateStudyConfig,
                               fit_kl_minimizer, hellinger_consistency_check,
                               likelihood_ridge_fit, run_misspec_study,
@@ -9,7 +10,8 @@ from frrr.experiments import (MisspecConfig, RateStudyConfig,
 from frrr.divergence import (expected_log_ratio_sq, kl_per_entry,
                              lemma_bounds, misspec_kl_lhs, renyi_per_entry)
 from frrr.families import FamilySpec, b_prime, family_bounds, theta_from_eta
-from frrr.simulate import make_design, make_low_rank_truth
+from frrr.simulate import (calibrate_scale, generate_dataset, make_design,
+                           make_low_rank_truth)
 
 from conftest import bounded_specs
 
@@ -187,6 +189,35 @@ class TestSmallStudies:
         assert len(hc) == 3
         for row in hc:
             assert row["hellinger_sq"] >= 0
+
+    def test_replicate_rng_order(self, monkeypatch):
+        """Each replicate's stream draws Y first, then the chain seed, and a
+        cell makes one batched sampler call."""
+        calls = []
+        run_chains = experiments.run_chains
+
+        def recording(datasets, prior_cfg, fracs):
+            calls.append((datasets, fracs))
+            return run_chains(datasets, prior_cfg, fracs)
+
+        monkeypatch.setattr(experiments, "run_chains", recording)
+        spec = FamilySpec("gaussian")
+        cfg = RateStudyConfig(family=spec, p=3, q=2, r=1, n_grid=(40, 80),
+                              replications=3, n_steps=200, burn_in=50,
+                              thin=5, seed=9)
+        run_rate_study(cfg)
+        assert len(calls) == 2
+        for cell, (datasets, fracs) in enumerate(calls):
+            rng = np.random.default_rng([cfg.seed, 7919, cell])
+            X = make_design(cfg.n_grid[cell], cfg.p, "iid", rng)
+            truth = calibrate_scale(X, make_low_rank_truth(cfg.p, cfg.q,
+                                                           cfg.r, 1.0, rng))
+            assert len(datasets) == len(fracs) == cfg.replications
+            for rep, (data, frac) in enumerate(zip(datasets, fracs)):
+                rep_rng = np.random.default_rng([cfg.seed, 7919, cell, rep])
+                Y = generate_dataset(X, truth, spec, rep_rng).Y
+                assert np.array_equal(data.Y, Y)
+                assert frac.seed == int(rep_rng.integers(2 ** 63))
 
     def test_rate_study_requires_positive_cl(self):
         cfg = RateStudyConfig(family=FamilySpec("poisson_log"))

@@ -3,7 +3,8 @@ import pytest
 from scipy.optimize import brentq
 
 from frrr.families import (FAMILY_IDS, Dataset, FamilySpec,
-                           InvalidParameterError, b_prime, b_second, b_value,
+                           InvalidParameterError, b_and_prime, b_prime,
+                           b_second, b_value,
                            dtheta_deta, family_bounds, linear_predictor,
                            response_in_support, sample_response,
                            theta_from_eta, theta_raw_from_eta)
@@ -100,6 +101,17 @@ class TestBFunctions:
         assert np.allclose(fd1, b_prime(spec, theta), rtol=1e-5, atol=1e-7)
         assert np.allclose(fd2, b_second(spec, theta), rtol=1e-4, atol=1e-6)
         assert np.all(b_second(spec, theta) >= 0)
+
+    @pytest.mark.parametrize("fam", FAMILY_IDS)
+    def test_b_and_prime_match_b_and_bprime(self, fam, rng):
+        """The kernel's b' (exp(theta - b) for bernoulli, b for poisson)
+        agrees with b_prime to the last bits."""
+        spec = default_specs()[fam]
+        theta = rng.uniform(max(spec.theta_min, -30.0),
+                            min(spec.theta_max, 30.0), size=1000)
+        b, mean = b_and_prime(spec, theta)
+        assert np.array_equal(b, b_value(spec, theta))
+        assert np.allclose(mean, b_prime(spec, theta), rtol=1e-13, atol=0)
 
     def test_gamma_domain_violation(self):
         spec = FamilySpec("gamma_log")

@@ -3,11 +3,12 @@ import pytest
 
 from frrr.families import Dataset, FamilySpec, b_prime, theta_from_eta
 from frrr.posterior import (Chain, FractionalConfig, SamplerDivergence,
-                            default_step_size, effective_rank,
+                            _stack, default_step_size, effective_rank,
                             grad_log_fractional_posterior,
                             grad_log_likelihood, load_chain,
                             log_fractional_posterior, log_likelihood,
-                            posterior_mean, run_sampler, save_chain)
+                            log_likelihood_and_grad, posterior_mean,
+                            run_chains, run_sampler, save_chain)
 from frrr.prior import PriorConfig
 
 from conftest import central_diff, default_specs
@@ -151,38 +152,14 @@ class TestSampler:
         assert np.array_equal(c1.log_post, c2.log_post)
         assert np.array_equal(c1.accept_flags, c2.accept_flags)
 
-    def test_ula_flags_all_true(self, rng):
-        spec = FamilySpec("gaussian")
-        data, _ = make_data(spec, 20, 2, 1, rng)
-        cfg = PriorConfig(tau=1.0, p=2, q=1)
-        frac = FractionalConfig(n_steps=200, burn_in=50, thin=1,
-                                algorithm="ula", seed=3)
-        chain = run_sampler(data, cfg, frac)
-        assert np.all(chain.accept_flags)
-        assert chain.acceptance_rate == 1.0
-
-    def test_ula_converges_to_ols(self, rng):
-        """Near-flat prior gaussian ULA mean approaches OLS as steps grow."""
-        spec = FamilySpec("gaussian")
-        data, _ = make_data(spec, 100, 2, 1, rng)
-        ols, *_ = np.linalg.lstsq(data.X, data.Y, rcond=None)
-        cfg = PriorConfig(tau=1e3, p=2, q=1)
-        errs = []
-        for steps in (2000, 20000):
-            frac = FractionalConfig(n_steps=steps, burn_in=steps // 5,
-                                    thin=1, algorithm="ula", seed=5,
-                                    step_size=2e-3, init=ols)
-            chain = run_sampler(data, cfg, frac)
-            errs.append(np.linalg.norm(posterior_mean(chain) - ols))
-        assert errs[1] < errs[0]
-
     def test_divergence_guard(self, rng):
+        """A chain whose log-posterior starts below the floor diverges."""
         spec = FamilySpec("gaussian")
         data, _ = make_data(spec, 10, 2, 1, rng)
         cfg = PriorConfig(tau=1.0, p=2, q=1)
         frac = FractionalConfig(n_steps=2000, burn_in=100, seed=1,
-                                algorithm="ula", step_size=50.0)
-        with pytest.raises(SamplerDivergence):
+                                init=np.full((2, 1), 1e7))
+        with pytest.raises(SamplerDivergence, match="floor"):
             run_sampler(data, cfg, frac)
 
     def test_default_step_size_formula(self, rng):
@@ -204,6 +181,91 @@ class TestSampler:
         chain = run_sampler(data, cfg, frac)
         assert len(np.unique(chain.samples, axis=0)) > 1
         assert chain.acceptance_rate > 0
+
+    def test_never_accepting_chain_fails(self, rng):
+        """A burn-in shorter than 50 steps still tunes, and a chain that
+        accepts nothing after it raises instead of reporting success."""
+        data, _ = make_data(FamilySpec("gaussian"), 100, 4, 3, rng)
+        frac = FractionalConfig(step_size=10.0, n_steps=200, burn_in=20,
+                                seed=1)
+        with pytest.raises(SamplerDivergence, match="accepted no proposal"):
+            run_sampler(data, PriorConfig(tau=1.0, p=4, q=3), frac)
+
+    def test_nonfinite_proposals_are_rejected(self, rng):
+        """exp overflows at every proposal: each is a rejection, not the
+        prior's ValueError, and the chain ends as never accepting."""
+        data, _ = make_data(FamilySpec("poisson_log"), 100, 4, 3, rng,
+                            b_scale=0.2)
+        frac = FractionalConfig(step_size=1e160, n_steps=200, seed=1)
+        with pytest.raises(SamplerDivergence, match="accepted no proposal"):
+            run_sampler(data, PriorConfig(tau=1.0, p=4, q=3), frac)
+
+    def test_nonfinite_proposals_do_not_stop_other_chains(self, rng):
+        """Chain 0 starts with a step so large that its proposals overflow
+        until tuning shrinks it; neither chain is changed by the other."""
+        data, _ = make_data(FamilySpec("poisson_log"), 50, 3, 2, rng,
+                            b_scale=0.2)
+        datasets = [data,
+                    Dataset(X=data.X, Y=data.Y[::-1], family=data.family)]
+        cfg = PriorConfig(tau=1.0, p=3, q=2)
+        fracs = [FractionalConfig(step_size=1e6, n_steps=2000, burn_in=1700,
+                                  seed=1),
+                 FractionalConfig(n_steps=2000, burn_in=1700, seed=2)]
+        chains = run_chains(datasets, cfg, fracs)
+        assert chains[0].acceptance_rate > 0
+        for chain, d, f in zip(chains, datasets, fracs):
+            assert_same_chain(chain, run_sampler(d, cfg, f))
+
+
+def assert_same_chain(c1, c2):
+    assert np.array_equal(c1.samples, c2.samples)
+    assert np.array_equal(c1.log_post, c2.log_post)
+    assert np.array_equal(c1.accept_flags, c2.accept_flags)
+    assert c1.step_size == c2.step_size
+    assert c1.acceptance_rate == c2.acceptance_rate
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("gaussian"),
+        FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0),
+    ], ids=["gaussian_sufficient", "bernoulli_logit_clipped"])
+    def test_chain_matches_its_one_chain_run(self, spec, rng):
+        data, B0 = make_data(spec, 300, 4, 3, rng, b_scale=1.0)
+        datasets = [data] + [make_data(spec, 300, 4, 3, rng, b_scale=1.0)[0]
+                             for _ in range(2)]
+        datasets = [Dataset(X=data.X, Y=d.Y, family=spec) for d in datasets]
+        cfg = PriorConfig(tau=0.5, p=4, q=3)
+        fracs = [FractionalConfig(n_steps=400, burn_in=100, thin=3, seed=s,
+                                  init=B0 if s == 2 else None)
+                 for s in (1, 2, 3)]
+        chains = run_chains(datasets, cfg, fracs)
+        for chain, d, f in zip(chains, datasets, fracs):
+            assert_same_chain(chain, run_sampler(d, cfg, f))
+
+    def test_sufficient_statistics_value(self, rng):
+        spec = FamilySpec("gaussian", a=2.0)
+        data, _ = make_data(spec, 200, 4, 3, rng)
+        other = Dataset(X=data.X, Y=data.Y + 1.0, family=spec)
+        stack = _stack([data, other])
+        assert stack.gram is not None
+        B = rng.standard_normal((2, 4, 3))
+        value = log_likelihood_and_grad(stack, B)[0]
+        for r, d in enumerate((data, other)):
+            eta = d.X @ B[r]
+            cellwise = np.sum(d.Y * eta - eta ** 2 / 2.0) / spec.a
+            assert abs(value[r] - cellwise) <= 1e-12 * abs(cellwise)
+
+    def test_sufficient_statistics_gradient(self, rng):
+        spec = FamilySpec("gaussian", a=2.0)
+        data, _ = make_data(spec, 60, 4, 3, rng)
+        stack = _stack([data])
+        for _ in range(10):
+            B = 0.4 * rng.standard_normal((1, 4, 3))
+            fd = central_diff(
+                lambda M: log_likelihood_and_grad(stack, M)[0][0], B)
+            g = log_likelihood_and_grad(stack, B)[1]
+            assert np.linalg.norm(g - fd) < 1e-4 * np.linalg.norm(fd)
 
 
 class TestPosteriorMeanAndRank:
@@ -286,7 +348,5 @@ class TestChainPersistence:
             FractionalConfig(alpha=1.0)
         with pytest.raises(ValueError):
             FractionalConfig(burn_in=11, n_steps=10)
-        with pytest.raises(ValueError):
-            FractionalConfig(algorithm="nuts")
         with pytest.raises(ValueError):
             FractionalConfig(step_size=-1.0)
