@@ -321,6 +321,15 @@ def cmd_verify_bounds(cfg):
     return EXIT_OK
 
 
+def _study_config(config_class, **fields):
+    """The study config, a ConfigError where the study config rejects a
+    value."""
+    try:
+        return config_class(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 _RATE_HEADER = ("n,r,rep,pred_err,pred_err_post,est_err,d_alpha,prop1_bound,"
                 "acceptance")
 
@@ -329,7 +338,8 @@ def cmd_rate_study(cfg):
     spec = family_from_config(cfg)
     seed = _get(cfg, "run", "seed", 0, int)
     out = _outdir(cfg)
-    study = RateStudyConfig(
+    study = _study_config(
+        RateStudyConfig,
         family=spec,
         p=_get(cfg, "truth", "p", 8, int),
         q=_get(cfg, "truth", "q", 6, int),
@@ -373,7 +383,8 @@ def cmd_rate_study(cfg):
 def cmd_misspec(cfg):
     seed = _get(cfg, "run", "seed", 0, int)
     out = _outdir(cfg)
-    study = MisspecConfig(
+    study = _study_config(
+        MisspecConfig,
         p=_get(cfg, "truth", "p", 6, int),
         q=_get(cfg, "truth", "q", 4, int),
         r=_get(cfg, "truth", "r", 2, int),

@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
 from scipy.special import expit
 
 from .families import b_prime, b_second, b_value, _check_domain
@@ -109,10 +108,13 @@ def divergence_report(spec, Theta, Zeta, alphas=(0.25, 0.5, 0.75)):
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles
+# brute-force oracles; scipy.stats and scipy.integrate are imported only
+# here, which keeps them out of the CLI's start-up
 
 
 def _entry_dist(spec, theta):
+    from scipy import stats
+
     f = spec.family
     if f in ("bernoulli_logit", "bernoulli_probit"):
         return stats.bernoulli(expit(theta))
@@ -143,6 +145,8 @@ def kl_bruteforce(spec, theta, zeta):
         p = d1.pmf(ys)
         ratio = d1.logpmf(ys) - d2.logpmf(ys)
         return float(np.sum(np.where(p > 0, p * ratio, 0.0)))
+    from scipy import integrate
+
     lo, hi = d1.ppf(1e-14), d1.ppf(1.0 - 1e-14)
     val, _ = integrate.quad(
         lambda y: d1.pdf(y) * (d1.logpdf(y) - d2.logpdf(y)), lo, hi, limit=200)
@@ -156,6 +160,8 @@ def renyi_bruteforce(spec, theta, zeta, alpha):
         ys = _count_support(spec, theta, zeta)
         integ = np.exp(alpha * d1.logpmf(ys) + (1.0 - alpha) * d2.logpmf(ys))
         return float(np.log(np.sum(integ)) / (alpha - 1.0))
+    from scipy import integrate
+
     lo = min(d1.ppf(1e-14), d2.ppf(1e-14))
     hi = max(d1.ppf(1.0 - 1e-14), d2.ppf(1.0 - 1e-14))
     val, _ = integrate.quad(
@@ -175,6 +181,8 @@ def tv_bruteforce(spec, Theta, Zeta, max_outcomes=1 << 14):
     if spec.family == "gaussian":
         if Theta.size != 1:
             raise ValueError("gaussian TV supported only for a single cell")
+        from scipy import stats
+
         gap = abs(Theta[0] - Zeta[0]) / (2.0 * np.sqrt(spec.a))
         return float(2.0 * stats.norm.cdf(gap) - 1.0)
     if not spec.is_discrete:

@@ -7,11 +7,12 @@ and posterior integrals by averages over retained chain samples.
 
 Both studies run the replicates of a cell the same way (``_cell_chains``):
 draw each Y from the true family, start a MALA chain of the fitted model at
-the likelihood ridge fit, advance all the cell's chains in one batched
-sampler call, and average D_alpha to the true natural parameter over each
-chain (``posterior_average_divergence``).  The rate study computes D_alpha
-at its fractional power alpha and at 1/2 (for the Hellinger check); the
-misspecification study at alpha.  Its fitted and true families must share a
+the likelihood ridge fit, and average D_alpha to the true natural parameter
+over each chain (``posterior_average_divergence``).  A study makes one
+sampler call for the chains of all its cells (``_run_cells``), then
+summarises each cell from its slice of the chains.  The rate study computes
+D_alpha at its fractional power alpha and at 1/2 (for the Hellinger check);
+the misspecification study at alpha.  Its fitted and true families must share a
 law up to the link (``fit_kl_minimizer``), so the closed-form divergences of
 the fitted family apply to the pair.
 """
@@ -27,8 +28,8 @@ from .divergence import (c_alpha, kl_per_entry, lemma_rhs,
                          rate_formulas, renyi_per_entry)
 from .families import (Dataset, FamilySpec, b_prime, b_value, dtheta_deta,
                        family_bounds, theta_from_eta, theta_raw_from_eta)
-from .posterior import (FractionalConfig, log_likelihood_and_grad,
-                        posterior_mean, run_chains)
+from .posterior import (BLOCK_CELLS, FractionalConfig,
+                        log_likelihood_and_grad, posterior_mean, run_chains)
 from .prior import PriorConfig, tau_preset
 from .simulate import (calibrate_scale, compute_kappa, generate_dataset,
                        make_design, make_low_rank_truth, prediction_error)
@@ -113,23 +114,25 @@ def likelihood_ridge_fit(data, ridge=1e-3, maxiter=300):
 def posterior_average_divergence(spec, X, samples, theta_ref, alphas,
                                  subsample=40):
     """Average per-entry-averaged D_alpha between theta(B) and the natural
-    parameter theta_ref over (a subsample of) retained chain samples."""
+    parameter theta_ref over (a subsample of) retained chain samples.  The
+    samples are evaluated in blocks of at most BLOCK_CELLS cells."""
     idx = np.linspace(0, len(samples) - 1, min(subsample, len(samples))).astype(int)
-    out = {}
-    for al in alphas:
-        vals = [float(np.mean(renyi_per_entry(
-            spec, theta_from_eta(spec, X @ samples[i]), theta_ref, al)))
-            for i in idx]
-        out[al] = float(np.mean(vals))
-    return out
+    size = max(1, BLOCK_CELLS // theta_ref.size)
+    vals = {al: [] for al in alphas}
+    for i in range(0, len(idx), size):
+        theta = theta_from_eta(spec, X @ samples[idx[i:i + size]])
+        for al in alphas:
+            vals[al].append(renyi_per_entry(spec, theta, theta_ref, al)
+                            .mean(axis=(1, 2)))
+    return {al: float(np.mean(np.concatenate(v))) for al, v in vals.items()}
 
 
 def _cell_chains(cfg, cell_key, X, truth, true_spec, fit_spec, prior_cfg):
-    """The replicates of one study cell.  Replicate ``rep`` draws Y from
-    ``true_spec`` at the truth with the stream ``cell_key + [rep]``, starts a
-    chain of the ``fit_spec`` model at the likelihood ridge fit, and draws
-    its chain seed from that stream after Y.  One batched MALA run then
-    advances every replicate's chain."""
+    """The chain inputs (datasets, priors, configs) of the replicates of one
+    study cell.  Replicate ``rep`` draws Y from ``true_spec`` at the truth
+    with the stream ``cell_key + [rep]``, starts a chain of the ``fit_spec``
+    model at the likelihood ridge fit, and draws its chain seed from that
+    stream after Y."""
     datasets, fracs = [], []
     for rep in range(cfg.replications):
         rep_rng = np.random.default_rng(cell_key + [rep])
@@ -140,7 +143,35 @@ def _cell_chains(cfg, cell_key, X, truth, true_spec, fit_spec, prior_cfg):
             alpha=cfg.alpha, n_steps=cfg.n_steps, burn_in=cfg.burn_in,
             thin=cfg.thin, seed=int(rep_rng.integers(2 ** 63)),
             init=likelihood_ridge_fit(data)))
-    return run_chains(datasets, prior_cfg, fracs)
+    return datasets, [prior_cfg] * len(datasets), fracs
+
+
+def _run_cells(cells):
+    """One sampler call over the chains of every cell.  Each cell is a pair
+    (chain inputs from ``_cell_chains``, summary function of the cell's
+    chains); returns the summaries in cell order."""
+    datasets, priors, fracs = [], [], []
+    for (d, p, f), _ in cells:
+        datasets += d
+        priors += p
+        fracs += f
+    chains = run_chains(datasets, priors, fracs)
+    out, start = [], 0
+    for (cell_data, _, _), summarize in cells:
+        out.append(summarize(chains[start:start + len(cell_data)]))
+        start += len(cell_data)
+    return out
+
+
+def _check_study(cfg):
+    """ValueError unless the study has replicates, an n grid and a valid
+    sampler configuration."""
+    if cfg.replications < 1:
+        raise ValueError("replications must be at least 1")
+    if not cfg.n_grid:
+        raise ValueError("n_grid must not be empty")
+    FractionalConfig(alpha=cfg.alpha, n_steps=cfg.n_steps,
+                     burn_in=cfg.burn_in, thin=cfg.thin)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +195,9 @@ class RateStudyConfig:
     burn_in: int = 1000
     thin: int = 5
     seed: int = 0
+
+    def __post_init__(self):
+        _check_study(self)
 
 
 @dataclass
@@ -256,7 +290,9 @@ class RateStudyResult:
         }
 
 
-def _run_rate_cell(cfg, cell_index, n, r):
+def _rate_cell(cfg, cell_index, n, r):
+    """The chain inputs of one rate cell and the function that turns its
+    chains into a RateCell."""
     spec = cfg.family
     rng = np.random.default_rng([cfg.seed, 7919, cell_index])
     X = make_design(n, cfg.p, cfg.design_mode, rng)
@@ -284,19 +320,22 @@ def _run_rate_cell(cfg, cell_index, n, r):
             d_alpha=div,
             acceptance=chain.acceptance_rate)
 
-    reps = [summarize(chain) for chain in _cell_chains(
-        cfg, [cfg.seed, 7919, cell_index], X, truth, spec, spec, prior_cfg)]
-    return RateCell(
-        n=n, r=r, alpha=cfg.alpha, tau=tau,
-        kappa=compute_kappa(X), x_frob=x_frob, b_frob=truth.frob,
-        c_l=fb.c_l, c_u=fb.c_u, rates=rates,
-        pred_err=np.array([x["pred_err"] for x in reps]),
-        pred_err_post=np.array([x["pred_err_post"] for x in reps]),
-        est_err=np.array([x["est_err"] for x in reps]),
-        d_alpha={al: np.array([x["d_alpha"][al] for x in reps])
-                 for al in orders},
-        acceptance=np.array([x["acceptance"] for x in reps]),
-    )
+    def finish(chains):
+        reps = [summarize(chain) for chain in chains]
+        return RateCell(
+            n=n, r=r, alpha=cfg.alpha, tau=tau,
+            kappa=compute_kappa(X), x_frob=x_frob, b_frob=truth.frob,
+            c_l=fb.c_l, c_u=fb.c_u, rates=rates,
+            pred_err=np.array([x["pred_err"] for x in reps]),
+            pred_err_post=np.array([x["pred_err_post"] for x in reps]),
+            est_err=np.array([x["est_err"] for x in reps]),
+            d_alpha={al: np.array([x["d_alpha"][al] for x in reps])
+                     for al in orders},
+            acceptance=np.array([x["acceptance"] for x in reps]),
+        )
+
+    return _cell_chains(cfg, [cfg.seed, 7919, cell_index], X, truth, spec,
+                        spec, prior_cfg), finish
 
 
 def run_rate_study(cfg):
@@ -305,7 +344,8 @@ def run_rate_study(cfg):
         raise ValueError("rate study requires a family with positive C_L")
     grid = [(n, cfg.r) for n in cfg.n_grid]
     grid += [(cfg.n_ref, r) for r in cfg.r_grid if r != cfg.r]
-    cells = [_run_rate_cell(cfg, i, n, r) for i, (n, r) in enumerate(grid)]
+    cells = _run_cells([_rate_cell(cfg, i, n, r)
+                        for i, (n, r) in enumerate(grid)])
     result = RateStudyResult(config=cfg, cells=cells)
 
     ncells = result.n_cells()
@@ -486,6 +526,7 @@ class MisspecConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_study(self)
         if self.true_family is None:
             self.true_family = FamilySpec("bernoulli_probit")
         if self.fit_family is None:
@@ -533,57 +574,60 @@ class MisspecStudyResult:
         }
 
 
+def _misspec_cell(cfg, ci, X, truth):
+    """The chain inputs of the misspecification cell on the design X and the
+    function that turns its chains into a MisspecCell."""
+    fit_spec, al = cfg.fit_family, cfg.alpha
+    fb = family_bounds(fit_spec)
+    n = X.shape[0]
+    rng = np.random.default_rng([cfg.seed, 104729, ci])
+    fit = fit_kl_minimizer(cfg.true_family, truth.b0, fit_spec, X,
+                           restarts=cfg.restarts, rng=rng)
+    b_bar = fit.b_bar
+    rank_bar = int(np.linalg.matrix_rank(b_bar))
+    x_frob = float(np.linalg.norm(X))
+    tau = tau_preset("misspecified", n, cfg.p, cfg.q, fit_spec.a, x_frob)
+    prior_cfg = PriorConfig(tau=tau, p=cfg.p, q=cfg.q, preset="misspecified")
+    rates = rate_formulas(n, cfg.p, cfg.q, rank_bar, fit_spec.a, fb,
+                          x_frob, float(np.linalg.norm(b_bar)))
+    r_n = rates.r_n
+    thm2_rhs = al / (1 - al) * fit.kl_value + (1 + al) / (1 - al) * r_n
+    a = fit_spec.a
+    oracle_rhs = (fb.c_u / fb.c_l * al / (1 - al)
+                  * prediction_error(X, b_bar, truth.b0)
+                  # second Corollary term = 4a(1+alpha)/(C_L(1-alpha)) * r_n/2
+                  + 4.0 * a * (1 + al) / (fb.c_l * (1 - al)) * r_n / 2.0)
+
+    theta0 = theta_from_eta(cfg.true_family, X @ truth.b0)
+
+    def finish(chains):
+        return MisspecCell(
+            n=n, kl_floor=fit.kl_value, r_n=r_n, rank_bar=rank_bar,
+            b_bar_frob=float(np.linalg.norm(b_bar)),
+            theorem2_rhs=thm2_rhs, oracle_rhs=oracle_rhs,
+            lhs_pred=np.array([np.mean([
+                prediction_error(X, s, truth.b0) for s in chain.samples])
+                for chain in chains]),
+            d_alpha=np.array([posterior_average_divergence(
+                fit_spec, X, chain.samples, theta0, (al,))[al]
+                for chain in chains]),
+            fit=fit)
+
+    return _cell_chains(cfg, [cfg.seed, 104729, ci], X, truth,
+                        cfg.true_family, fit_spec, prior_cfg), finish
+
+
 def run_misspec_study(cfg):
     """Probit-truth / logit-fit study checking the oracle inequality."""
-    fit_spec = cfg.fit_family
-    fb = family_bounds(fit_spec)
+    fb = family_bounds(cfg.fit_family)
     if not np.isfinite(fb.u_1) or fb.c_l <= 0 or not np.isfinite(fb.c_u):
         raise ValueError("fitted family needs finite U_1, C_U and positive C_L")
-    al = cfg.alpha
-    cells = []
     # One design and one truth shared across the grid (each cell uses the
     # first n rows), so the KL floor is stable and only n varies.
     master = np.random.default_rng([cfg.seed, 104729])
     X_full = make_design(max(cfg.n_grid), cfg.p, cfg.design_mode, master)
     truth = calibrate_scale(
         X_full, make_low_rank_truth(cfg.p, cfg.q, cfg.r, 1.0, master))
-    for ci, n in enumerate(cfg.n_grid):
-        rng = np.random.default_rng([cfg.seed, 104729, ci])
-        X = X_full[:n]
-        fit = fit_kl_minimizer(cfg.true_family, truth.b0, fit_spec, X,
-                               restarts=cfg.restarts, rng=rng)
-        b_bar = fit.b_bar
-        rank_bar = int(np.linalg.matrix_rank(b_bar))
-        x_frob = float(np.linalg.norm(X))
-        tau = tau_preset("misspecified", n, cfg.p, cfg.q, fit_spec.a, x_frob)
-        prior_cfg = PriorConfig(tau=tau, p=cfg.p, q=cfg.q, preset="misspecified")
-        rates = rate_formulas(n, cfg.p, cfg.q, rank_bar, fit_spec.a, fb,
-                              x_frob, float(np.linalg.norm(b_bar)))
-        r_n = rates.r_n
-        thm2_rhs = al / (1 - al) * fit.kl_value + (1 + al) / (1 - al) * r_n
-        a = fit_spec.a
-        oracle_rhs = (fb.c_u / fb.c_l * al / (1 - al)
-                      * prediction_error(X, b_bar, truth.b0)
-                      # second Corollary term = 4a(1+alpha)/(C_L(1-alpha)) * r_n/2
-                      + 4.0 * a * (1 + al) / (fb.c_l * (1 - al)) * r_n / 2.0)
-
-        theta0 = theta_from_eta(cfg.true_family, X @ truth.b0)
-
-        def summarize(chain):
-            lhs = float(np.mean([
-                prediction_error(X, s, truth.b0) for s in chain.samples]))
-            div = posterior_average_divergence(
-                fit_spec, X, chain.samples, theta0, (al,))
-            return lhs, div[al]
-
-        reps = [summarize(chain) for chain in _cell_chains(
-            cfg, [cfg.seed, 104729, ci], X, truth, cfg.true_family,
-            fit_spec, prior_cfg)]
-        cells.append(MisspecCell(
-            n=n, kl_floor=fit.kl_value, r_n=r_n, rank_bar=rank_bar,
-            b_bar_frob=float(np.linalg.norm(b_bar)),
-            theorem2_rhs=thm2_rhs, oracle_rhs=oracle_rhs,
-            lhs_pred=np.array([x[0] for x in reps]),
-            d_alpha=np.array([x[1] for x in reps]),
-            fit=fit))
+    cells = _run_cells([_misspec_cell(cfg, ci, X_full[:n], truth)
+                        for ci, n in enumerate(cfg.n_grid)])
     return MisspecStudyResult(config=cfg, cells=cells)

@@ -14,9 +14,10 @@ needs only X^T X and X^T Y, computed once per dataset, so a step costs the
 same at every n.  The separate value and gradient functions below are views
 of the same kernel.
 
-``run_chains`` advances the chains of datasets that share X (the replicates
-of a study cell) together, over an (R, p, q) state; ``run_sampler`` is its
-one-chain call.  Each chain keeps its own random stream, step-size tuning,
+``run_chains`` advances many chains together over an (R, p, q) state: a
+study makes one sampler call for the replicates of all its cells, each
+chain with its own dataset and prior.  ``run_sampler`` is its one-chain
+call.  Each chain keeps its own random stream, step-size tuning,
 acceptance count and divergence checks, and is bit-identical to its
 one-chain run.
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from .families import (FamilySpec, b_and_prime, b_second, family_bounds,
                        linear_predictor, link_terms, theta_from_eta)
-from .prior import log_prior_and_grad
+from .prior import log_prior_and_grad, stack_priors
 
 CHAIN_MAGIC = b"FRRRCHN1"
 LOG_POST_FLOOR = -1e12        # a lower log-posterior is a diverged chain
@@ -88,14 +89,15 @@ class Chain:
 
 @dataclass(frozen=True)
 class _Stack:
-    """The responses of R datasets on one design and family.  For an
-    unclipped gaussian family the sufficient statistics G = X^T X and
-    C_r = X^T Y_r stand in for Y."""
+    """The responses of R datasets of one family.  Cell-wise, the datasets
+    share the design X.  For an unclipped gaussian family the sufficient
+    statistics G_r = X_r^T X_r and C_r = X_r^T Y_r stand in for X and Y, so
+    the designs may differ."""
 
-    X: np.ndarray                 # (n, p)
+    X: np.ndarray                 # (n, p); None with gram and cross
     Y: np.ndarray                 # (R, n, q); None with gram and cross
     family: FamilySpec
-    gram: np.ndarray = None       # (p, p)
+    gram: np.ndarray = None       # (R, p, p)
     cross: np.ndarray = None      # (R, p, q)
 
 
@@ -106,11 +108,12 @@ def _sufficient(spec):
 
 
 def _stack(datasets):
-    X, spec = datasets[0].X, datasets[0].family
+    spec = datasets[0].family
     if _sufficient(spec):
-        return _Stack(X, None, spec, X.T @ X,
-                      np.stack([X.T @ d.Y for d in datasets]))
-    return _Stack(X, np.stack([d.Y for d in datasets]), spec)
+        return _Stack(None, None, spec,
+                      np.stack([d.X.T @ d.X for d in datasets]),
+                      np.stack([d.X.T @ d.Y for d in datasets]))
+    return _Stack(datasets[0].X, np.stack([d.Y for d in datasets]), spec)
 
 
 def log_likelihood_and_grad(data, B):
@@ -183,44 +186,66 @@ def default_step_size(data, prior_cfg, alpha, B=None):
 def run_sampler(data, prior_cfg, frac_cfg):
     """Run MALA on the fractional posterior; deterministic given the seed.
     The one-chain call of ``run_chains``."""
-    return run_chains([data], prior_cfg, [frac_cfg])[0]
+    return run_chains([data], [prior_cfg], [frac_cfg])[0]
 
 
-def run_chains(datasets, prior_cfg, frac_cfgs):
-    """One MALA chain per (dataset, config) pair, all advancing together.
+def run_chains(datasets, prior_cfgs, frac_cfgs):
+    """One MALA chain per (dataset, prior, config) triple, all advancing
+    together.
 
-    The datasets share X and the family; the configs share alpha, n_steps,
-    burn_in and thin, and differ in seed, init and step_size.  During
-    burn-in each chain's step size is doubled (acceptance above 0.6) or
-    halved (below 0.4) after every window of min(50, burn_in) steps, the
-    last update only halving, then frozen for the retained part.  Proposals
-    with a non-finite entry, value or gradient are rejected.  Raises
-    SamplerDivergence when a chain's log-posterior falls below the floor or
-    a chain accepts nothing after burn-in.
+    The datasets share the family and (p, q), and each prior matches its
+    dataset's (p, q); the configs share alpha, n_steps, burn_in and thin,
+    and differ in seed, init and step_size.  During burn-in each chain's
+    step size is doubled (acceptance above 0.6) or halved (below 0.4) after
+    every window of min(50, burn_in) steps, the last update only halving,
+    then frozen for the retained part.  Proposals with a non-finite entry,
+    value or gradient are rejected.  Raises SamplerDivergence when a
+    chain's log-posterior falls below the floor or a chain accepts nothing
+    after burn-in.
 
-    Chains of a cell-wise likelihood run in blocks of at most BLOCK_CELLS
-    cells; chain r is bit-identical to its one-chain run.
+    An unclipped gaussian likelihood runs as one block across designs.
+    Cell-wise likelihoods run in blocks of consecutive datasets with equal
+    X, each of at most BLOCK_CELLS cells.  Chain r is bit-identical to its
+    one-chain run.
     """
-    if len(datasets) != len(frac_cfgs) or not datasets:
-        raise ValueError("need one config per dataset")
+    if not len(datasets) == len(prior_cfgs) == len(frac_cfgs) \
+            or not datasets:
+        raise ValueError("need one prior and one config per dataset")
     if len({(c.alpha, c.n_steps, c.burn_in, c.thin) for c in frac_cfgs}) > 1:
         raise ValueError("the chains of one call must share alpha, n_steps, "
                          "burn_in and thin")
-    X, spec = datasets[0].X, datasets[0].family
-    if any(d.family != spec or not np.array_equal(d.X, X)
-           for d in datasets[1:]):
-        raise ValueError("the chains of one call must share X and the family")
-    size = len(datasets) if _sufficient(spec) else \
-        max(1, BLOCK_CELLS // max(1, X.shape[0] * datasets[0].q))
-    return [chain for i in range(0, len(datasets), size)
-            for chain in _mala(datasets[i:i + size], prior_cfg,
-                               frac_cfgs[i:i + size])]
+    spec, p, q = datasets[0].family, datasets[0].p, datasets[0].q
+    if any(d.family != spec or (d.p, d.q, c.p, c.q) != (p, q, p, q)
+           for d, c in zip(datasets, prior_cfgs)):
+        raise ValueError("the chains of one call must share the family and "
+                         "(p, q)")
+    blocks = [0, len(datasets)] if _sufficient(spec) else _cellwise_blocks(
+        datasets)
+    return [chain for i, j in zip(blocks, blocks[1:])
+            for chain in _mala(datasets[i:j], prior_cfgs[i:j],
+                               frac_cfgs[i:j])]
 
 
-def _mala(datasets, prior_cfg, cfgs):
+def _cellwise_blocks(datasets):
+    """Block bounds [0, ..., R]: runs of consecutive datasets with equal X,
+    each cut into pieces of at most BLOCK_CELLS cells."""
+    bounds, start = [0], 0
+    for i in range(1, len(datasets) + 1):
+        if i < len(datasets) and np.array_equal(datasets[i].X,
+                                                datasets[start].X):
+            continue
+        n, q = datasets[start].X.shape[0], datasets[start].q
+        size = max(1, BLOCK_CELLS // max(1, n * q))
+        bounds += list(range(start + size, i, size)) + [i]
+        start = i
+    return bounds
+
+
+def _mala(datasets, prior_cfgs, cfgs):
     cfg = cfgs[0]
     data = _stack(datasets)
-    R, p, q = len(cfgs), prior_cfg.p, prior_cfg.q
+    prior = stack_priors(prior_cfgs)
+    R, p, q = len(cfgs), prior.p, prior.q
     B = np.array([np.zeros((p, q)) if c.init is None else c.init
                   for c in cfgs], dtype=float)
     if B.shape != (R, p, q):
@@ -228,9 +253,9 @@ def _mala(datasets, prior_cfg, cfgs):
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     gamma = np.array([
         c.step_size if c.step_size is not None else
-        default_step_size(data, prior_cfg, cfg.alpha, b)
-        for c, b in zip(cfgs, B)])
-    value, grad = value_and_grad(data, B, prior_cfg, cfg.alpha)
+        default_step_size(d, pc, cfg.alpha, b)
+        for c, d, pc, b in zip(cfgs, datasets, prior_cfgs, B)])
+    value, grad = value_and_grad(data, B, prior, cfg.alpha)
 
     kept = range(cfg.burn_in, cfg.n_steps, cfg.thin)
     samples = np.empty((R, len(kept), p, q))
@@ -256,7 +281,7 @@ def _mala(datasets, prior_cfg, cfgs):
             if not np.isfinite(prop).all():
                 finite = np.isfinite(prop).all(axis=(1, 2))
                 prop[~finite] = B[~finite]      # evaluated, then rejected
-            prop_value, prop_grad = value_and_grad(data, prop, prior_cfg,
+            prop_value, prop_grad = value_and_grad(data, prop, prior,
                                                    cfg.alpha)
             bwd = B - prop - g * prop_grad
             log_ratio = prop_value - value + (

@@ -8,7 +8,6 @@ shrinks most singular values toward zero.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import wishart
 
 TAU_PRESETS = ("theorem1", "theorem3", "misspecified", "manual")
 
@@ -44,14 +43,37 @@ class PriorConfig:
             raise ValueError("p and q must be positive")
 
 
+@dataclass(frozen=True)
+class PriorStack:
+    """The priors of a stack of R matrices on one (p, q), one tau each:
+    tau^2 and the p > q log-determinant term 2 (p - q) log tau, computed
+    once per sampler run rather than once per evaluation."""
+
+    p: int
+    q: int
+    tau_sq: np.ndarray            # (R,)
+    logdet_shift: np.ndarray      # (R,)
+
+
+def stack_priors(cfgs):
+    """The PriorStack of a list of PriorConfig that share p and q."""
+    p, q = cfgs[0].p, cfgs[0].q
+    return PriorStack(p, q, np.array([c.tau ** 2 for c in cfgs]),
+                      np.array([(p - q) * 2.0 * np.log(c.tau) for c in cfgs]))
+
+
 def log_prior_and_grad(B, cfg):
     """Unnormalized log-density of the spectral scaled Student prior and its
     gradient -(p+q+2) (tau^2 I_p + B B^T)^{-1} B, for one (p, q) matrix or a
-    stack (..., p, q) of them.  One batched Cholesky factor on the smaller
-    Gram side (push-through identity for p > q) gives the log-determinant
-    and one batched solve the gradient.  A Gram matrix that overflows or is
-    not numerically positive definite, far out in the tails, gets a NaN
-    value rather than stopping the other matrices of the stack."""
+    stack (..., p, q) of them.  ``cfg`` is one PriorConfig for every matrix,
+    or a PriorStack with one tau per matrix of an (R, p, q) stack.  One
+    batched Cholesky factor on the smaller Gram side (push-through identity
+    for p > q) gives the log-determinant and one batched solve the gradient.
+    A Gram matrix that overflows or is not numerically positive definite,
+    far out in the tails, gets a NaN value rather than stopping the other
+    matrices of the stack."""
+    if isinstance(cfg, PriorConfig):
+        cfg = stack_priors([cfg])
     B = np.asarray(B, dtype=float)
     p, q = cfg.p, cfg.q
     if B.shape[-2:] != (p, q):
@@ -63,14 +85,14 @@ def log_prior_and_grad(B, cfg):
     if p > q:
         W = W.transpose(0, 2, 1)
     M = W @ W.transpose(0, 2, 1)
-    M.reshape(-1, k * k)[:, ::k + 1] += cfg.tau ** 2
+    M.reshape(-1, k * k)[:, ::k + 1] += cfg.tau_sq[:, None]
     L, bad = _cholesky(M)
     if bad is not None:
         M[bad] = np.eye(k)      # its value is NaN; keep the solve finite
     sol = np.linalg.solve(M, W)
     logdet = 2.0 * np.log(L.reshape(-1, k * k)[:, ::k + 1]).sum(axis=1)
     if p > q:
-        logdet += (p - q) * 2.0 * np.log(cfg.tau)
+        logdet += cfg.logdet_shift
     value = -0.5 * (p + q + 2) * logdet
     grad = -(p + q + 2) * (sol if p <= q else sol.transpose(0, 2, 1))
     return value.reshape(B.shape[:-2])[()], grad.reshape(B.shape)
@@ -112,6 +134,8 @@ def sample_prior(cfg, size, rng):
     tau * S^{-1/2} N has the prior density; for p > q the transpose
     construction on the q side is used.
     """
+    from scipy.stats import wishart     # kept out of the CLI's start-up
+
     p, q = cfg.p, cfg.q
     transpose = p > q
     if transpose:

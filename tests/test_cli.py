@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -299,6 +302,39 @@ class TestRateStudyCommand:
         assert np.all(rows["d_alpha"] >= 0)
 
 
+class TestStudyConfigErrors:
+    """A study config the sampler would reject exits 2 before any study
+    work, and writes no cell table."""
+
+    @pytest.mark.parametrize("command,template", [
+        ("rate-study", RATE), ("misspec", MISSPEC)], ids=["rate", "misspec"])
+    @pytest.mark.parametrize("old,new", [
+        ("replications = 2", "replications = 0"),
+        ("burn_in = 100", "burn_in = 300"),     # would retain no sample
+        ("thin = 5", "thin = 0"),
+        ("[output]", "[sampler]\nalpha = 1.0\n[output]"),
+    ], ids=["replications_0", "burn_in_n_steps", "thin_0", "alpha_1"])
+    def test_bad_study_is_config_error(self, tmp_path, command, template,
+                                       old, new):
+        out = tmp_path / "o"
+        text = template.format(out=out)
+        assert old in text
+        cfg = write_ini(tmp_path / "c.ini", text.replace(old, new))
+        assert main([command, cfg]) == EXIT_CONFIG
+        assert not (out / "rate_cells.csv").exists()
+        assert not (out / "misspec_cells.csv").exists()
+
+    @pytest.mark.parametrize("command,template", [
+        ("rate-study", RATE), ("misspec", MISSPEC)], ids=["rate", "misspec"])
+    def test_empty_n_grid_is_config_error(self, tmp_path, command, template):
+        out = tmp_path / "o"
+        text = re.sub(r"n_grid = .*", "n_grid =", template.format(out=out))
+        cfg = write_ini(tmp_path / "c.ini", text)
+        assert main([command, cfg]) == EXIT_CONFIG
+        assert not (out / "rate_cells.csv").exists()
+        assert not (out / "misspec_cells.csv").exists()
+
+
 class TestMisspecCommand:
     def test_outputs_and_rerun(self, tmp_path):
         out, again = run_twice(tmp_path, "misspec", MISSPEC)
@@ -325,6 +361,19 @@ class TestMisspecCommand:
         cfg = write_ini(tmp_path / "m.ini", text)
         assert main(["misspec", cfg]) == EXIT_NUMERIC
         assert seen["thin"] == 7
+
+
+class TestStartUp:
+    def test_import_leaves_out_stats_and_integrate(self):
+        """Only the brute-force oracles and sample_prior need scipy.stats and
+        scipy.integrate, so importing the CLI does not load them."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = ("import sys, frrr.cli; print(sorted(m for m in sys.modules "
+                "if m in ('scipy.stats', 'scipy.integrate')))")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestManifest:

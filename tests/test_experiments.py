@@ -4,12 +4,14 @@ import pytest
 from frrr import experiments
 from frrr.experiments import (MisspecConfig, RateStudyConfig,
                               fit_kl_minimizer, hellinger_consistency_check,
-                              likelihood_ridge_fit, run_misspec_study,
+                              likelihood_ridge_fit,
+                              posterior_average_divergence, run_misspec_study,
                               run_rate_study, sampling_box,
                               verify_divergence_bounds)
 from frrr.divergence import (expected_log_ratio_sq, kl_per_entry,
                              lemma_bounds, misspec_kl_lhs, renyi_per_entry)
 from frrr.families import FamilySpec, b_prime, family_bounds, theta_from_eta
+from frrr.posterior import BLOCK_CELLS
 from frrr.simulate import (calibrate_scale, generate_dataset, make_design,
                            make_low_rank_truth)
 
@@ -118,6 +120,31 @@ class TestFitKLMinimizer:
         assert fit.converged
 
 
+class TestPosteriorAverageDivergence:
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("gaussian"),
+        FamilySpec("bernoulli_probit", theta_lo=-2.0, theta_hi=2.0),
+    ], ids=["gaussian", "bernoulli_probit"])
+    @pytest.mark.parametrize("n", [100, 3000])
+    def test_blocks_match_one_sample_at_a_time(self, spec, n, rng):
+        """n = 100 puts many samples in a block, n = 3000 one sample."""
+        p, q = 5, 6
+        X = make_design(n, p, "iid", rng)
+        theta_ref = theta_from_eta(spec, X @ (0.3 * rng.standard_normal(
+            (p, q))))
+        samples = 0.3 * rng.standard_normal((90, p, q))
+        alphas = (0.25, 0.5)
+        got = posterior_average_divergence(spec, X, samples, theta_ref,
+                                           alphas)
+        idx = np.linspace(0, len(samples) - 1, 40).astype(int)
+        assert (BLOCK_CELLS // (n * q) > 1) == (n == 100)
+        for al in alphas:
+            ref = float(np.mean([float(np.mean(renyi_per_entry(
+                spec, theta_from_eta(spec, X @ samples[i]), theta_ref, al)))
+                for i in idx]))
+            assert got[al] == ref
+
+
 class TestCrossDivergences:
     """Probit and logit share b(theta) = log(1 + e^theta) and a = 1, so the
     fitted family's closed forms are the divergences between the two laws."""
@@ -192,30 +219,37 @@ class TestSmallStudies:
 
     def test_replicate_rng_order(self, monkeypatch):
         """Each replicate's stream draws Y first, then the chain seed, and a
-        cell makes one batched sampler call."""
+        study makes one sampler call, its chains in cell order."""
         calls = []
         run_chains = experiments.run_chains
 
-        def recording(datasets, prior_cfg, fracs):
-            calls.append((datasets, fracs))
-            return run_chains(datasets, prior_cfg, fracs)
+        def recording(datasets, prior_cfgs, fracs):
+            calls.append((datasets, prior_cfgs, fracs))
+            return run_chains(datasets, prior_cfgs, fracs)
 
         monkeypatch.setattr(experiments, "run_chains", recording)
         spec = FamilySpec("gaussian")
         cfg = RateStudyConfig(family=spec, p=3, q=2, r=1, n_grid=(40, 80),
                               replications=3, n_steps=200, burn_in=50,
                               thin=5, seed=9)
-        run_rate_study(cfg)
-        assert len(calls) == 2
-        for cell, (datasets, fracs) in enumerate(calls):
+        res = run_rate_study(cfg)
+        assert len(calls) == 1
+        all_data, all_priors, all_fracs = calls[0]
+        R = cfg.replications
+        assert len(all_data) == len(all_priors) == len(all_fracs) == 2 * R
+        for cell in range(2):
+            datasets = all_data[cell * R:(cell + 1) * R]
+            fracs = all_fracs[cell * R:(cell + 1) * R]
+            assert all(pc.tau == res.cells[cell].tau
+                       for pc in all_priors[cell * R:(cell + 1) * R])
             rng = np.random.default_rng([cfg.seed, 7919, cell])
             X = make_design(cfg.n_grid[cell], cfg.p, "iid", rng)
             truth = calibrate_scale(X, make_low_rank_truth(cfg.p, cfg.q,
                                                            cfg.r, 1.0, rng))
-            assert len(datasets) == len(fracs) == cfg.replications
             for rep, (data, frac) in enumerate(zip(datasets, fracs)):
                 rep_rng = np.random.default_rng([cfg.seed, 7919, cell, rep])
                 Y = generate_dataset(X, truth, spec, rep_rng).Y
+                assert np.array_equal(data.X, X)
                 assert np.array_equal(data.Y, Y)
                 assert frac.seed == int(rep_rng.integers(2 ** 63))
 

@@ -211,7 +211,7 @@ class TestSampler:
         fracs = [FractionalConfig(step_size=1e6, n_steps=2000, burn_in=1700,
                                   seed=1),
                  FractionalConfig(n_steps=2000, burn_in=1700, seed=2)]
-        chains = run_chains(datasets, cfg, fracs)
+        chains = run_chains(datasets, [cfg] * 2, fracs)
         assert chains[0].acceptance_rate > 0
         for chain, d, f in zip(chains, datasets, fracs):
             assert_same_chain(chain, run_sampler(d, cfg, f))
@@ -239,9 +239,57 @@ class TestBatchedSampler:
         fracs = [FractionalConfig(n_steps=400, burn_in=100, thin=3, seed=s,
                                   init=B0 if s == 2 else None)
                  for s in (1, 2, 3)]
-        chains = run_chains(datasets, cfg, fracs)
+        chains = run_chains(datasets, [cfg] * 3, fracs)
         for chain, d, f in zip(chains, datasets, fracs):
             assert_same_chain(chain, run_sampler(d, cfg, f))
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("gaussian"),
+        FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0),
+    ], ids=["gaussian_sufficient", "bernoulli_logit_clipped"])
+    def test_cross_design_chains_match_their_one_chain_runs(self, spec, rng):
+        """Chains on different designs, sample sizes and prior scales in one
+        call: two share a design, the others each have their own."""
+        shared, B0 = make_data(spec, 120, 4, 3, rng, b_scale=1.0)
+        datasets = [shared,
+                    Dataset(X=shared.X, Y=shared.Y[::-1], family=spec),
+                    make_data(spec, 300, 4, 3, rng, b_scale=1.0)[0],
+                    make_data(spec, 60, 4, 3, rng, b_scale=1.0)[0]]
+        priors = [PriorConfig(tau=t, p=4, q=3) for t in (0.5, 0.5, 0.2, 1.5)]
+        fracs = [FractionalConfig(n_steps=300, burn_in=100, thin=3, seed=s,
+                                  init=B0 if s == 2 else None)
+                 for s in (1, 2, 3, 4)]
+        chains = run_chains(datasets, priors, fracs)
+        assert len(chains) == 4
+        for chain, d, c, f in zip(chains, datasets, priors, fracs):
+            assert_same_chain(chain, run_sampler(d, c, f))
+
+    def test_rejects_incompatible_chains(self, rng):
+        spec = FamilySpec("gaussian")
+        data, _ = make_data(spec, 40, 4, 3, rng)
+        cfg = PriorConfig(tau=0.5, p=4, q=3)
+        frac = FractionalConfig(n_steps=100, burn_in=20, seed=1)
+        probit = Dataset(X=data.X, Y=(data.Y > 0).astype(float),
+                         family=FamilySpec("bernoulli_probit"))
+        wide, _ = make_data(spec, 40, 5, 3, rng)
+        bad = {
+            "family": ([data, probit], [cfg] * 2, [frac] * 2),
+            "data shape": ([data, wide], [cfg] * 2, [frac] * 2),
+            "prior shape": ([data, data],
+                            [cfg, PriorConfig(tau=0.5, p=4, q=2)],
+                            [frac] * 2),
+            "lengths": ([data, data], [cfg], [frac] * 2),
+            "empty": ([], [], []),
+        }
+        for field in ("alpha", "n_steps", "burn_in", "thin"):
+            other = dict(alpha=0.3, n_steps=120, burn_in=30, thin=2)[field]
+            bad[field] = ([data, data], [cfg] * 2,
+                          [frac, FractionalConfig(**{
+                              **dict(alpha=0.5, n_steps=100, burn_in=20,
+                                     thin=10, seed=2), field: other})])
+        for args in bad.values():
+            with pytest.raises(ValueError):
+                run_chains(*args)
 
     def test_sufficient_statistics_value(self, rng):
         spec = FamilySpec("gaussian", a=2.0)
