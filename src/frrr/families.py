@@ -5,12 +5,19 @@ increasing link, so that the natural parameter solves (h o b')(theta) = eta
 for a linear predictor eta.  Families with an open natural-parameter boundary
 (gamma-log, negbin-log) are clipped a configurable margin away from it so
 that the curvature bounds stay finite.
+
+The probit link and the probit likelihood both rest on log Phi, the log of
+the standard normal CDF, computed in one place: ``log_norm_cdf`` makes one
+erfc pass and falls back to ``log_ndtr`` only below LOG_NDTR_BELOW, where
+erfc underflows.  Theta for the probit link is log Phi(eta) - log Phi(-eta),
+and the per-cell probit log-likelihood y theta - b(theta) is log Phi(z) with
+z = (2y - 1) eta, the closed form the posterior kernel uses.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr
+from scipy.special import erfc, expit, log_ndtr
 
 FAMILY_IDS = (
     "gaussian",
@@ -23,6 +30,10 @@ FAMILY_IDS = (
 
 # families whose natural domain is the open half-line (-inf, 0)
 _NEGATIVE_DOMAIN = ("gamma_log", "negbin_log")
+
+# below this z, erfc(|z| / sqrt 2) = 2 Phi(z) leaves the normal doubles
+LOG_NDTR_BELOW = -37.0
+LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 class InvalidParameterError(ValueError):
@@ -169,6 +180,24 @@ def b_second(spec, theta):
     return spec.k * e / (1.0 - e) ** 2
 
 
+def log_norm_cdf(z):
+    """log Phi(z) of the standard normal CDF, from one erfc pass.
+
+    With h = Phi(-|z|) = erfc(|z| / sqrt 2) / 2, log Phi(z) is log h for
+    z < 0 and log1p(-h) otherwise, accurate since h <= 1/2.  Cells below
+    LOG_NDTR_BELOW, where h underflows, take ``log_ndtr``.
+    """
+    z = np.asarray(z, dtype=float)
+    h = erfc(np.abs(z) * np.sqrt(0.5))
+    h *= 0.5
+    with np.errstate(divide="ignore"):
+        out = np.where(z < 0.0, np.log(h), np.log1p(-h))
+    far = z < LOG_NDTR_BELOW
+    if far.any():
+        out[far] = log_ndtr(z[far])
+    return out
+
+
 def _raw_link(spec, eta):
     """Unclipped solution theta of (h o b')(theta) = eta and d theta / d eta."""
     eta = np.asarray(eta, dtype=float)
@@ -177,12 +206,12 @@ def _raw_link(spec, eta):
         return eta + 0.0, np.ones_like(eta)
     if f == "bernoulli_probit":
         # theta = log Phi(eta) - log Phi(-eta) (odd), dtheta = phi(eta) /
-        # (Phi(eta) Phi(-eta)); one log_ndtr pass on the small tail, and
+        # (Phi(eta) Phi(-eta)); one log Phi pass on the small tail, and
         # log1p(-Phi(-|eta|)) for the large side, accurate as Phi(-|eta|) <= 1/2
-        small = log_ndtr(-np.abs(eta))
+        small = log_norm_cdf(-np.abs(eta))
         big = np.log1p(-np.exp(small))
         return (np.copysign(big - small, eta), np.exp(
-            -0.5 * eta * eta - 0.5 * np.log(2.0 * np.pi) - small - big))
+            -0.5 * eta * eta - LOG_SQRT_2PI - small - big))
     if f == "gamma_log":
         d = np.exp(-eta)
         return -d, d

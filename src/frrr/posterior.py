@@ -9,10 +9,14 @@ One kernel, ``value_and_grad``, evaluates U and grad U together, for one
 (p, q) matrix or a stack (R, p, q) of them: one eta = X @ B per matrix, one
 pass of the link (theta and d theta / d eta, zero on clipped cells), one
 X^T S for the likelihood gradient, and one batched Cholesky factor for the
-prior.  An unclipped gaussian family skips eta altogether: its likelihood
-needs only X^T X and X^T Y, computed once per dataset, so a step costs the
-same at every n.  The separate value and gradient functions below are views
-of the same kernel.
+prior.  Two families on the whole real line take closed forms.  Gaussian
+skips eta altogether: its likelihood needs only X^T X and X^T Y, computed
+once per dataset, so a step costs the same at every n.  Probit skips the
+link: with z = (2y - 1) eta the cell's log-likelihood is log Phi(z), one
+erfc pass (``families.log_norm_cdf``), and its eta-derivative is
+(2y - 1) phi(z) / Phi(z).  A clipped family of either kind takes the link
+pass.  The separate value and gradient functions below are views of the
+same kernel.
 
 ``run_chains`` advances many chains together over an (R, p, q) state: a
 study makes one sampler call for the replicates of all its cells, each
@@ -27,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import (FamilySpec, b_and_prime, b_second, family_bounds,
-                       linear_predictor, link_terms, theta_from_eta)
+from .families import (LOG_SQRT_2PI, FamilySpec, b_and_prime, b_second,
+                       family_bounds, linear_predictor, link_terms,
+                       log_norm_cdf, theta_from_eta)
 from .prior import log_prior_and_grad, stack_priors
 
 CHAIN_MAGIC = b"FRRRCHN1"
@@ -101,10 +106,15 @@ class _Stack:
     cross: np.ndarray = None      # (R, p, q)
 
 
+def _unclipped(spec, family):
+    """Whether ``spec`` is ``family`` with theta free on the whole line."""
+    return spec.family == family and spec.theta_min == -np.inf \
+        and spec.theta_max == np.inf
+
+
 def _sufficient(spec):
     """Whether the likelihood of ``spec`` reduces to X^T X and X^T Y."""
-    return spec.family == "gaussian" and spec.theta_min == -np.inf \
-        and spec.theta_max == np.inf
+    return _unclipped(spec, "gaussian")
 
 
 def _stack(datasets):
@@ -123,12 +133,21 @@ def log_likelihood_and_grad(data, B):
     B is one (p, q) matrix or a stack (R, p, q); the value then has shape
     (R,).  With the sufficient statistics of an unclipped gaussian stack the
     value is [<B, C> - <B, G B> / 2] / a and the gradient (C - G B) / a.
+    Unclipped probit sums log Phi(z), z = (2Y - 1) * eta, with gradient
+    X^T [(2Y - 1) phi(z) / Phi(z)].
     """
     spec = data.family
     if getattr(data, "gram", None) is not None:
         GB = data.gram @ B
         value = (B * (data.cross - 0.5 * GB)).sum(axis=(-2, -1)) / spec.a
         return value, (data.cross - GB) / spec.a
+    if _unclipped(spec, "bernoulli_probit"):
+        sign = 2.0 * data.Y - 1.0
+        z = sign * linear_predictor(data.X, B)
+        log_cdf = log_norm_cdf(z)
+        # phi(z) / Phi(z) in logs, finite where Phi(z) underflows
+        ratio = np.exp(-0.5 * z * z - LOG_SQRT_2PI - log_cdf)
+        return log_cdf.sum(axis=(-2, -1)), data.X.T @ (sign * ratio)
     theta, dtheta = link_terms(spec, linear_predictor(data.X, B))
     b, mean = b_and_prime(spec, theta)
     value = (data.Y * theta - b).sum(axis=(-2, -1)) / spec.a

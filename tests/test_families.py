@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import log_ndtr
 
-from frrr.families import (FAMILY_IDS, Dataset, FamilySpec,
+from frrr.families import (FAMILY_IDS, LOG_NDTR_BELOW, Dataset, FamilySpec,
                            InvalidParameterError, b_and_prime, b_prime,
                            b_second, b_value,
                            dtheta_deta, family_bounds, linear_predictor,
-                           response_in_support, sample_response,
-                           theta_from_eta, theta_raw_from_eta)
+                           log_norm_cdf, response_in_support,
+                           sample_response, theta_from_eta,
+                           theta_raw_from_eta)
 
 from conftest import bounded_specs, default_specs
 
@@ -141,6 +143,19 @@ class TestDthetaDeta:
               - theta_raw_from_eta(spec, etas - h)) / (2 * h)
         assert np.allclose(dtheta_deta(spec, etas), fd, rtol=1e-5)
         assert np.all(dtheta_deta(spec, etas) > 0)
+
+
+class TestLogNormCdf:
+    def test_matches_log_ndtr(self):
+        switch = LOG_NDTR_BELOW
+        z = np.concatenate([
+            np.linspace(-45.0, 45.0, 180001),
+            np.linspace(switch - 0.01, switch + 0.01, 2001),
+            [switch, np.nextafter(switch, 0.0), np.nextafter(switch, -np.inf),
+             0.0, -0.0, 1e3, -1e3, 1e5, -1e5]])
+        got, want = log_norm_cdf(z), log_ndtr(z)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 class TestFamilyBounds:

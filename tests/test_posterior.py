@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from frrr.families import Dataset, FamilySpec, b_prime, theta_from_eta
+import frrr.families
+import frrr.posterior
+import frrr.prior
+from frrr.families import (LOG_NDTR_BELOW, Dataset, FamilySpec, b_and_prime,
+                           b_prime, linear_predictor, link_terms,
+                           theta_from_eta)
 from frrr.posterior import (Chain, FractionalConfig, SamplerDivergence,
                             _stack, default_step_size, effective_rank,
                             grad_log_fractional_posterior,
                             grad_log_likelihood, load_chain,
                             log_fractional_posterior, log_likelihood,
                             log_likelihood_and_grad, posterior_mean,
-                            run_chains, run_sampler, save_chain)
+                            run_chains, run_sampler, save_chain,
+                            value_and_grad)
 from frrr.prior import PriorConfig
 
 from conftest import central_diff, default_specs
@@ -229,7 +235,9 @@ class TestBatchedSampler:
     @pytest.mark.parametrize("spec", [
         FamilySpec("gaussian"),
         FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0),
-    ], ids=["gaussian_sufficient", "bernoulli_logit_clipped"])
+        FamilySpec("bernoulli_probit"),
+    ], ids=["gaussian_sufficient", "bernoulli_logit_clipped",
+            "bernoulli_probit_closed"])
     def test_chain_matches_its_one_chain_run(self, spec, rng):
         data, B0 = make_data(spec, 300, 4, 3, rng, b_scale=1.0)
         datasets = [data] + [make_data(spec, 300, 4, 3, rng, b_scale=1.0)[0]
@@ -314,6 +322,77 @@ class TestBatchedSampler:
                 lambda M: log_likelihood_and_grad(stack, M)[0][0], B)
             g = log_likelihood_and_grad(stack, B)[1]
             assert np.linalg.norm(g - fd) < 1e-4 * np.linalg.norm(fd)
+
+
+def generic_likelihood(stack, B):
+    """y theta - b(theta) summed, and its gradient, through the link pass."""
+    spec = stack.family
+    theta, dtheta = link_terms(spec, linear_predictor(stack.X, B))
+    b, mean = b_and_prime(spec, theta)
+    value = (stack.Y * theta - b).sum(axis=(-2, -1)) / spec.a
+    return value, stack.X.T @ ((stack.Y - mean) * dtheta) / spec.a
+
+
+def probit_stack(spec, rng, n=200, p=4, q=3, R=3):
+    X = rng.standard_normal((n, p))
+    return _stack([Dataset(X=X, Y=(rng.random((n, q)) < 0.5).astype(float),
+                           family=spec) for _ in range(R)])
+
+
+class TestProbitClosedForm:
+    """Unclipped probit: the cell log-likelihood is log Phi((2y - 1) eta)."""
+
+    def test_matches_the_link_pass(self, rng):
+        stack = probit_stack(FamilySpec("bernoulli_probit"), rng)
+        B = np.array([s * rng.standard_normal((4, 3))
+                      for s in (0.3, 3.0, 30.0)])
+        assert np.abs(linear_predictor(stack.X, B)).max() > 37.0
+        value, grad = log_likelihood_and_grad(stack, B)
+        want_value, want_grad = generic_likelihood(stack, B)
+        for v, g in ((value, grad), (want_value, want_grad)):
+            assert np.all(np.isfinite(v)) and np.all(np.isfinite(g))
+        assert np.all(np.abs(value - want_value)
+                      <= 1e-12 * np.abs(want_value))
+        for g, w in zip(grad, want_grad):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_clipped_probit_keeps_the_link_pass(self, rng):
+        stack = probit_stack(
+            FamilySpec("bernoulli_probit", theta_lo=-2.0, theta_hi=2.0), rng)
+        B = 1.5 * rng.standard_normal((3, 4, 3))
+        value, grad = log_likelihood_and_grad(stack, B)
+        want_value, want_grad = generic_likelihood(stack, B)
+        assert np.array_equal(value, want_value)
+        assert np.array_equal(grad, want_grad)
+
+    def test_one_erfc_pass_per_kernel_call(self, rng, monkeypatch):
+        """Every special function the kernel's modules hold is counted, and
+        so are the link pass and b: one value_and_grad call on a stack with
+        no cell below LOG_NDTR_BELOW makes one erfc call and nothing else."""
+        calls, patched = {}, set()
+
+        def count(module, name):
+            fn = getattr(module, name)
+            patched.add(name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (frrr.families, frrr.posterior, frrr.prior):
+            for name, fn in list(vars(module).items()):
+                if isinstance(fn, np.ufunc):
+                    count(module, name)
+        assert {"erfc", "log_ndtr"} <= patched
+        for name in ("link_terms", "b_and_prime"):
+            count(frrr.posterior, name)
+        stack = probit_stack(FamilySpec("bernoulli_probit"), rng)
+        B = rng.standard_normal((3, 4, 3))
+        assert linear_predictor(stack.X, B).min() > LOG_NDTR_BELOW
+        assert linear_predictor(stack.X, -B).min() > LOG_NDTR_BELOW
+        value_and_grad(stack, B, PriorConfig(tau=0.5, p=4, q=3), 0.5)
+        assert calls == {"erfc": 1}
 
 
 class TestPosteriorMeanAndRank:
