@@ -8,6 +8,11 @@ manifest produce byte-identical CSVs.
 
 Exit codes: 0 success, 2 config error, 3 data validation error,
 4 numerical failure.
+
+Importing this module loads no SciPy: the library imports each SciPy function
+where it is called.  A gaussian ``generate``/``fit``/``summarize`` never loads
+SciPy, a bernoulli family loads ``scipy.special``, and the two studies load
+``scipy.optimize`` when their first ridge start runs.
 """
 
 import argparse

@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .families import b_prime, b_second, b_value, _check_domain
 
@@ -114,6 +113,7 @@ def divergence_report(spec, Theta, Zeta, alphas=(0.25, 0.5, 0.75)):
 
 def _entry_dist(spec, theta):
     from scipy import stats
+    from scipy.special import expit
 
     f = spec.family
     if f in ("bernoulli_logit", "bernoulli_probit"):

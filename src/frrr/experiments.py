@@ -15,13 +15,15 @@ D_alpha at its fractional power alpha and at 1/2 (for the Hellinger check);
 the misspecification study at alpha.  Its fitted and true families must share a
 law up to the link (``fit_kl_minimizer``), so the closed-form divergences of
 the fitted family apply to the pair.
+
+``scipy.optimize`` is imported by the two L-BFGS callers
+(``likelihood_ridge_fit`` and ``fit_kl_minimizer``) when they run, not when
+the module loads, so a command that runs neither never loads it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import logit
 
 from .divergence import (c_alpha, kl_per_entry, lemma_rhs,
                          log_ratio_sq_per_entry, misspec_kl_per_entry,
@@ -98,6 +100,8 @@ def verify_divergence_bounds(spec, trials, rng, alphas=(0.25, 0.5, 0.75)):
 
 def likelihood_ridge_fit(data, ridge=1e-3, maxiter=300):
     """Quick ridge-penalized maximum-likelihood point, used as chain init."""
+    from scipy.optimize import minimize
+
     p, q = data.p, data.q
 
     def fun(v):
@@ -198,6 +202,8 @@ class RateStudyConfig:
 
     def __post_init__(self):
         _check_study(self)
+        if family_bounds(self.family).c_l <= 0:
+            raise ValueError("rate study requires a family with positive C_L")
 
 
 @dataclass
@@ -340,8 +346,6 @@ def _rate_cell(cfg, cell_index, n, r):
 
 def run_rate_study(cfg):
     """Replicated simulation across the (n, r) grid with theorem comparisons."""
-    if family_bounds(cfg.family).c_l <= 0:
-        raise ValueError("rate study requires a family with positive C_L")
     grid = [(n, cfg.r) for n in cfg.n_grid]
     grid += [(cfg.n_ref, r) for r in cfg.r_grid if r != cfg.r]
     cells = _run_cells([_rate_cell(cfg, i, n, r)
@@ -414,6 +418,8 @@ def fit_kl_minimizer(true_spec, B0, fit_spec, X, max_rank=None,
     if _law(true_spec) != _law(fit_spec):
         raise ValueError("true and fitted families must share a law up to "
                          "the link")
+    from scipy.optimize import minimize
+
     X = np.asarray(X, dtype=float)
     B0 = np.asarray(B0, dtype=float)
     p, q = X.shape[1], B0.shape[1]
@@ -500,6 +506,7 @@ def _link_predictor(spec, mu):
     if f == "gaussian":
         return mu + 0.0
     if f == "bernoulli_logit":
+        from scipy.special import logit
         return logit(np.clip(mu, 1e-12, 1 - 1e-12))
     if f == "bernoulli_probit":
         from scipy.special import ndtri

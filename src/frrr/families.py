@@ -12,12 +12,16 @@ erfc pass and falls back to ``log_ndtr`` only below LOG_NDTR_BELOW, where
 erfc underflows.  Theta for the probit link is log Phi(eta) - log Phi(-eta),
 and the per-cell probit log-likelihood y theta - b(theta) is log Phi(z) with
 z = (2y - 1) eta, the closed form the posterior kernel uses.
+
+The module imports no SciPy at load time: each ``scipy.special`` function is
+imported inside the function that calls it (``erfc`` and ``log_ndtr`` in
+``log_norm_cdf``, ``expit`` in the bernoulli branches), so only the bernoulli
+families load ``scipy.special`` and the others need NumPy alone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, expit, log_ndtr
 
 FAMILY_IDS = (
     "gaussian",
@@ -141,6 +145,7 @@ def b_prime(spec, theta):
     if f == "gaussian":
         return theta + 0.0
     if f in ("bernoulli_logit", "bernoulli_probit"):
+        from scipy.special import expit
         return expit(theta)
     if f == "poisson_log":
         return np.exp(theta)
@@ -170,6 +175,7 @@ def b_second(spec, theta):
     if f == "gaussian":
         return np.ones_like(theta)
     if f in ("bernoulli_logit", "bernoulli_probit"):
+        from scipy.special import expit
         s = expit(theta)
         return s * (1.0 - s)
     if f == "poisson_log":
@@ -187,6 +193,8 @@ def log_norm_cdf(z):
     z < 0 and log1p(-h) otherwise, accurate since h <= 1/2.  Cells below
     LOG_NDTR_BELOW, where h underflows, take ``log_ndtr``.
     """
+    from scipy.special import erfc, log_ndtr
+
     z = np.asarray(z, dtype=float)
     h = erfc(np.abs(z) * np.sqrt(0.5))
     h *= 0.5
@@ -292,6 +300,7 @@ def sample_response(spec, theta, rng):
     if f == "gaussian":
         return rng.normal(theta, np.sqrt(spec.a))
     if f in ("bernoulli_logit", "bernoulli_probit"):
+        from scipy.special import expit
         return (rng.random(np.shape(theta)) < expit(theta)).astype(float)
     if f == "poisson_log":
         return rng.poisson(np.exp(theta)).astype(float)

@@ -334,6 +334,17 @@ class TestStudyConfigErrors:
         assert not (out / "rate_cells.csv").exists()
         assert not (out / "misspec_cells.csv").exists()
 
+    @pytest.mark.parametrize("family", ["bernoulli_probit", "poisson_log"])
+    def test_zero_c_l_family_is_config_error(self, tmp_path, family):
+        """An unbounded family has C_L = 0, which the rate study's bound
+        divides by: a config error, not a numeric failure."""
+        out = tmp_path / "o"
+        text = RATE.format(out=out).replace("family = gaussian",
+                                            f"family = {family}")
+        cfg = write_ini(tmp_path / "c.ini", text)
+        assert main(["rate-study", cfg]) == EXIT_CONFIG
+        assert not (out / "rate_cells.csv").exists()
+
 
 class TestMisspecCommand:
     def test_outputs_and_rerun(self, tmp_path):
@@ -374,6 +385,53 @@ class TestStartUp:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+    @staticmethod
+    def scipy_modules_after(code):
+        """The scipy modules loaded once ``code`` has run in a fresh
+        interpreter that imports frrr from this source tree."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code += ("\nimport sys\nprint(json.dumps(sorted(m for m in "
+                 "sys.modules if m.startswith('scipy'))))")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", "import json\n" + code],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def pipeline_code(self, tmp_path, family):
+        """Code that runs generate, fit and summarize on ``family`` through
+        ``cli.main`` in one process and checks each exits 0."""
+        data, fit_out = tmp_path / "data", tmp_path / "fit"
+        argvs = [
+            ["generate", write_ini(tmp_path / "gen.ini", GEN.format(
+                out=data).replace("family = gaussian", f"family = {family}"))],
+            ["fit", write_ini(tmp_path / "f.ini",
+                              FIT.format(data=data, out=fit_out))],
+            ["summarize", write_ini(tmp_path / "s.ini", (
+                f"[data]\nchain_file = {fit_out / 'chain.bin'}\n"
+                f"[output]\ndir = {tmp_path / 'sum'}\n"))],
+        ]
+        return ("from frrr.cli import main\n"
+                f"for argv in {argvs!r}:\n"
+                "    assert main(argv) == 0, argv\n")
+
+    def test_import_loads_no_scipy(self):
+        """Every SciPy function is imported where it is called, so neither
+        the package nor the CLI loads SciPy on import."""
+        assert self.scipy_modules_after("import frrr, frrr.cli") == []
+
+    def test_gaussian_pipeline_loads_no_scipy(self, tmp_path):
+        assert self.scipy_modules_after(
+            self.pipeline_code(tmp_path, "gaussian")) == []
+
+    def test_probit_pipeline_loads_only_special(self, tmp_path):
+        """The probit link needs scipy.special; no probit command runs the
+        L-BFGS optimiser, so scipy.optimize stays unloaded."""
+        loaded = self.scipy_modules_after(
+            self.pipeline_code(tmp_path, "bernoulli_probit"))
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.optimize")]
 
 
 class TestManifest:

@@ -183,12 +183,13 @@ class TestCrossDivergences:
     def test_unsupported_pair(self, monkeypatch):
         """Laws that differ beyond the link (another family, or another
         dispersion a) are rejected before any minimising."""
-        import frrr.experiments as ex
+        import scipy.optimize
 
         def no_minimize(*args, **kwargs):
             raise AssertionError("minimised before the law check")
 
-        monkeypatch.setattr(ex, "minimize", no_minimize)
+        # fit_kl_minimizer imports minimize from scipy.optimize when it runs
+        monkeypatch.setattr(scipy.optimize, "minimize", no_minimize)
         X, B0 = np.ones((2, 1)), np.full((1, 1), 0.1)
         for true_spec, fit_spec in (
                 (FamilySpec("poisson_log"), FamilySpec("gaussian")),
@@ -254,9 +255,9 @@ class TestSmallStudies:
                 assert frac.seed == int(rep_rng.integers(2 ** 63))
 
     def test_rate_study_requires_positive_cl(self):
-        cfg = RateStudyConfig(family=FamilySpec("poisson_log"))
-        with pytest.raises(ValueError):
-            run_rate_study(cfg)
+        # the config rejects C_L = 0, before any study work
+        with pytest.raises(ValueError, match="positive C_L"):
+            RateStudyConfig(family=FamilySpec("poisson_log"))
 
     def test_misspec_smoke(self):
         cfg = MisspecConfig(p=3, q=2, r=1, n_grid=(60,), replications=2,
