@@ -17,9 +17,8 @@ from .experiments import (KLFit, MisspecConfig, MisspecStudyResult,
                           run_rate_study, verify_divergence_bounds)
 from .families import (FAMILY_IDS, Dataset, FamilyBounds, FamilySpec,
                        InvalidParameterError, b_and_prime, b_prime, b_second,
-                       b_value, dtheta_deta, family_bounds, linear_predictor,
-                       link_terms, sample_response, theta_from_eta,
-                       theta_raw_from_eta)
+                       b_value, family_bounds, linear_predictor, link_terms,
+                       sample_response, theta_from_eta, theta_raw_from_eta)
 from .posterior import (Chain, FractionalConfig, SamplerDivergence,
                         default_step_size, effective_rank,
                         grad_log_fractional_posterior, grad_log_likelihood,

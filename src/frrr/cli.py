@@ -33,10 +33,10 @@ from .families import FamilySpec
 from .posterior import (Chain, FractionalConfig, SamplerDivergence,
                         effective_rank, load_chain, posterior_mean,
                         run_sampler, save_chain)
-from .prior import PriorConfig, tau_preset
-from .simulate import (calibrate_scale, generate_dataset, load_dataset,
-                       make_design, make_low_rank_truth, save_dataset,
-                       write_matrix)
+from .prior import THEOREM_PRESETS, PriorConfig, tau_preset
+from .simulate import (DESIGN_MODES, calibrate_scale, generate_dataset,
+                       load_dataset, make_design, make_low_rank_truth,
+                       save_dataset, write_matrix)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,14 +114,10 @@ def family_from_config(cfg):
     if "family" not in fam:
         raise ConfigError("missing [family] family")
     kwargs = dict(family=fam["family"])
-    for key, cast in (("a", float), ("k", float), ("theta_lo", float),
-                      ("theta_hi", float), ("clip_margin", float)):
+    for key in ("a", "k", "theta_lo", "theta_hi", "clip_margin"):
         if key in fam:
-            kwargs[key] = cast(fam[key])
-    try:
-        return FamilySpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+            kwargs[key] = _get(cfg, "family", key, cast=float)
+    return _config(FamilySpec, **kwargs)
 
 
 def resolve_prior(cfg, n, p, q, a, x_frob):
@@ -130,9 +126,19 @@ def resolve_prior(cfg, n, p, q, a, x_frob):
         tau = _get(cfg, "prior", "tau_manual", cast=float)
         if tau is None:
             raise ConfigError("manual preset requires tau_manual")
-    else:
+    elif preset in THEOREM_PRESETS:
         tau = tau_preset(preset, n, p, q, a, x_frob)
-    return PriorConfig(tau=tau, p=p, q=q, preset=preset)
+    else:
+        raise ConfigError(f"unknown [prior] tau_preset {preset!r}")
+    return _config(PriorConfig, tau=tau, p=p, q=q, preset=preset)
+
+
+def _config(config_class, **fields):
+    """The config object, a ConfigError where its class rejects a value."""
+    try:
+        return config_class(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def write_manifest(outdir, command, cfg, seed):
@@ -183,17 +189,21 @@ def cmd_generate(cfg):
     if None in (p, q, r):
         raise ConfigError("[truth] requires p, q and r")
     scale = _get(cfg, "truth", "scale", 1.0, float)
-    calibrate = _get(cfg, "truth", "calibrate", "true") == "true"
+    calibrate = _get(cfg, "truth", "calibrate", "true")
+    if calibrate not in ("true", "false"):
+        raise ConfigError("[truth] calibrate must be true or false")
     n = _get(cfg, "design", "n", cast=int)
     if n is None:
         raise ConfigError("[design] requires n")
     mode = _get(cfg, "design", "mode", "iid")
+    if mode not in DESIGN_MODES:
+        raise ConfigError(f"unknown [design] mode {mode!r}")
     out = _outdir(cfg)
 
     rng = np.random.default_rng(seed)
     X = make_design(n, p, mode, rng)
     truth = make_low_rank_truth(p, q, r, scale, rng)
-    if calibrate:
+    if calibrate == "true":
         truth = calibrate_scale(X, truth)
     data = generate_dataset(X, truth, spec, rng)
     save_dataset(out, data, seed=seed)
@@ -221,23 +231,25 @@ def cmd_fit(cfg):
     dataset_dir = _get(cfg, "data", "dataset_dir")
     if dataset_dir is None:
         raise ConfigError("missing [data] dataset_dir")
+    # the dataset's meta.ini fixes the family; [family], if any, must match it
+    spec = family_from_config(cfg) if "family" in cfg else None
     out = _outdir(cfg)
-    try:
-        frac = FractionalConfig(
-            alpha=_get(cfg, "sampler", "alpha", 0.5, float),
-            step_size=_get(cfg, "sampler", "step_size", cast=float),
-            n_steps=_get(cfg, "sampler", "n_steps", 10000, int),
-            burn_in=_get(cfg, "sampler", "burn_in", cast=int),
-            thin=_get(cfg, "sampler", "thin", 10, int),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    frac = _config(
+        FractionalConfig,
+        alpha=_get(cfg, "sampler", "alpha", 0.5, float),
+        step_size=_get(cfg, "sampler", "step_size", cast=float),
+        n_steps=_get(cfg, "sampler", "n_steps", 10000, int),
+        burn_in=_get(cfg, "sampler", "burn_in", cast=int),
+        thin=_get(cfg, "sampler", "thin", 10, int),
+        seed=seed,
+    )
     try:
         data = load_dataset(dataset_dir)
     except (OSError, ValueError) as exc:
         print(f"error: dataset invalid: {exc}", file=sys.stderr)
         return EXIT_DATA
+    if spec is not None and spec != data.family:
+        raise ConfigError(f"[family] {spec} differs from {data.family}")
     prior_cfg = resolve_prior(cfg, data.n, data.p, data.q, data.family.a,
                               float(np.linalg.norm(data.X)))
     try:
@@ -326,15 +338,6 @@ def cmd_verify_bounds(cfg):
     return EXIT_OK
 
 
-def _study_config(config_class, **fields):
-    """The study config, a ConfigError where the study config rejects a
-    value."""
-    try:
-        return config_class(**fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 _RATE_HEADER = ("n,r,rep,pred_err,pred_err_post,est_err,d_alpha,prop1_bound,"
                 "acceptance")
 
@@ -343,7 +346,7 @@ def cmd_rate_study(cfg):
     spec = family_from_config(cfg)
     seed = _get(cfg, "run", "seed", 0, int)
     out = _outdir(cfg)
-    study = _study_config(
+    study = _config(
         RateStudyConfig,
         family=spec,
         p=_get(cfg, "truth", "p", 8, int),
@@ -386,9 +389,11 @@ def cmd_rate_study(cfg):
 
 
 def cmd_misspec(cfg):
+    if "family" in cfg:     # the study fixes its true and fitted families
+        raise ConfigError("misspec takes no [family] section")
     seed = _get(cfg, "run", "seed", 0, int)
     out = _outdir(cfg)
-    study = _study_config(
+    study = _config(
         MisspecConfig,
         p=_get(cfg, "truth", "p", 6, int),
         q=_get(cfg, "truth", "q", 4, int),

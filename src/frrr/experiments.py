@@ -12,29 +12,39 @@ over each chain (``posterior_average_divergence``).  A study makes one
 sampler call for the chains of all its cells (``_run_cells``), then
 summarises each cell from its slice of the chains.  The rate study computes
 D_alpha at its fractional power alpha and at 1/2 (for the Hellinger check);
-the misspecification study at alpha.  Its fitted and true families must share a
-law up to the link (``fit_kl_minimizer``), so the closed-form divergences of
+the misspecification study at alpha, against the KL projection B_bar of the
+true law onto the fitted class (``fit_kl_minimizer``).  Its fitted and true
+families must share a law up to the link, so the closed-form divergences of
 the fitted family apply to the pair.
 
-``scipy.optimize`` is imported by the two L-BFGS callers
-(``likelihood_ridge_fit`` and ``fit_kl_minimizer``) when they run, not when
-the module loads, so a command that runs neither never loads it.
+The ridge start and the KL projection minimise the sampler's own likelihood
+kernel, ``posterior.log_likelihood_and_grad``, through one L-BFGS routine
+(``_lbfgs``): the ridge start on the replicate's data, the KL projection on
+the true means as responses.  ``scipy.optimize`` is imported by that routine
+when it runs, not when the module loads, so a command that runs neither fit
+never loads it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .divergence import (c_alpha, kl_per_entry, lemma_rhs,
                          log_ratio_sq_per_entry, misspec_kl_per_entry,
                          rate_formulas, renyi_per_entry)
-from .families import (Dataset, FamilySpec, b_prime, b_value, dtheta_deta,
-                       family_bounds, theta_from_eta, theta_raw_from_eta)
-from .posterior import (BLOCK_CELLS, FractionalConfig,
+from .families import (Dataset, FamilySpec, b_prime, family_bounds,
+                       theta_from_eta)
+from .posterior import (BLOCK_CELLS, DataStack, FractionalConfig,
                         log_likelihood_and_grad, posterior_mean, run_chains)
-from .prior import PriorConfig, tau_preset
-from .simulate import (calibrate_scale, compute_kappa, generate_dataset,
-                       make_design, make_low_rank_truth, prediction_error)
+from .prior import THEOREM_PRESETS, PriorConfig, tau_preset
+from .simulate import (DESIGN_MODES, calibrate_scale, compute_kappa,
+                       generate_dataset, make_design, make_low_rank_truth,
+                       prediction_error)
+
+RIDGE = 1e-3                  # ridge penalty of the chain start
+RIDGE_MAXITER = 300           # L-BFGS iterations of the chain start
+KL_GTOL = 1e-10               # L-BFGS gradient tolerance of the KL projection
+DIVERGENCE_SAMPLES = 40       # chain samples per posterior-average D_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -95,32 +105,42 @@ def verify_divergence_bounds(spec, trials, rng, alphas=(0.25, 0.5, 0.75)):
 
 
 # ---------------------------------------------------------------------------
-# generic likelihood-only initializer for the samplers
+# L-BFGS fits of the likelihood kernel: chain start and KL projection
 
 
-def likelihood_ridge_fit(data, ridge=1e-3, maxiter=300):
-    """Quick ridge-penalized maximum-likelihood point, used as chain init."""
+def _lbfgs(objective, B_init, **options):
+    """L-BFGS-B minimum of objective(B) -> (value, gradient) over matrices
+    of the shape of B_init, started there; ``options`` go to the solver."""
     from scipy.optimize import minimize
 
-    p, q = data.p, data.q
+    shape = B_init.shape
 
-    def fun(v):
-        B = v.reshape(p, q)
+    def flat(v):
+        value, grad = objective(v.reshape(shape))
+        return value, grad.ravel()
+
+    res = minimize(flat, B_init.ravel(), jac=True, method="L-BFGS-B",
+                   options=options)
+    return res.x.reshape(shape)
+
+
+def likelihood_ridge_fit(data):
+    """Quick ridge-penalized maximum-likelihood point, used as chain init."""
+    def objective(B):
         lik, grad = log_likelihood_and_grad(data, B)
-        val = -lik + 0.5 * ridge * float(np.sum(B ** 2))
-        return val, (ridge * B - grad).ravel()
+        return -lik + 0.5 * RIDGE * float(np.sum(B ** 2)), RIDGE * B - grad
 
-    res = minimize(fun, np.zeros(p * q), jac=True, method="L-BFGS-B",
-                   options={"maxiter": maxiter})
-    return res.x.reshape(p, q)
+    return _lbfgs(objective, np.zeros((data.p, data.q)),
+                  maxiter=RIDGE_MAXITER)
 
 
-def posterior_average_divergence(spec, X, samples, theta_ref, alphas,
-                                 subsample=40):
+def posterior_average_divergence(spec, X, samples, theta_ref, alphas):
     """Average per-entry-averaged D_alpha between theta(B) and the natural
-    parameter theta_ref over (a subsample of) retained chain samples.  The
-    samples are evaluated in blocks of at most BLOCK_CELLS cells."""
-    idx = np.linspace(0, len(samples) - 1, min(subsample, len(samples))).astype(int)
+    parameter theta_ref over DIVERGENCE_SAMPLES evenly spaced retained chain
+    samples (all of them if fewer).  The samples are evaluated in blocks of
+    at most BLOCK_CELLS cells."""
+    idx = np.linspace(0, len(samples) - 1,
+                      min(DIVERGENCE_SAMPLES, len(samples))).astype(int)
     size = max(1, BLOCK_CELLS // theta_ref.size)
     vals = {al: [] for al in alphas}
     for i in range(0, len(idx), size):
@@ -168,12 +188,14 @@ def _run_cells(cells):
 
 
 def _check_study(cfg):
-    """ValueError unless the study has replicates, an n grid and a valid
-    sampler configuration."""
+    """ValueError unless the study has replicates, an n grid, a known design
+    mode and a valid sampler configuration."""
     if cfg.replications < 1:
         raise ValueError("replications must be at least 1")
     if not cfg.n_grid:
         raise ValueError("n_grid must not be empty")
+    if cfg.design_mode not in DESIGN_MODES:
+        raise ValueError(f"unknown design mode {cfg.design_mode!r}")
     FractionalConfig(alpha=cfg.alpha, n_steps=cfg.n_steps,
                      burn_in=cfg.burn_in, thin=cfg.thin)
 
@@ -202,6 +224,10 @@ class RateStudyConfig:
 
     def __post_init__(self):
         _check_study(self)
+        if self.tau_preset not in THEOREM_PRESETS:
+            raise ValueError(f"rate study tau preset must be one of "
+                             f"{', '.join(THEOREM_PRESETS)}, not "
+                             f"{self.tau_preset!r}")
         if family_bounds(self.family).c_l <= 0:
             raise ValueError("rate study requires a family with positive C_L")
 
@@ -403,72 +429,47 @@ class KLFit:
     converged: bool
 
 
-def fit_kl_minimizer(true_spec, B0, fit_spec, X, max_rank=None,
-                     restarts=0, rng=None, gtol=1e-10):
+def fit_kl_minimizer(true_spec, B0, fit_spec, X, restarts=0, rng=None):
     """Numerical KL projection of the true law onto the fitted model class.
 
-    Minimizes the per-entry average of [b(theta_ij) - mu0_ij theta_ij]/a over
-    B (the KL up to a B-free constant), chain-ruled through the fitted link;
-    an optional rank cap is enforced by truncated-SVD projection steps.  The
-    per-entry normalization keeps the gradient scale independent of n.
+    B_bar maximises the fitted family's expected log-likelihood: the
+    likelihood kernel with the true means mu0 as responses and theta free of
+    the configured interval.  Minus its per-entry average is the KL up to a
+    B-free constant; the per-entry normalization keeps the gradient scale
+    independent of n.  L-BFGS runs from a least-squares warm start and
+    ``restarts`` standard normal starts drawn from ``rng``.
 
     The two families must share a law up to the link (both bernoulli, or
     equal family, a and k), so the KL has the fitted family's closed form.
+    A bernoulli_probit fitted family is rejected: the kernel's probit
+    likelihood log Phi((2y - 1) eta) holds only for binary y, and mu0 lies
+    strictly between 0 and 1.
     """
     if _law(true_spec) != _law(fit_spec):
         raise ValueError("true and fitted families must share a law up to "
                          "the link")
-    from scipy.optimize import minimize
-
+    if fit_spec.family == "bernoulli_probit":
+        raise ValueError("the KL projection cannot fit bernoulli_probit: its "
+                         "likelihood kernel needs binary responses")
     X = np.asarray(X, dtype=float)
     B0 = np.asarray(B0, dtype=float)
-    p, q = X.shape[1], B0.shape[1]
     theta0 = theta_from_eta(true_spec, X @ B0)
     mu0 = b_prime(true_spec, theta0)
-    a = fit_spec.a
-    m = mu0.size
+    core = DataStack(X, mu0, replace(fit_spec, theta_lo=-np.inf,
+                                     theta_hi=np.inf))
 
     def objective(B):
-        eta = X @ B
-        theta = theta_raw_from_eta(fit_spec, eta)
-        val = float(np.sum(b_value(fit_spec, theta) - mu0 * theta) / (a * m))
-        S = (b_prime(fit_spec, theta) - mu0) * dtheta_deta(fit_spec, eta)
-        return val, X.T @ S / (a * m)
-
-    def flat_objective(v):
-        val, g = objective(v.reshape(p, q))
-        return val, g.ravel()
-
-    def solve_from(B_init):
-        if max_rank is None:
-            res = minimize(flat_objective, B_init.ravel(), jac=True,
-                           method="L-BFGS-B",
-                           options={"maxiter": 2000, "gtol": gtol, "ftol": 1e-15})
-            return res.x.reshape(p, q)
-        # projected gradient with Armijo backtracking
-        B = _svd_truncate(B_init, max_rank)
-        val, g = objective(B)
-        step = m / max(1.0, np.linalg.norm(X) ** 2)
-        for _ in range(5000):
-            for _ in range(40):
-                cand = _svd_truncate(B - step * g, max_rank)
-                cval, cg = objective(cand)
-                if cval <= val - 1e-12:
-                    break
-                step *= 0.5
-            moved = np.linalg.norm(cand - B)
-            B, val, g = cand, cval, cg
-            step *= 1.5
-            if moved < 1e-10:
-                break
-        return B
+        lik, grad = log_likelihood_and_grad(core, B)
+        return -lik / mu0.size, -grad / mu0.size
 
     # warm start: least-squares match of the fitted-link predictor to mu0
     eta_target = _link_predictor(fit_spec, mu0)
     starts = [np.linalg.lstsq(X, eta_target, rcond=None)[0]]
     if restarts and rng is not None:
-        starts += [rng.standard_normal((p, q)) for _ in range(restarts)]
-    sols = [solve_from(s) for s in starts]
+        starts += [rng.standard_normal(starts[0].shape)
+                   for _ in range(restarts)]
+    sols = [_lbfgs(objective, s, maxiter=2000, gtol=KL_GTOL, ftol=1e-15)
+            for s in starts]
     vals = [objective(s)[0] for s in sols]
     best = sols[int(np.argmin(vals))]
     spread = max((np.linalg.norm(s - best) for s in sols), default=0.0)
@@ -481,7 +482,7 @@ def fit_kl_minimizer(true_spec, B0, fit_spec, X, max_rank=None,
         kl_value=float(np.mean(kl_per_entry(fit_spec, theta0, theta_bar))),
         grad_norm=gnorm,
         restart_spread=float(spread),
-        converged=gnorm < 1e-6 or max_rank is not None,
+        converged=gnorm < 1e-6,
     )
 
 
@@ -493,12 +494,6 @@ def _law(spec):
     return spec.family, spec.a, spec.k
 
 
-def _svd_truncate(B, r):
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    s[r:] = 0.0
-    return (U * s) @ Vt
-
-
 def _link_predictor(spec, mu):
     """eta with fitted mean mu: inverse of b' composed with the link."""
     f = spec.family
@@ -508,9 +503,6 @@ def _link_predictor(spec, mu):
     if f == "bernoulli_logit":
         from scipy.special import logit
         return logit(np.clip(mu, 1e-12, 1 - 1e-12))
-    if f == "bernoulli_probit":
-        from scipy.special import ndtri
-        return ndtri(np.clip(mu, 1e-12, 1 - 1e-12))
     # log links
     return np.log(mu)
 

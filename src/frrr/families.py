@@ -248,11 +248,6 @@ def theta_from_eta(spec, eta):
     return link_terms(spec, eta)[0]
 
 
-def dtheta_deta(spec, eta):
-    """Derivative d theta / d eta of the unclipped link inversion."""
-    return _raw_link(spec, eta)[1]
-
-
 def _sup_abs_bprime(spec, lo, hi):
     if spec.family == "gaussian":
         return max(abs(lo), abs(hi))

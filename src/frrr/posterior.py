@@ -93,14 +93,15 @@ class Chain:
 
 
 @dataclass(frozen=True)
-class _Stack:
-    """The responses of R datasets of one family.  Cell-wise, the datasets
-    share the design X.  For an unclipped gaussian family the sufficient
-    statistics G_r = X_r^T X_r and C_r = X_r^T Y_r stand in for X and Y, so
-    the designs may differ."""
+class DataStack:
+    """What the likelihood kernel reads: the responses of R datasets of one
+    family, unchecked against its support (the KL projection passes means).
+    Cell-wise, the datasets share the design X.  For an unclipped gaussian
+    family the sufficient statistics G_r = X_r^T X_r and C_r = X_r^T Y_r
+    stand in for X and Y, so the designs may differ."""
 
     X: np.ndarray                 # (n, p); None with gram and cross
-    Y: np.ndarray                 # (R, n, q); None with gram and cross
+    Y: np.ndarray                 # (R, n, q) or (n, q); None with gram
     family: FamilySpec
     gram: np.ndarray = None       # (R, p, p)
     cross: np.ndarray = None      # (R, p, q)
@@ -120,10 +121,10 @@ def _sufficient(spec):
 def _stack(datasets):
     spec = datasets[0].family
     if _sufficient(spec):
-        return _Stack(None, None, spec,
-                      np.stack([d.X.T @ d.X for d in datasets]),
-                      np.stack([d.X.T @ d.Y for d in datasets]))
-    return _Stack(datasets[0].X, np.stack([d.Y for d in datasets]), spec)
+        return DataStack(None, None, spec,
+                         np.stack([d.X.T @ d.X for d in datasets]),
+                         np.stack([d.X.T @ d.Y for d in datasets]))
+    return DataStack(datasets[0].X, np.stack([d.Y for d in datasets]), spec)
 
 
 def log_likelihood_and_grad(data, B):

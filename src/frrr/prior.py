@@ -9,7 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TAU_PRESETS = ("theorem1", "theorem3", "misspecified", "manual")
+# the presets that tau_preset computes from a theorem's prescription
+THEOREM_PRESETS = ("theorem1", "theorem3", "misspecified")
+TAU_PRESETS = THEOREM_PRESETS + ("manual",)
 
 
 def tau_preset(preset, n, p, q, a, x_frob):

@@ -9,6 +9,8 @@ import numpy as np
 from .families import (Dataset, FamilySpec, sample_response,
                        theta_raw_from_eta)
 
+DESIGN_MODES = ("iid", "normalized")
+
 
 @dataclass
 class SyntheticTruth:
@@ -49,11 +51,11 @@ def make_design(n, p, mode, rng):
     """Design matrix: 'iid' standard normal or 'normalized' columns (norm sqrt(n))."""
     if n < 1 or p < 1:
         raise ValueError("n and p must be >= 1")
+    if mode not in DESIGN_MODES:
+        raise ValueError(f"unknown design mode {mode!r}")
     X = rng.standard_normal((n, p))
     if mode == "normalized":
         X *= np.sqrt(n) / np.linalg.norm(X, axis=0, keepdims=True)
-    elif mode != "iid":
-        raise ValueError(f"unknown design mode {mode!r}")
     return X
 
 

@@ -129,6 +129,12 @@ class TestConfigParsing:
             {"family": {"family": "negbin_log", "k": "2.5"}})
         assert spec.family == "negbin_log" and spec.k == 2.5
 
+    def test_non_numeric_family_value_rejected(self, tmp_path):
+        text = GEN.format(out=tmp_path / "o").replace(
+            "family = gaussian", "family = gaussian\na = abc")
+        cfg = write_ini(tmp_path / "c.ini", text)
+        assert main(["generate", cfg]) == EXIT_CONFIG
+
 
 class TestGenerate:
     def test_outputs_and_rank(self, tmp_path):
@@ -154,6 +160,34 @@ class TestGenerate:
         assert main(["generate", cfg]) == 0
         after = {f: (data / f).read_bytes() for f in os.listdir(data)}
         assert before == after
+
+    @pytest.mark.parametrize("line,code", [
+        ("calibrate = true", 0), ("calibrate = false", 0),
+        ("calibrate = yes", EXIT_CONFIG), ("calibrate = 1", EXIT_CONFIG),
+        ("mode = fixed", EXIT_CONFIG),
+    ], ids=["calibrate_true", "calibrate_false", "calibrate_yes",
+            "calibrate_1", "mode_fixed"])
+    def test_bad_truth_or_design_is_config_error(self, tmp_path, line, code):
+        """calibrate is true or false and the design mode a known one;
+        anything else exits 2 before any output."""
+        out = tmp_path / "d"
+        section = "[design]" if line.startswith("mode") else "[truth]"
+        text = GEN.format(out=out).replace(section, f"{section}\n{line}")
+        assert main(["generate", write_ini(tmp_path / "g.ini", text)]) == code
+        assert (out / "X.csv").exists() == (code == 0)
+
+    def test_calibrate_false_keeps_the_scale(self, tmp_path):
+        """calibrate = false leaves the drawn truth at [truth] scale; the
+        default rescales it, so the two truths differ."""
+        truths = []
+        for value in ("true", "false"):
+            out = tmp_path / value
+            text = GEN.format(out=out).replace(
+                "r = 2", f"r = 2\ncalibrate = {value}")
+            assert main(["generate", write_ini(tmp_path / f"{value}.ini",
+                                               text)]) == 0
+            truths.append(np.loadtxt(out / "truth.csv", delimiter=","))
+        assert not np.array_equal(*truths)
 
 
 class TestFitAndSummarize:
@@ -191,9 +225,26 @@ class TestFitAndSummarize:
                                            gen.format(out=data_dir))]) == 0
         out = tmp_path / "fit"
         text = FIT.format(data=data_dir, out=out).replace(
-            "thin = 3", "thin = 3\nstep_size = 1e160")
+            "thin = 3", "thin = 3\nstep_size = 1e160").replace(
+            "family = gaussian", "family = poisson_log")
         assert main(["fit", write_ini(tmp_path / "f.ini", text)]) \
             == EXIT_NUMERIC
+        assert not (out / "chain.bin").exists()
+
+    @pytest.mark.parametrize("old,new", [
+        ("tau_preset = theorem1", "tau_preset = theorem2"),
+        ("tau_preset = theorem1", "tau_preset = manual\ntau_manual = 0"),
+        ("family = gaussian", "family = poisson_log"),
+        ("family = gaussian", "family = gaussian\na = 2"),
+    ], ids=["unknown_preset", "manual_tau_0", "family", "dispersion"])
+    def test_bad_prior_or_family_is_config_error(self, tmp_path, old, new):
+        """fit reads [family] and exits 2 where it differs from the
+        dataset's meta.ini; a matching section (test_fit_pipeline) runs."""
+        data = run_generate(tmp_path)
+        out = tmp_path / "fit"
+        text = FIT.format(data=data, out=out)
+        cfg = write_ini(tmp_path / "f.ini", text.replace(old, new))
+        assert main(["fit", cfg]) == EXIT_CONFIG
         assert not (out / "chain.bin").exists()
 
     def test_missing_dataset_is_data_error(self, tmp_path):
@@ -334,6 +385,31 @@ class TestStudyConfigErrors:
         assert not (out / "rate_cells.csv").exists()
         assert not (out / "misspec_cells.csv").exists()
 
+    @pytest.mark.parametrize("old,new", [
+        ("[output]", "[prior]\ntau_preset = manual\ntau_manual = 0.1\n"
+                     "[output]"),
+        ("[output]", "[prior]\ntau_preset = theorem2\n[output]"),
+        ("[output]", "[design]\nmode = fixed\n[output]"),
+    ], ids=["manual_preset", "unknown_preset", "unknown_design_mode"])
+    def test_rate_study_bad_setting_is_config_error(self, tmp_path, old, new):
+        """The rate study reads neither tau_manual nor an unknown preset or
+        design mode; each is a config error, not a PARTIAL row."""
+        out = tmp_path / "o"
+        text = RATE.format(out=out).replace(old, new)
+        cfg = write_ini(tmp_path / "c.ini", text)
+        assert main(["rate-study", cfg]) == EXIT_CONFIG
+        assert not (out / "rate_cells.csv").exists()
+
+    def test_misspec_family_is_config_error(self, tmp_path):
+        """misspec fixes its true and fitted families, so a [family]
+        section it would ignore is rejected."""
+        out = tmp_path / "o"
+        text = "[family]\nfamily = bernoulli_logit\n" + MISSPEC.format(
+            out=out)
+        cfg = write_ini(tmp_path / "c.ini", text)
+        assert main(["misspec", cfg]) == EXIT_CONFIG
+        assert not (out / "misspec_cells.csv").exists()
+
     @pytest.mark.parametrize("family", ["bernoulli_probit", "poisson_log"])
     def test_zero_c_l_family_is_config_error(self, tmp_path, family):
         """An unbounded family has C_L = 0, which the rate study's bound
@@ -406,8 +482,9 @@ class TestStartUp:
         argvs = [
             ["generate", write_ini(tmp_path / "gen.ini", GEN.format(
                 out=data).replace("family = gaussian", f"family = {family}"))],
-            ["fit", write_ini(tmp_path / "f.ini",
-                              FIT.format(data=data, out=fit_out))],
+            ["fit", write_ini(tmp_path / "f.ini", FIT.format(
+                data=data, out=fit_out).replace("family = gaussian",
+                                                f"family = {family}"))],
             ["summarize", write_ini(tmp_path / "s.ini", (
                 f"[data]\nchain_file = {fit_out / 'chain.bin'}\n"
                 f"[output]\ndir = {tmp_path / 'sum'}\n"))],

@@ -5,9 +5,9 @@ from scipy.special import log_ndtr
 
 from frrr.families import (FAMILY_IDS, LOG_NDTR_BELOW, Dataset, FamilySpec,
                            InvalidParameterError, b_and_prime, b_prime,
-                           b_second, b_value,
-                           dtheta_deta, family_bounds, linear_predictor,
-                           log_norm_cdf, response_in_support,
+                           b_second, b_value, family_bounds,
+                           linear_predictor, link_terms, log_norm_cdf,
+                           response_in_support,
                            sample_response, theta_from_eta,
                            theta_raw_from_eta)
 
@@ -122,17 +122,21 @@ class TestBFunctions:
 
 
 class TestDthetaDeta:
+    """d theta / d eta, the second output of ``link_terms``, on specs whose
+    interval leaves the link unclipped at the points used."""
+
     def test_canonical_is_one(self):
         spec = FamilySpec("poisson_log")
-        assert dtheta_deta(spec, 1.3) == 1.0
+        assert link_terms(spec, 1.3)[1] == 1.0
 
     def test_probit_at_zero(self):
         spec = FamilySpec("bernoulli_probit")
-        assert abs(dtheta_deta(spec, 0.0) - 0.3989422804014327 / 0.25) < 1e-10
+        assert abs(link_terms(spec, 0.0)[1] - 0.3989422804014327 / 0.25) \
+            < 1e-10
 
     def test_gamma_at_zero(self):
         spec = FamilySpec("gamma_log")
-        assert dtheta_deta(spec, 0.0) == 1.0
+        assert link_terms(spec, 0.0)[1] == 1.0
 
     @pytest.mark.parametrize("fam", FAMILY_IDS)
     def test_matches_finite_difference(self, fam, rng):
@@ -141,8 +145,9 @@ class TestDthetaDeta:
         h = 1e-5
         fd = (theta_raw_from_eta(spec, etas + h)
               - theta_raw_from_eta(spec, etas - h)) / (2 * h)
-        assert np.allclose(dtheta_deta(spec, etas), fd, rtol=1e-5)
-        assert np.all(dtheta_deta(spec, etas) > 0)
+        dtheta = link_terms(spec, etas)[1]
+        assert np.allclose(dtheta, fd, rtol=1e-5)
+        assert np.all(dtheta > 0)
 
 
 class TestLogNormCdf:
