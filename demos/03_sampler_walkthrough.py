@@ -23,7 +23,7 @@ data = generate_dataset(X, truth, spec, rng)
 tau = tau_preset("theorem1", n, p, q, spec.a, float(np.linalg.norm(X)))
 prior = PriorConfig(tau=tau, p=p, q=q, preset="theorem1")
 frac = FractionalConfig(alpha=0.5, n_steps=4000, burn_in=1000, thin=5,
-                        seed=7, init=likelihood_ridge_fit(data))
+                        seed=7, init=likelihood_ridge_fit([data])[0])
 
 chain = run_sampler(data, prior, frac)
 bhat = posterior_mean(chain)

@@ -20,7 +20,7 @@ from .families import (FAMILY_IDS, Dataset, FamilyBounds, FamilySpec,
                        b_value, family_bounds, linear_predictor, link_terms,
                        sample_response, theta_from_eta, theta_raw_from_eta)
 from .posterior import (Chain, FractionalConfig, SamplerDivergence,
-                        default_step_size, effective_rank,
+                        default_step_size, effective_rank, fisher_information,
                         grad_log_fractional_posterior, grad_log_likelihood,
                         load_chain, log_fractional_posterior, log_likelihood,
                         log_likelihood_and_grad, posterior_mean, run_chains,

@@ -11,8 +11,9 @@ Exit codes: 0 success, 2 config error, 3 data validation error,
 
 Importing this module loads no SciPy: the library imports each SciPy function
 where it is called.  A gaussian ``generate``/``fit``/``summarize`` never loads
-SciPy, a bernoulli family loads ``scipy.special``, and the two studies load
-``scipy.optimize`` when their first ridge start runs.
+SciPy, and a bernoulli family loads ``scipy.special``.  No command loads
+SciPy's optimisers: the studies' ridge starts and KL projection are
+Fisher-scoring fits in NumPy.
 """
 
 import argparse
@@ -342,8 +343,19 @@ _RATE_HEADER = ("n,r,rep,pred_err,pred_err_post,est_err,d_alpha,prop1_bound,"
                 "acceptance")
 
 
+def _reject_design_n(cfg, command):
+    """The studies take their sample sizes from [study] n_grid."""
+    if "n" in cfg.get("design", {}):
+        raise ConfigError(f"{command} takes no [design] n; [study] n_grid "
+                          "sets the sample sizes")
+
+
 def cmd_rate_study(cfg):
     spec = family_from_config(cfg)
+    _reject_design_n(cfg, "rate-study")
+    if "tau_manual" in cfg.get("prior", {}):
+        raise ConfigError("rate-study takes no [prior] tau_manual; tau comes "
+                          "from a theorem preset")
     seed = _get(cfg, "run", "seed", 0, int)
     out = _outdir(cfg)
     study = _config(
@@ -389,8 +401,11 @@ def cmd_rate_study(cfg):
 
 
 def cmd_misspec(cfg):
-    if "family" in cfg:     # the study fixes its true and fitted families
-        raise ConfigError("misspec takes no [family] section")
+    # the study fixes its true and fitted families and its tau preset
+    for section in ("family", "prior"):
+        if section in cfg:
+            raise ConfigError(f"misspec takes no [{section}] section")
+    _reject_design_n(cfg, "misspec")
     seed = _get(cfg, "run", "seed", 0, int)
     out = _outdir(cfg)
     study = _config(
@@ -401,6 +416,7 @@ def cmd_misspec(cfg):
         n_grid=_get(cfg, "study", "n_grid", (400,), _int_list),
         replications=_get(cfg, "study", "replications", 10, int),
         alpha=_get(cfg, "sampler", "alpha", 0.5, float),
+        design_mode=_get(cfg, "design", "mode", "iid"),
         n_steps=_get(cfg, "study", "n_steps", 3000, int),
         burn_in=_get(cfg, "study", "burn_in", 800, int),
         thin=_get(cfg, "study", "thin", 5, int),

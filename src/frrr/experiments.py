@@ -18,11 +18,12 @@ families must share a law up to the link, so the closed-form divergences of
 the fitted family apply to the pair.
 
 The ridge start and the KL projection minimise the sampler's own likelihood
-kernel, ``posterior.log_likelihood_and_grad``, through one L-BFGS routine
-(``_lbfgs``): the ridge start on the replicate's data, the KL projection on
-the true means as responses.  ``scipy.optimize`` is imported by that routine
-when it runs, not when the module loads, so a command that runs neither fit
-never loads it.
+kernel, ``posterior.log_likelihood_and_grad``, through one damped
+Fisher-scoring routine (``_fisher_scoring``) over a stack of starts, with
+the kernel's curvature ``posterior.fisher_information``: the ridge start on
+the replicates of a cell, the KL projection on the true means as responses
+from all its starts at once.  Both free theta from the fitted family's
+configured interval, so the objective has no kinks.
 """
 
 from dataclasses import dataclass, field, replace
@@ -35,15 +36,16 @@ from .divergence import (c_alpha, kl_per_entry, lemma_rhs,
 from .families import (Dataset, FamilySpec, b_prime, family_bounds,
                        theta_from_eta)
 from .posterior import (BLOCK_CELLS, DataStack, FractionalConfig,
-                        log_likelihood_and_grad, posterior_mean, run_chains)
+                        fisher_information, log_likelihood_and_grad,
+                        posterior_mean, run_chains, stack_datasets)
 from .prior import THEOREM_PRESETS, PriorConfig, tau_preset
 from .simulate import (DESIGN_MODES, calibrate_scale, compute_kappa,
                        generate_dataset, make_design, make_low_rank_truth,
                        prediction_error)
 
 RIDGE = 1e-3                  # ridge penalty of the chain start
-RIDGE_MAXITER = 300           # L-BFGS iterations of the chain start
-KL_GTOL = 1e-10               # L-BFGS gradient tolerance of the KL projection
+FIT_MAXITER = 100             # iterations and step halvings of a fit
+FIT_RTOL = 1e-14              # squared Newton decrement over the objective
 DIVERGENCE_SAMPLES = 40       # chain samples per posterior-average D_alpha
 
 
@@ -105,33 +107,66 @@ def verify_divergence_bounds(spec, trials, rng, alphas=(0.25, 0.5, 0.75)):
 
 
 # ---------------------------------------------------------------------------
-# L-BFGS fits of the likelihood kernel: chain start and KL projection
+# Fisher-scoring fits of the likelihood kernel: chain start and KL projection
 
 
-def _lbfgs(objective, B_init, **options):
-    """L-BFGS-B minimum of objective(B) -> (value, gradient) over matrices
-    of the shape of B_init, started there; ``options`` go to the solver."""
-    from scipy.optimize import minimize
+def _fisher_scoring(data, B, ridge):
+    """Minimise -log-likelihood + ridge ||B||^2 / 2 of the kernel from each
+    start of the stack B (R, p, q); returns the minimisers, the objective
+    values and the gradients.
 
-    shape = B_init.shape
-
-    def flat(v):
-        value, grad = objective(v.reshape(shape))
-        return value, grad.ravel()
-
-    res = minimize(flat, B_init.ravel(), jac=True, method="L-BFGS-B",
-                   options=options)
-    return res.x.reshape(shape)
-
-
-def likelihood_ridge_fit(data):
-    """Quick ridge-penalized maximum-likelihood point, used as chain init."""
+    The objective separates by column, so each iteration solves the p x p
+    Fisher-scoring system of every column and start at once.  A start whose
+    squared Newton decrement -<gradient, step> is at most
+    FIT_RTOL (1 + |objective|) takes its full step and stops; the others
+    halve their step until it passes the Armijo test, and stop when no
+    halving decreases the objective.  Each loop runs at most FIT_MAXITER
+    times.
+    """
     def objective(B):
         lik, grad = log_likelihood_and_grad(data, B)
-        return -lik + 0.5 * RIDGE * float(np.sum(B ** 2)), RIDGE * B - grad
+        return (0.5 * ridge * (B * B).sum(axis=(-2, -1)) - lik,
+                ridge * B - grad)
 
-    return _lbfgs(objective, np.zeros((data.p, data.q)),
-                  maxiter=RIDGE_MAXITER)
+    B = np.array(B, dtype=float)
+    f, g = objective(B)
+    eye = ridge * np.eye(B.shape[-2])
+    live = np.ones(len(B), dtype=bool)
+    for _ in range(FIT_MAXITER):
+        info = fisher_information(data, B) + eye
+        step = -np.swapaxes(np.linalg.solve(
+            info, np.swapaxes(g, -1, -2)[..., None])[..., 0], -1, -2)
+        decrement = -(g * step).sum(axis=(-2, -1))
+        done = live & (decrement <= FIT_RTOL * (1.0 + np.abs(f)))
+        B[done] += step[done]
+        live &= ~done
+        if not live.any():
+            break
+        pending, t = live.copy(), 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(FIT_MAXITER):
+                trial = B + t * step * pending[:, None, None]
+                f_new, g_new = objective(trial)
+                ok = pending & (f_new < f - 1e-4 * t * decrement)
+                B[ok], f[ok], g[ok] = trial[ok], f_new[ok], g_new[ok]
+                pending &= ~ok
+                if not pending.any():
+                    break
+                t *= 0.5
+        live &= ~pending
+    return (B,) + objective(B)
+
+
+def likelihood_ridge_fit(datasets):
+    """Ridge-penalised maximum-likelihood points of datasets that share X
+    and the family, as an (R, p, q) stack: the chain starts of a study
+    cell.  The fit frees theta from the family's configured interval, so
+    the objective is smooth; for an unclipped gaussian family one step
+    gives the closed form (G/a + RIDGE I)^-1 C/a."""
+    free = replace(datasets[0].family, theta_lo=-np.inf, theta_hi=np.inf)
+    data = stack_datasets([replace(d, family=free) for d in datasets])
+    start = np.zeros((len(datasets), datasets[0].p, datasets[0].q))
+    return _fisher_scoring(data, start, RIDGE)[0]
 
 
 def posterior_average_divergence(spec, X, samples, theta_ref, alphas):
@@ -157,16 +192,16 @@ def _cell_chains(cfg, cell_key, X, truth, true_spec, fit_spec, prior_cfg):
     with the stream ``cell_key + [rep]``, starts a chain of the ``fit_spec``
     model at the likelihood ridge fit, and draws its chain seed from that
     stream after Y."""
-    datasets, fracs = [], []
+    datasets, seeds = [], []
     for rep in range(cfg.replications):
         rep_rng = np.random.default_rng(cell_key + [rep])
         Y = generate_dataset(X, truth, true_spec, rep_rng).Y
-        data = Dataset(X=X, Y=Y, family=fit_spec)
-        datasets.append(data)
-        fracs.append(FractionalConfig(
-            alpha=cfg.alpha, n_steps=cfg.n_steps, burn_in=cfg.burn_in,
-            thin=cfg.thin, seed=int(rep_rng.integers(2 ** 63)),
-            init=likelihood_ridge_fit(data)))
+        datasets.append(Dataset(X=X, Y=Y, family=fit_spec))
+        seeds.append(int(rep_rng.integers(2 ** 63)))
+    fracs = [FractionalConfig(alpha=cfg.alpha, n_steps=cfg.n_steps,
+                              burn_in=cfg.burn_in, thin=cfg.thin, seed=seed,
+                              init=init)
+             for seed, init in zip(seeds, likelihood_ridge_fit(datasets))]
     return datasets, [prior_cfg] * len(datasets), fracs
 
 
@@ -434,10 +469,11 @@ def fit_kl_minimizer(true_spec, B0, fit_spec, X, restarts=0, rng=None):
 
     B_bar maximises the fitted family's expected log-likelihood: the
     likelihood kernel with the true means mu0 as responses and theta free of
-    the configured interval.  Minus its per-entry average is the KL up to a
-    B-free constant; the per-entry normalization keeps the gradient scale
-    independent of n.  L-BFGS runs from a least-squares warm start and
-    ``restarts`` standard normal starts drawn from ``rng``.
+    the configured interval, so minus the kernel is the summed KL up to a
+    B-free constant.  Fisher scoring runs from the zero matrix and from
+    ``restarts`` standard normal starts drawn from ``rng``, all in one
+    stack; the reported gradient norm is that of the per-entry average,
+    whose scale does not grow with n.
 
     The two families must share a law up to the link (both bernoulli, or
     equal family, a and k), so the KL has the fitted family's closed form.
@@ -457,31 +493,21 @@ def fit_kl_minimizer(true_spec, B0, fit_spec, X, restarts=0, rng=None):
     mu0 = b_prime(true_spec, theta0)
     core = DataStack(X, mu0, replace(fit_spec, theta_lo=-np.inf,
                                      theta_hi=np.inf))
-
-    def objective(B):
-        lik, grad = log_likelihood_and_grad(core, B)
-        return -lik / mu0.size, -grad / mu0.size
-
-    # warm start: least-squares match of the fitted-link predictor to mu0
-    eta_target = _link_predictor(fit_spec, mu0)
-    starts = [np.linalg.lstsq(X, eta_target, rcond=None)[0]]
+    starts = np.zeros((1,) + B0.shape)
     if restarts and rng is not None:
-        starts += [rng.standard_normal(starts[0].shape)
-                   for _ in range(restarts)]
-    sols = [_lbfgs(objective, s, maxiter=2000, gtol=KL_GTOL, ftol=1e-15)
-            for s in starts]
-    vals = [objective(s)[0] for s in sols]
-    best = sols[int(np.argmin(vals))]
-    spread = max((np.linalg.norm(s - best) for s in sols), default=0.0)
-
-    _, g = objective(best)
-    gnorm = float(np.linalg.norm(g))
+        starts = np.concatenate(
+            [starts, rng.standard_normal((restarts,) + B0.shape)])
+    sols, values, grads = _fisher_scoring(core, starts, 0.0)
+    best_index = int(np.argmin(values))
+    best = sols[best_index]
+    spread = float(np.max(np.linalg.norm(sols - best, axis=(1, 2))))
+    gnorm = float(np.linalg.norm(grads[best_index])) / mu0.size
     theta_bar = theta_from_eta(fit_spec, X @ best)
     return KLFit(
         b_bar=best,
         kl_value=float(np.mean(kl_per_entry(fit_spec, theta0, theta_bar))),
         grad_norm=gnorm,
-        restart_spread=float(spread),
+        restart_spread=spread,
         converged=gnorm < 1e-6,
     )
 
@@ -492,19 +518,6 @@ def _law(spec):
     if spec.family.startswith("bernoulli"):
         return "bernoulli"
     return spec.family, spec.a, spec.k
-
-
-def _link_predictor(spec, mu):
-    """eta with fitted mean mu: inverse of b' composed with the link."""
-    f = spec.family
-    mu = np.clip(mu, 1e-12, None)
-    if f == "gaussian":
-        return mu + 0.0
-    if f == "bernoulli_logit":
-        from scipy.special import logit
-        return logit(np.clip(mu, 1e-12, 1 - 1e-12))
-    # log links
-    return np.log(mu)
 
 
 @dataclass

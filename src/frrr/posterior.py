@@ -118,7 +118,10 @@ def _sufficient(spec):
     return _unclipped(spec, "gaussian")
 
 
-def _stack(datasets):
+def stack_datasets(datasets):
+    """The kernel's view of datasets that share the family: the sufficient
+    statistics of each for an unclipped gaussian family, else the shared X
+    of the first and the stacked responses."""
     spec = datasets[0].family
     if _sufficient(spec):
         return DataStack(None, None, spec,
@@ -153,6 +156,24 @@ def log_likelihood_and_grad(data, B):
     b, mean = b_and_prime(spec, theta)
     value = (data.Y * theta - b).sum(axis=(-2, -1)) / spec.a
     return value, data.X.T @ ((data.Y - mean) * dtheta) / spec.a
+
+
+def fisher_information(data, B):
+    """Expected information of ``log_likelihood_and_grad`` per column of B,
+    X^T diag(b''(theta) (d theta / d eta)^2) X / a over the cells of column
+    j, of shape (..., q, p, p) for B of shape (..., p, q).  Clipped cells
+    add nothing.  With the sufficient statistics of an unclipped gaussian
+    stack it is G / a for every column.  For a canonical link on unclipped
+    cells it is minus the Hessian of the log-likelihood."""
+    spec = data.family
+    if getattr(data, "gram", None) is not None:
+        R, p = data.gram.shape[:2]
+        return np.broadcast_to(data.gram[:, None] / spec.a,
+                               (R, B.shape[-1], p, p))
+    theta, dtheta = link_terms(spec, linear_predictor(data.X, B))
+    weight = b_second(spec, theta) * dtheta ** 2 / spec.a
+    weighted = np.swapaxes(weight, -1, -2)[..., None] * data.X
+    return np.swapaxes(weighted, -1, -2) @ data.X
 
 
 def value_and_grad(data, B, prior_cfg, alpha):
@@ -263,7 +284,7 @@ def _cellwise_blocks(datasets):
 
 def _mala(datasets, prior_cfgs, cfgs):
     cfg = cfgs[0]
-    data = _stack(datasets)
+    data = stack_datasets(datasets)
     prior = stack_priors(prior_cfgs)
     R, p, q = len(cfgs), prior.p, prior.q
     B = np.array([np.zeros((p, q)) if c.init is None else c.init

@@ -390,10 +390,14 @@ class TestStudyConfigErrors:
                      "[output]"),
         ("[output]", "[prior]\ntau_preset = theorem2\n[output]"),
         ("[output]", "[design]\nmode = fixed\n[output]"),
-    ], ids=["manual_preset", "unknown_preset", "unknown_design_mode"])
+        ("[output]", "[prior]\ntau_manual = 0.5\n[output]"),
+        ("[output]", "[design]\nn = 50\n[output]"),
+    ], ids=["manual_preset", "unknown_preset", "unknown_design_mode",
+            "tau_manual", "design_n"])
     def test_rate_study_bad_setting_is_config_error(self, tmp_path, old, new):
-        """The rate study reads neither tau_manual nor an unknown preset or
-        design mode; each is a config error, not a PARTIAL row."""
+        """The rate study reads neither tau_manual nor [design] n, and takes
+        no unknown preset or design mode; each is a config error, not a
+        PARTIAL row."""
         out = tmp_path / "o"
         text = RATE.format(out=out).replace(old, new)
         cfg = write_ini(tmp_path / "c.ini", text)
@@ -407,6 +411,19 @@ class TestStudyConfigErrors:
         text = "[family]\nfamily = bernoulli_logit\n" + MISSPEC.format(
             out=out)
         cfg = write_ini(tmp_path / "c.ini", text)
+        assert main(["misspec", cfg]) == EXIT_CONFIG
+        assert not (out / "misspec_cells.csv").exists()
+
+    @pytest.mark.parametrize("section", [
+        "[prior]\ntau_preset = theorem1\n", "[design]\nmode = fixed\n",
+        "[design]\nn = 5\n"], ids=["prior", "unknown_design_mode",
+                                   "design_n"])
+    def test_misspec_unread_setting_is_config_error(self, tmp_path, section):
+        """misspec fixes its tau preset and takes n from [study] n_grid, so
+        [prior] and [design] n are rejected; it reads [design] mode, so an
+        unknown mode is rejected too."""
+        out = tmp_path / "o"
+        cfg = write_ini(tmp_path / "c.ini", section + MISSPEC.format(out=out))
         assert main(["misspec", cfg]) == EXIT_CONFIG
         assert not (out / "misspec_cells.csv").exists()
 
@@ -448,6 +465,20 @@ class TestMisspecCommand:
         cfg = write_ini(tmp_path / "m.ini", text)
         assert main(["misspec", cfg]) == EXIT_NUMERIC
         assert seen["thin"] == 7
+
+    def test_design_mode_is_read(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def capture(study):
+            seen["mode"] = study.design_mode
+            raise RuntimeError("stop after capturing the config")
+
+        monkeypatch.setattr(cli, "run_misspec_study", capture)
+        text = "[design]\nmode = normalized\n" + MISSPEC.format(
+            out=tmp_path / "o")
+        cfg = write_ini(tmp_path / "m.ini", text)
+        assert main(["misspec", cfg]) == EXIT_NUMERIC
+        assert seen["mode"] == "normalized"
 
 
 class TestStartUp:
@@ -503,11 +534,22 @@ class TestStartUp:
             self.pipeline_code(tmp_path, "gaussian")) == []
 
     def test_probit_pipeline_loads_only_special(self, tmp_path):
-        """The probit link needs scipy.special; no probit command runs the
-        L-BFGS optimiser, so scipy.optimize stays unloaded."""
+        """The probit link needs scipy.special, and no command needs
+        scipy.optimize, so it stays unloaded."""
         loaded = self.scipy_modules_after(
             self.pipeline_code(tmp_path, "bernoulli_probit"))
         assert "scipy.special" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.optimize")]
+
+    @pytest.mark.parametrize("command,template", [
+        ("rate-study", RATE), ("misspec", MISSPEC)], ids=["rate", "misspec"])
+    def test_study_loads_no_optimize(self, tmp_path, command, template):
+        """The ridge starts and the KL projection are Fisher-scoring fits in
+        NumPy, so a study loads no scipy.optimize module."""
+        argv = [command, write_ini(tmp_path / "c.ini",
+                                   template.format(out=tmp_path / "o"))]
+        loaded = self.scipy_modules_after(
+            f"from frrr.cli import main\nassert main({argv!r}) == 0\n")
         assert not [m for m in loaded if m.startswith("scipy.optimize")]
 
 

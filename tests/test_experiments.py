@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from frrr import experiments
-from frrr.experiments import (MisspecConfig, RateStudyConfig,
+from frrr.experiments import (RIDGE, MisspecConfig, RateStudyConfig,
                               fit_kl_minimizer, hellinger_consistency_check,
                               likelihood_ridge_fit,
                               posterior_average_divergence, run_misspec_study,
@@ -10,10 +12,11 @@ from frrr.experiments import (MisspecConfig, RateStudyConfig,
                               verify_divergence_bounds)
 from frrr.divergence import (expected_log_ratio_sq, kl_per_entry,
                              lemma_bounds, misspec_kl_lhs, renyi_per_entry)
-from frrr.families import FamilySpec, b_prime, family_bounds, theta_from_eta
-from frrr.posterior import BLOCK_CELLS
-from frrr.simulate import (calibrate_scale, generate_dataset, make_design,
-                           make_low_rank_truth)
+from frrr.families import (Dataset, FamilySpec, b_prime, family_bounds,
+                           theta_from_eta)
+from frrr.posterior import BLOCK_CELLS, log_likelihood_and_grad
+from frrr.simulate import (SyntheticTruth, calibrate_scale, generate_dataset,
+                           make_design, make_low_rank_truth)
 
 from conftest import bounded_specs
 
@@ -75,10 +78,59 @@ class TestLikelihoodRidgeFit:
         spec = FamilySpec("gaussian")
         X = make_design(200, 3, "iid", rng)
         B0 = 0.5 * rng.standard_normal((3, 2))
-        from frrr.simulate import SyntheticTruth, generate_dataset
         data = generate_dataset(X, SyntheticTruth(B0, 2, 0.5), spec, rng)
-        fit = likelihood_ridge_fit(data)
+        fit = likelihood_ridge_fit([data])[0]
         assert np.linalg.norm(fit - B0) < 0.5
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("gaussian", a=2.0),
+        FamilySpec("gaussian", theta_lo=-0.5, theta_hi=0.5),
+    ], ids=["a2", "clipped"])
+    def test_gaussian_is_the_closed_form(self, spec, rng):
+        """theta is free in the fit, so a clipped gaussian family has the
+        unclipped closed form too."""
+        X = make_design(80, 4, "iid", rng)
+        B0 = rng.standard_normal((4, 3))
+        datasets = [generate_dataset(X, SyntheticTruth(B0, 3, 1.0), spec, rng)
+                    for _ in range(3)]
+        fits = likelihood_ridge_fit(datasets)
+        G = X.T @ X / spec.a
+        for fit, d in zip(fits, datasets):
+            ref = np.linalg.solve(G + RIDGE * np.eye(4), X.T @ d.Y / spec.a)
+            assert np.max(np.abs(fit - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("gaussian", theta_lo=-3.0, theta_hi=3.0),
+        FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0),
+        FamilySpec("bernoulli_probit", theta_lo=-2.0, theta_hi=2.0),
+        FamilySpec("poisson_log"),
+    ], ids=["gaussian", "bernoulli_logit", "bernoulli_probit", "poisson_log"])
+    def test_stack_entry_is_its_one_dataset_fit(self, spec, rng):
+        X = make_design(150, 4, "iid", rng)
+        truth = calibrate_scale(X, make_low_rank_truth(4, 3, 2, 1.0, rng))
+        datasets = [generate_dataset(X, truth, spec, rng) for _ in range(4)]
+        fits = likelihood_ridge_fit(datasets)
+        assert fits.shape == (4, 4, 3)
+        for fit, d in zip(fits, datasets):
+            assert np.array_equal(fit, likelihood_ridge_fit([d])[0])
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0),
+        FamilySpec("poisson_log", theta_lo=-1.0, theta_hi=1.0),
+    ], ids=["bernoulli_logit", "poisson_log"])
+    def test_stationary_point_of_the_free_objective(self, spec, rng):
+        """The fit zeroes the gradient of the ridge objective with theta free
+        of the clipped interval, where many cells of the data lie."""
+        X = make_design(300, 4, "iid", rng)
+        truth = calibrate_scale(X, make_low_rank_truth(4, 3, 2, 1.0, rng))
+        free = replace(spec, theta_lo=-np.inf, theta_hi=np.inf)
+        Y = generate_dataset(X, truth, free, rng).Y
+        fit = likelihood_ridge_fit([Dataset(X=X, Y=Y, family=spec)])[0]
+        grad = RIDGE * fit - log_likelihood_and_grad(
+            Dataset(X=X, Y=Y, family=free), fit)[1]
+        assert np.linalg.norm(grad) < 1e-8
+        raw = X @ fit
+        assert np.mean((raw < spec.theta_lo) | (raw > spec.theta_hi)) > 0.05
 
 
 class TestFitKLMinimizer:
@@ -180,13 +232,10 @@ class TestCrossDivergences:
         """Laws that differ beyond the link (another family, or another
         dispersion a) are rejected before any minimising, and so is a probit
         fitted family, whose likelihood kernel needs binary responses."""
-        import scipy.optimize
-
-        def no_minimize(*args, **kwargs):
+        def no_fit(*args, **kwargs):
             raise AssertionError("minimised before the law check")
 
-        # fit_kl_minimizer imports minimize from scipy.optimize when it runs
-        monkeypatch.setattr(scipy.optimize, "minimize", no_minimize)
+        monkeypatch.setattr(experiments, "_fisher_scoring", no_fit)
         X, B0 = np.ones((2, 1)), np.full((1, 1), 0.1)
         probit = FamilySpec("bernoulli_probit")
         for true_spec, fit_spec, match in (

@@ -7,14 +7,15 @@ import frrr.prior
 from frrr.families import (LOG_NDTR_BELOW, Dataset, FamilySpec, b_and_prime,
                            b_prime, linear_predictor, link_terms,
                            theta_from_eta)
-from frrr.posterior import (Chain, FractionalConfig, SamplerDivergence,
-                            _stack, default_step_size, effective_rank,
+from frrr.posterior import (Chain, DataStack, FractionalConfig,
+                            SamplerDivergence, default_step_size,
+                            effective_rank, fisher_information,
                             grad_log_fractional_posterior,
                             grad_log_likelihood, load_chain,
                             log_fractional_posterior, log_likelihood,
                             log_likelihood_and_grad, posterior_mean,
                             run_chains, run_sampler, save_chain,
-                            value_and_grad)
+                            stack_datasets, value_and_grad)
 from frrr.prior import PriorConfig
 
 from conftest import central_diff, default_specs
@@ -303,7 +304,7 @@ class TestBatchedSampler:
         spec = FamilySpec("gaussian", a=2.0)
         data, _ = make_data(spec, 200, 4, 3, rng)
         other = Dataset(X=data.X, Y=data.Y + 1.0, family=spec)
-        stack = _stack([data, other])
+        stack = stack_datasets([data, other])
         assert stack.gram is not None
         B = rng.standard_normal((2, 4, 3))
         value = log_likelihood_and_grad(stack, B)[0]
@@ -315,13 +316,79 @@ class TestBatchedSampler:
     def test_sufficient_statistics_gradient(self, rng):
         spec = FamilySpec("gaussian", a=2.0)
         data, _ = make_data(spec, 60, 4, 3, rng)
-        stack = _stack([data])
+        stack = stack_datasets([data])
         for _ in range(10):
             B = 0.4 * rng.standard_normal((1, 4, 3))
             fd = central_diff(
                 lambda M: log_likelihood_and_grad(stack, M)[0][0], B)
             g = log_likelihood_and_grad(stack, B)[1]
             assert np.linalg.norm(g - fd) < 1e-4 * np.linalg.norm(fd)
+
+
+class TestFisherInformation:
+    """For a canonical link the expected information is minus the Hessian
+    of the log-likelihood: column j of the gradient depends on column j of
+    B alone, through I_j."""
+
+    @staticmethod
+    def hessian_by_differences(data, B, h=1e-6):
+        """d grad[..., i, j] / d B[..., k, l] by central differences, as an
+        array indexed [..., i, j, k, l]."""
+        p, q = B.shape[-2:]
+        out = np.empty(B.shape + (p, q))
+        for k in range(p):
+            for l in range(q):
+                E = np.zeros_like(B)
+                E[..., k, l] = h
+                out[..., k, l] = (log_likelihood_and_grad(data, B + E)[1]
+                                  - log_likelihood_and_grad(data, B - E)[1]
+                                  ) / (2.0 * h)
+        return out
+
+    def assert_is_minus_hessian(self, data, B):
+        info = fisher_information(data, B)
+        H = self.hessian_by_differences(data, B)
+        p, q = B.shape[-2:]
+        expected = np.zeros(H.shape)
+        for j in range(q):
+            expected[..., :, j, :, j] = -info[..., j, :, :]
+        assert info.shape == B.shape[:-2] + (q, p, p)
+        assert np.max(np.abs(H - expected)) <= 1e-6 * np.max(np.abs(info))
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("gaussian", a=2.0), FamilySpec("bernoulli_logit"),
+        FamilySpec("poisson_log")], ids=["gaussian", "bernoulli_logit",
+                                         "poisson_log"])
+    def test_cellwise_is_minus_hessian(self, spec, rng):
+        data, B0 = make_data(spec, 60, 4, 3, rng)
+        self.assert_is_minus_hessian(data, B0)
+        stack = DataStack(data.X, np.stack([data.Y, data.Y[::-1]]), spec)
+        self.assert_is_minus_hessian(stack, np.stack([B0, -B0]))
+
+    def test_sufficient_statistics_is_minus_hessian(self, rng):
+        spec = FamilySpec("gaussian", a=2.0)
+        data, B0 = make_data(spec, 60, 4, 3, rng)
+        other, _ = make_data(spec, 30, 4, 3, rng)
+        stack = stack_datasets([data, other])
+        assert stack.gram is not None
+        B = np.stack([B0, 2.0 * B0])
+        self.assert_is_minus_hessian(stack, B)
+        assert np.array_equal(fisher_information(stack, B)[1, 2],
+                              other.X.T @ other.X / spec.a)
+
+    def test_clipped_cells_add_nothing(self, rng):
+        """Away from the kinks the clipped likelihood's Hessian is minus the
+        information, and a B whose cells are all clipped has none."""
+        spec = FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0)
+        data, B0 = make_data(spec, 300, 4, 3, rng)
+        B = 2.0 * B0
+        eta = data.X @ B
+        assert ((eta < -2.0) | (eta > 2.0)).mean() > 0.1
+        assert np.min(np.abs(np.abs(eta) - 2.0)) > 1e-4
+        self.assert_is_minus_hessian(data, B)
+        clipped = Dataset(X=np.ones((5, 1)), Y=np.ones((5, 2)), family=spec)
+        assert np.array_equal(fisher_information(
+            clipped, np.array([[3.0, -3.0]])), np.zeros((2, 1, 1)))
 
 
 def generic_likelihood(stack, B):
@@ -335,8 +402,9 @@ def generic_likelihood(stack, B):
 
 def probit_stack(spec, rng, n=200, p=4, q=3, R=3):
     X = rng.standard_normal((n, p))
-    return _stack([Dataset(X=X, Y=(rng.random((n, q)) < 0.5).astype(float),
-                           family=spec) for _ in range(R)])
+    return stack_datasets([
+        Dataset(X=X, Y=(rng.random((n, q)) < 0.5).astype(float), family=spec)
+        for _ in range(R)])
 
 
 class TestProbitClosedForm:
