@@ -2,9 +2,11 @@
 
 Subcommands cover the pipeline stages: generate | fit | summarize |
 divergence | verify-bounds | rate-study | misspec.  All inputs come from an
-INI-style config file; every resolved value (defaults included) is
-materialized into a manifest next to the outputs, and reruns with an equal
-manifest produce byte-identical CSVs.
+INI-style config file, and a command accepts exactly the sections and keys
+it reads: any other is a config error.  A key left out takes the default of
+the config class it fills.  Next to the outputs, ``manifest.json`` holds the
+config as read, the sha256 of its canonical text, the seed and the version;
+reruns of an equal config produce byte-identical CSVs.
 
 Exit codes: 0 success, 2 config error, 3 data validation error,
 4 numerical failure.
@@ -49,37 +51,16 @@ class ConfigError(ValueError):
     pass
 
 
-_SCHEMA = {
-    "family": {"family", "a", "k", "theta_lo", "theta_hi", "clip_margin"},
-    "prior": {"tau_preset", "tau_manual"},
-    "sampler": {"alpha", "step_size", "n_steps", "burn_in", "thin"},
-    "truth": {"p", "q", "r", "scale", "calibrate"},
-    "design": {"n", "mode"},
-    "data": {"dataset_dir", "chain_file"},
-    "study": {"n_grid", "r_grid", "n_ref", "replications", "trials",
-              "n_steps", "burn_in", "thin"},
-    "divergence": {"theta_file", "zeta_file", "alphas"},
-    "output": {"dir"},
-    "run": {"seed"},
-}
-
-
 def read_config(path):
     cp = configparser.ConfigParser()
     try:
         with open(path) as fh:
             cp.read_file(fh)
+        return {section: dict(cp[section]) for section in cp.sections()}
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    cfg = {}
-    for section in cp.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        cfg[section] = dict(cp[section])
-    return cfg
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}")
 
 
 def canonical_text(cfg):
@@ -92,14 +73,35 @@ def canonical_text(cfg):
     return "\n".join(lines) + "\n"
 
 
-def _get(cfg, section, key, default=None, cast=str):
-    raw = cfg.get(section, {}).get(key)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {exc}")
+class ConfigReader:
+    """One command's parsed config, which records each key the command reads.
+
+    Once the command has read its whole config, ``reject_unread`` makes any
+    section or key it left unread a ConfigError, so a command accepts
+    exactly the keys it reads.
+    """
+
+    def __init__(self, command, parsed):
+        self.command = command
+        self.parsed = parsed
+        self._read = set()
+
+    def get(self, section, key, default=None, cast=str):
+        self._read.add((section, key))
+        raw = self.parsed.get(section, {}).get(key)
+        if raw is None:
+            return default
+        try:
+            return cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for [{section}] {key}: {exc}")
+
+    def reject_unread(self):
+        for section, keys in self.parsed.items():
+            unread = [key for key in keys if (section, key) not in self._read]
+            if unread or not keys:
+                raise ConfigError(f"{self.command} reads no [{section}] "
+                                  + (" ".join(unread) or "section"))
 
 
 def _int_list(raw):
@@ -111,42 +113,51 @@ def _float_list(raw):
 
 
 def family_from_config(cfg):
-    fam = cfg.get("family", {})
-    if "family" not in fam:
+    family = cfg.get("family", "family")
+    if family is None:
         raise ConfigError("missing [family] family")
-    kwargs = dict(family=fam["family"])
-    for key in ("a", "k", "theta_lo", "theta_hi", "clip_margin"):
-        if key in fam:
-            kwargs[key] = _get(cfg, "family", key, cast=float)
-    return _config(FamilySpec, **kwargs)
+    return _config(FamilySpec, family=family, **{
+        key: cfg.get("family", key, cast=float)
+        for key in ("a", "k", "theta_lo", "theta_hi", "clip_margin")})
 
 
-def resolve_prior(cfg, n, p, q, a, x_frob):
-    preset = _get(cfg, "prior", "tau_preset", "theorem1")
+def prior_preset(cfg):
+    """The [prior] preset and its manual tau (None for a theorem preset),
+    checked before any data is read."""
+    preset = cfg.get("prior", "tau_preset", "theorem1")
     if preset == "manual":
-        tau = _get(cfg, "prior", "tau_manual", cast=float)
-        if tau is None:
-            raise ConfigError("manual preset requires tau_manual")
-    elif preset in THEOREM_PRESETS:
-        tau = tau_preset(preset, n, p, q, a, x_frob)
-    else:
+        tau = cfg.get("prior", "tau_manual", cast=float)
+        if tau is None or not tau > 0:
+            raise ConfigError("manual preset requires a positive tau_manual")
+        return preset, tau
+    if preset not in THEOREM_PRESETS:
         raise ConfigError(f"unknown [prior] tau_preset {preset!r}")
+    return preset, None
+
+
+def resolve_prior(preset, tau, n, p, q, a, x_frob):
+    """The prior of a dataset: tau as given, or from a theorem preset."""
+    if tau is None:
+        tau = tau_preset(preset, n, p, q, a, x_frob)
     return _config(PriorConfig, tau=tau, p=p, q=q, preset=preset)
 
 
 def _config(config_class, **fields):
-    """The config object, a ConfigError where its class rejects a value."""
+    """The config object from the fields that are set, so that the class
+    holds every default; a ConfigError where the class rejects a value."""
     try:
-        return config_class(**fields)
+        return config_class(**{key: value for key, value in fields.items()
+                               if value is not None})
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
-def write_manifest(outdir, command, cfg, seed):
+def write_manifest(outdir, cfg, seed):
     manifest = {
-        "command": command,
-        "config_hash": hashlib.sha256(canonical_text(cfg).encode()).hexdigest(),
-        "config": cfg,
+        "command": cfg.command,
+        "config_hash": hashlib.sha256(
+            canonical_text(cfg.parsed).encode()).hexdigest(),
+        "config": cfg.parsed,
         "seed": seed,
         "version": __version__,
     }
@@ -170,9 +181,12 @@ def _write_table(path, header, fmt, rows):
 
 
 def _outdir(cfg):
-    out = _get(cfg, "output", "dir")
+    """Make [output] dir, the last key a command reads: a section or key it
+    left unread is rejected first, before any output or data is touched."""
+    out = cfg.get("output", "dir")
     if out is None:
         raise ConfigError("missing [output] dir")
+    cfg.reject_unread()
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -183,20 +197,19 @@ def _outdir(cfg):
 
 def cmd_generate(cfg):
     spec = family_from_config(cfg)
-    seed = _get(cfg, "run", "seed", 0, int)
-    p = _get(cfg, "truth", "p", cast=int)
-    q = _get(cfg, "truth", "q", cast=int)
-    r = _get(cfg, "truth", "r", cast=int)
-    if None in (p, q, r):
-        raise ConfigError("[truth] requires p, q and r")
-    scale = _get(cfg, "truth", "scale", 1.0, float)
-    calibrate = _get(cfg, "truth", "calibrate", "true")
+    seed = cfg.get("run", "seed", 0, int)
+    p, q, r = (cfg.get("truth", key, cast=int) for key in ("p", "q", "r"))
+    n = cfg.get("design", "n", cast=int)
+    if None in (p, q, r, n):
+        raise ConfigError("generate requires [truth] p, q, r and [design] n")
+    if min(n, p, q) < 1 or not 0 <= r <= min(p, q):
+        raise ConfigError("generate requires n, p and q of at least 1 and "
+                          "0 <= r <= min(p, q)")
+    scale = cfg.get("truth", "scale", 1.0, float)
+    calibrate = cfg.get("truth", "calibrate", "true")
     if calibrate not in ("true", "false"):
         raise ConfigError("[truth] calibrate must be true or false")
-    n = _get(cfg, "design", "n", cast=int)
-    if n is None:
-        raise ConfigError("[design] requires n")
-    mode = _get(cfg, "design", "mode", "iid")
+    mode = cfg.get("design", "mode", "iid")
     if mode not in DESIGN_MODES:
         raise ConfigError(f"unknown [design] mode {mode!r}")
     out = _outdir(cfg)
@@ -209,7 +222,7 @@ def cmd_generate(cfg):
     data = generate_dataset(X, truth, spec, rng)
     save_dataset(out, data, seed=seed)
     write_matrix(os.path.join(out, "truth.csv"), truth.b0)
-    write_manifest(out, "generate", cfg, seed)
+    write_manifest(out, cfg, seed)
     return EXIT_OK
 
 
@@ -228,22 +241,22 @@ def _write_fit_outputs(outdir, chain):
 
 
 def cmd_fit(cfg):
-    seed = _get(cfg, "run", "seed", 0, int)
-    dataset_dir = _get(cfg, "data", "dataset_dir")
+    dataset_dir = cfg.get("data", "dataset_dir")
     if dataset_dir is None:
         raise ConfigError("missing [data] dataset_dir")
     # the dataset's meta.ini fixes the family; [family], if any, must match it
-    spec = family_from_config(cfg) if "family" in cfg else None
-    out = _outdir(cfg)
+    spec = family_from_config(cfg) if "family" in cfg.parsed else None
     frac = _config(
         FractionalConfig,
-        alpha=_get(cfg, "sampler", "alpha", 0.5, float),
-        step_size=_get(cfg, "sampler", "step_size", cast=float),
-        n_steps=_get(cfg, "sampler", "n_steps", 10000, int),
-        burn_in=_get(cfg, "sampler", "burn_in", cast=int),
-        thin=_get(cfg, "sampler", "thin", 10, int),
-        seed=seed,
+        alpha=cfg.get("sampler", "alpha", cast=float),
+        step_size=cfg.get("sampler", "step_size", cast=float),
+        n_steps=cfg.get("sampler", "n_steps", cast=int),
+        burn_in=cfg.get("sampler", "burn_in", cast=int),
+        thin=cfg.get("sampler", "thin", cast=int),
+        seed=cfg.get("run", "seed", cast=int),
     )
+    preset, tau = prior_preset(cfg)
+    out = _outdir(cfg)
     try:
         data = load_dataset(dataset_dir)
     except (OSError, ValueError) as exc:
@@ -251,8 +264,8 @@ def cmd_fit(cfg):
         return EXIT_DATA
     if spec is not None and spec != data.family:
         raise ConfigError(f"[family] {spec} differs from {data.family}")
-    prior_cfg = resolve_prior(cfg, data.n, data.p, data.q, data.family.a,
-                              float(np.linalg.norm(data.X)))
+    prior_cfg = resolve_prior(preset, tau, data.n, data.p, data.q,
+                              data.family.a, float(np.linalg.norm(data.X)))
     try:
         chain = run_sampler(data, prior_cfg, frac)
     except SamplerDivergence as exc:
@@ -260,14 +273,15 @@ def cmd_fit(cfg):
         return EXIT_NUMERIC
     save_chain(os.path.join(out, "chain.bin"), chain)
     _write_fit_outputs(out, chain)
-    write_manifest(out, "fit", cfg, seed)
+    write_manifest(out, cfg, frac.seed)
     return EXIT_OK
 
 
 def cmd_summarize(cfg):
-    chain_file = _get(cfg, "data", "chain_file")
+    chain_file = cfg.get("data", "chain_file")
     if chain_file is None:
         raise ConfigError("missing [data] chain_file")
+    seed = cfg.get("run", "seed", 0, int)
     out = _outdir(cfg)
     try:
         samples, alpha, gamma, log_post, flags = load_chain(chain_file)
@@ -287,17 +301,18 @@ def cmd_summarize(cfg):
         "acceptance_rate": chain.acceptance_rate,
     }
     _write_json(os.path.join(out, "summary.json"), summary)
-    write_manifest(out, "summarize", cfg, _get(cfg, "run", "seed", 0, int))
+    write_manifest(out, cfg, seed)
     return EXIT_OK
 
 
 def cmd_divergence(cfg):
     spec = family_from_config(cfg)
-    theta_file = _get(cfg, "divergence", "theta_file")
-    zeta_file = _get(cfg, "divergence", "zeta_file")
+    theta_file = cfg.get("divergence", "theta_file")
+    zeta_file = cfg.get("divergence", "zeta_file")
     if theta_file is None or zeta_file is None:
         raise ConfigError("[divergence] requires theta_file and zeta_file")
-    alphas = _get(cfg, "divergence", "alphas", (0.25, 0.5, 0.75), _float_list)
+    alphas = cfg.get("divergence", "alphas", (0.25, 0.5, 0.75), _float_list)
+    seed = cfg.get("run", "seed", 0, int)
     out = _outdir(cfg)
     try:
         Theta = np.loadtxt(theta_file, delimiter=",", ndmin=2)
@@ -307,14 +322,16 @@ def cmd_divergence(cfg):
         return EXIT_DATA
     report = divergence_report(spec, Theta, Zeta, alphas)
     report.to_csv(os.path.join(out, "divergence.csv"))
-    write_manifest(out, "divergence", cfg, _get(cfg, "run", "seed", 0, int))
+    write_manifest(out, cfg, seed)
     return EXIT_OK
 
 
 def cmd_verify_bounds(cfg):
     spec = family_from_config(cfg)
-    seed = _get(cfg, "run", "seed", 0, int)
-    trials = _get(cfg, "study", "trials", 1000, int)
+    seed = cfg.get("run", "seed", 0, int)
+    trials = cfg.get("study", "trials", 1000, int)
+    if trials < 1:
+        raise ConfigError("[study] trials must be at least 1")
     out = _outdir(cfg)
     rng = np.random.default_rng(seed)
     res = verify_divergence_bounds(spec, trials, rng)
@@ -335,7 +352,7 @@ def cmd_verify_bounds(cfg):
     _write_json(os.path.join(out, "summary.json"),
                 {"satisfied_fraction": min(frac.values()),
                  "per_lemma": frac, "trials": trials})
-    write_manifest(out, "verify-bounds", cfg, seed)
+    write_manifest(out, cfg, seed)
     return EXIT_OK
 
 
@@ -343,39 +360,34 @@ _RATE_HEADER = ("n,r,rep,pred_err,pred_err_post,est_err,d_alpha,prop1_bound,"
                 "acceptance")
 
 
-def _reject_design_n(cfg, command):
-    """The studies take their sample sizes from [study] n_grid."""
-    if "n" in cfg.get("design", {}):
-        raise ConfigError(f"{command} takes no [design] n; [study] n_grid "
-                          "sets the sample sizes")
+def _study_fields(cfg):
+    """The fields both studies read; an unset one is None, so that the study
+    config's default applies."""
+    return dict(
+        p=cfg.get("truth", "p", cast=int),
+        q=cfg.get("truth", "q", cast=int),
+        r=cfg.get("truth", "r", cast=int),
+        n_grid=cfg.get("study", "n_grid", cast=_int_list),
+        replications=cfg.get("study", "replications", cast=int),
+        alpha=cfg.get("sampler", "alpha", cast=float),
+        design_mode=cfg.get("design", "mode"),
+        n_steps=cfg.get("study", "n_steps", cast=int),
+        burn_in=cfg.get("study", "burn_in", cast=int),
+        thin=cfg.get("study", "thin", cast=int),
+        seed=cfg.get("run", "seed", cast=int),
+    )
 
 
 def cmd_rate_study(cfg):
-    spec = family_from_config(cfg)
-    _reject_design_n(cfg, "rate-study")
-    if "tau_manual" in cfg.get("prior", {}):
-        raise ConfigError("rate-study takes no [prior] tau_manual; tau comes "
-                          "from a theorem preset")
-    seed = _get(cfg, "run", "seed", 0, int)
-    out = _outdir(cfg)
     study = _config(
         RateStudyConfig,
-        family=spec,
-        p=_get(cfg, "truth", "p", 8, int),
-        q=_get(cfg, "truth", "q", 6, int),
-        r=_get(cfg, "truth", "r", 2, int),
-        n_grid=_get(cfg, "study", "n_grid", (100, 200, 400), _int_list),
-        r_grid=_get(cfg, "study", "r_grid", (), _int_list),
-        n_ref=_get(cfg, "study", "n_ref", 400, int),
-        replications=_get(cfg, "study", "replications", 20, int),
-        alpha=_get(cfg, "sampler", "alpha", 0.5, float),
-        tau_preset=_get(cfg, "prior", "tau_preset", "theorem1"),
-        design_mode=_get(cfg, "design", "mode", "iid"),
-        n_steps=_get(cfg, "study", "n_steps", 3500, int),
-        burn_in=_get(cfg, "study", "burn_in", 1000, int),
-        thin=_get(cfg, "study", "thin", 5, int),
-        seed=seed,
+        family=family_from_config(cfg),
+        r_grid=cfg.get("study", "r_grid", cast=_int_list),
+        n_ref=cfg.get("study", "n_ref", cast=int),
+        tau_preset=cfg.get("prior", "tau_preset"),
+        **_study_fields(cfg),
     )
+    out = _outdir(cfg)
     rows_path = os.path.join(out, "rate_cells.csv")
     try:
         result = run_rate_study(study)
@@ -396,32 +408,14 @@ def cmd_rate_study(cfg):
                  ((c.n, float(np.mean(c.pred_err))) for c in ncells))
     _write_table(os.path.join(out, "bound_vs_n.dat"), None, "%d %.17g",
                  ((c.n, c.prop1_bound) for c in ncells))
-    write_manifest(out, "rate-study", cfg, seed)
+    write_manifest(out, cfg, study.seed)
     return EXIT_OK
 
 
 def cmd_misspec(cfg):
     # the study fixes its true and fitted families and its tau preset
-    for section in ("family", "prior"):
-        if section in cfg:
-            raise ConfigError(f"misspec takes no [{section}] section")
-    _reject_design_n(cfg, "misspec")
-    seed = _get(cfg, "run", "seed", 0, int)
+    study = _config(MisspecConfig, **_study_fields(cfg))
     out = _outdir(cfg)
-    study = _config(
-        MisspecConfig,
-        p=_get(cfg, "truth", "p", 6, int),
-        q=_get(cfg, "truth", "q", 4, int),
-        r=_get(cfg, "truth", "r", 2, int),
-        n_grid=_get(cfg, "study", "n_grid", (400,), _int_list),
-        replications=_get(cfg, "study", "replications", 10, int),
-        alpha=_get(cfg, "sampler", "alpha", 0.5, float),
-        design_mode=_get(cfg, "design", "mode", "iid"),
-        n_steps=_get(cfg, "study", "n_steps", 3000, int),
-        burn_in=_get(cfg, "study", "burn_in", 800, int),
-        thin=_get(cfg, "study", "thin", 5, int),
-        seed=seed,
-    )
     try:
         result = run_misspec_study(study)
     except Exception as exc:
@@ -436,7 +430,7 @@ def cmd_misspec(cfg):
     _write_json(os.path.join(out, "summary.json"), result.summary())
     _write_table(os.path.join(out, "dalpha_vs_n.dat"), None, "%d %.17g",
                  ((c.n, float(np.mean(c.d_alpha))) for c in result.cells))
-    write_manifest(out, "misspec", cfg, seed)
+    write_manifest(out, cfg, study.seed)
     return EXIT_OK
 
 
@@ -459,7 +453,7 @@ def main(argv=None):
     parser.add_argument("config", help="INI-style config file")
     args = parser.parse_args(argv)
     try:
-        cfg = read_config(args.config)
+        cfg = ConfigReader(args.command, read_config(args.config))
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -245,7 +245,7 @@ class RateStudyConfig:
     p: int = 8
     q: int = 6
     r: int = 2
-    n_grid: tuple = (100, 200, 400, 800, 1600)
+    n_grid: tuple = (100, 200, 400)
     r_grid: tuple = ()          # extra ranks, run at n_ref
     n_ref: int = 400
     replications: int = 20

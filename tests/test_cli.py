@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from frrr import cli
-from frrr.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, canonical_text,
-                      family_from_config, main, read_config)
+from frrr.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, ConfigReader,
+                      canonical_text, family_from_config, main, read_config)
+from frrr.experiments import MisspecConfig, RateStudyConfig
+from frrr.families import FamilySpec
 
 
 def write_ini(path, text):
@@ -87,6 +89,32 @@ dir = {out}
 seed = 3
 """
 
+SUMMARIZE = """
+[data]
+chain_file = {out}.bin
+[output]
+dir = {out}
+"""
+
+DIVERGENCE = """
+[family]
+family = gaussian
+[divergence]
+theta_file = {out}.csv
+zeta_file = {out}.csv
+[output]
+dir = {out}
+"""
+
+VERIFY = """
+[family]
+family = gaussian
+[study]
+trials = 20
+[output]
+dir = {out}
+"""
+
 
 def run_generate(tmp_path):
     data_dir = tmp_path / "data"
@@ -125,9 +153,21 @@ class TestConfigParsing:
         assert main(["rate-study", cfg]) == EXIT_CONFIG
 
     def test_family_from_config(self):
-        spec = family_from_config(
-            {"family": {"family": "negbin_log", "k": "2.5"}})
+        spec = family_from_config(ConfigReader(
+            "generate", {"family": {"family": "negbin_log", "k": "2.5"}}))
         assert spec.family == "negbin_log" and spec.k == 2.5
+
+    @pytest.mark.parametrize("text", [
+        "family = gaussian\n",
+        "[family]\nfamily = gaussian\n[family]\na = 2\n",
+        "[family]\nfamily = gaussian\nfamily = poisson_log\n",
+        GEN.replace("dir = {out}", "dir = {out}%"),
+    ], ids=["no_section_header", "duplicate_section", "duplicate_key",
+            "bare_percent"])
+    def test_malformed_ini_is_config_error(self, tmp_path, text):
+        cfg = write_ini(tmp_path / "c.ini", text.format(out=tmp_path / "o"))
+        assert main(["generate", cfg]) == EXIT_CONFIG
+        assert os.listdir(tmp_path) == ["c.ini"]
 
     def test_non_numeric_family_value_rejected(self, tmp_path):
         text = GEN.format(out=tmp_path / "o").replace(
@@ -175,6 +215,20 @@ class TestGenerate:
         text = GEN.format(out=out).replace(section, f"{section}\n{line}")
         assert main(["generate", write_ini(tmp_path / "g.ini", text)]) == code
         assert (out / "X.csv").exists() == (code == 0)
+
+    @pytest.mark.parametrize("old,new", [
+        ("n = 40", "n = 0"), ("p = 4", "p = 0"), ("q = 3", "q = 0"),
+        ("r = 2", "r = 4"), ("r = 2", "r = -1"),
+    ], ids=["n_0", "p_0", "q_0", "r_above_min_pq", "r_negative"])
+    def test_out_of_range_size_is_config_error(self, tmp_path, old, new):
+        """n, p and q are at least 1 and 0 <= r <= min(p, q); anything else
+        exits 2 before any output."""
+        out = tmp_path / "d"
+        text = GEN.format(out=out)
+        assert old in text
+        cfg = write_ini(tmp_path / "g.ini", text.replace(old, new))
+        assert main(["generate", cfg]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_calibrate_false_keeps_the_scale(self, tmp_path):
         """calibrate = false leaves the drawn truth at [truth] scale; the
@@ -247,6 +301,24 @@ class TestFitAndSummarize:
         assert main(["fit", cfg]) == EXIT_CONFIG
         assert not (out / "chain.bin").exists()
 
+    def test_tau_manual_under_theorem_preset_is_config_error(self, tmp_path):
+        """fit reads tau_manual only under the manual preset."""
+        data = run_generate(tmp_path)
+        out = tmp_path / "fit"
+        text = FIT.format(data=data, out=out).replace(
+            "tau_preset = theorem1", "tau_preset = theorem1\ntau_manual = 0.5")
+        assert main(["fit", write_ini(tmp_path / "f.ini", text)]) \
+            == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_prior_is_checked_before_the_dataset(self, tmp_path):
+        """An unknown preset is a config error even where the dataset is
+        missing, which would be a data error."""
+        text = FIT.format(data=tmp_path / "nope", out=tmp_path / "f").replace(
+            "tau_preset = theorem1", "tau_preset = theorem2")
+        assert main(["fit", write_ini(tmp_path / "f.ini", text)]) \
+            == EXIT_CONFIG
+
     def test_missing_dataset_is_data_error(self, tmp_path):
         cfg = write_ini(tmp_path / "f.ini",
                         FIT.format(data=tmp_path / "nope", out=tmp_path / "f"))
@@ -304,6 +376,15 @@ class TestVerifyBoundsCommand:
         assert main(["verify-bounds", cfg]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["satisfied_fraction"] == 1.0
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_is_config_error(self, tmp_path, trials):
+        out = tmp_path / "vb"
+        text = VERIFY.format(out=out).replace("trials = 20",
+                                              f"trials = {trials}")
+        assert main(["verify-bounds", write_ini(tmp_path / "v.ini",
+                                                text)]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 def run_twice(tmp_path, command, template):
@@ -479,6 +560,56 @@ class TestMisspecCommand:
         cfg = write_ini(tmp_path / "m.ini", text)
         assert main(["misspec", cfg]) == EXIT_NUMERIC
         assert seen["mode"] == "normalized"
+
+
+class TestConfigContract:
+    """A command accepts exactly the sections and keys it reads, and a key
+    left out takes the default of the config class it fills."""
+
+    @pytest.mark.parametrize("command,template,section,line", [
+        ("generate", GEN, "[sampler]", "alpha = 0.5"),
+        ("fit", FIT, "[truth]", "p = 4"),
+        ("summarize", SUMMARIZE, "[family]", "family = gaussian"),
+        ("divergence", DIVERGENCE, "[study]", "trials = 10"),
+        ("verify-bounds", VERIFY, "[sampler]", "alpha = 0.5"),
+        ("rate-study", RATE, "[divergence]", "alphas = 0.5"),
+        ("misspec", MISSPEC, "[study]", "r_grid = 2"),
+    ], ids=["generate", "fit", "summarize", "divergence", "verify_bounds",
+            "rate", "misspec"])
+    def test_key_of_another_command_is_config_error(
+            self, tmp_path, capsys, command, template, section, line):
+        """Each key is one that only another command reads; the command
+        exits 2 naming it, before it makes its output directory."""
+        out = tmp_path / "o"
+        text = template.format(out=out, data=tmp_path / "data")
+        if section in text:
+            text = text.replace(section, f"{section}\n{line}")
+        else:
+            text += f"{section}\n{line}\n"
+        cfg = write_ini(tmp_path / "c.ini", text)
+        assert main([command, cfg]) == EXIT_CONFIG
+        key = line.split()[0]
+        assert f"{command} reads no {section} {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,runner,text,expected", [
+        ("rate-study", "run_rate_study", "[family]\nfamily = gaussian\n",
+         RateStudyConfig(family=FamilySpec("gaussian"))),
+        ("misspec", "run_misspec_study", "", MisspecConfig()),
+    ], ids=["rate", "misspec"])
+    def test_minimal_study_takes_the_class_defaults(
+            self, tmp_path, monkeypatch, command, runner, text, expected):
+        seen = []
+
+        def capture(study):
+            seen.append(study)
+            raise RuntimeError("stop after capturing the config")
+
+        monkeypatch.setattr(cli, runner, capture)
+        cfg = write_ini(tmp_path / "c.ini",
+                        f"{text}[output]\ndir = {tmp_path / 'o'}\n")
+        assert main([command, cfg]) == EXIT_NUMERIC
+        assert seen == [expected]
 
 
 class TestStartUp:
