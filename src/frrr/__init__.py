@@ -22,12 +22,12 @@ from .families import (FAMILY_IDS, Dataset, FamilyBounds, FamilySpec,
 from .posterior import (Chain, FractionalConfig, SamplerDivergence,
                         default_step_size, effective_rank, fisher_information,
                         grad_log_fractional_posterior, grad_log_likelihood,
-                        load_chain, log_fractional_posterior, log_likelihood,
+                        log_fractional_posterior, log_likelihood,
                         log_likelihood_and_grad, posterior_mean, run_chains,
-                        run_sampler, save_chain, value_and_grad)
+                        run_sampler, value_and_grad)
 from .prior import (PriorConfig, grad_log_prior, log_prior,
                     log_prior_and_grad, prior_second_moment_check,
                     sample_prior, tau_preset)
 from .simulate import (SyntheticTruth, calibrate_scale, compute_kappa,
-                       generate_dataset, load_dataset, make_design,
-                       make_low_rank_truth, prediction_error, save_dataset)
+                       generate_dataset, make_design, make_low_rank_truth,
+                       prediction_error)

@@ -1,4 +1,4 @@
-"""Command-line entry point.
+"""Command-line entry point, and every file format of the package.
 
 Subcommands cover the pipeline stages: generate | fit | summarize |
 divergence | verify-bounds | rate-study | misspec.  All inputs come from an
@@ -7,6 +7,12 @@ it reads: any other is a config error.  A key left out takes the default of
 the config class it fills.  Next to the outputs, ``manifest.json`` holds the
 config as read, the sha256 of its canonical text, the seed and the version;
 reruns of an equal config produce byte-identical CSVs.
+
+This module alone reads and writes files; the library modules compute.  It
+holds the INI config, the dataset directory (``X.csv``, ``Y.csv`` and
+``meta.ini``), the chain binary and its sidecar CSV, and one writer for each
+output kind: ``_write_table`` for every text table (the ``%.17g`` matrix
+CSVs of ``write_matrix`` included) and ``_write_json`` for every JSON file.
 
 Exit codes: 0 success, 2 config error, 3 data validation error,
 4 numerical failure.
@@ -23,6 +29,7 @@ import configparser
 import hashlib
 import json
 import os
+import struct
 import sys
 
 import numpy as np
@@ -32,19 +39,23 @@ from .divergence import divergence_report
 from .experiments import (MisspecConfig, RateStudyConfig,
                           hellinger_consistency_check, run_misspec_study,
                           run_rate_study, verify_divergence_bounds)
-from .families import FamilySpec
+from .families import Dataset, FamilySpec
 from .posterior import (Chain, FractionalConfig, SamplerDivergence,
-                        effective_rank, load_chain, posterior_mean,
-                        run_sampler, save_chain)
+                        effective_rank, posterior_mean, run_sampler)
 from .prior import THEOREM_PRESETS, PriorConfig, tau_preset
 from .simulate import (DESIGN_MODES, calibrate_scale, generate_dataset,
-                       load_dataset, make_design, make_low_rank_truth,
-                       save_dataset, write_matrix)
+                       make_design, make_low_rank_truth)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+CHAIN_MAGIC = b"FRRRCHN1"
+CHAIN_HEADER = struct.Struct("<iiidd")  # p, q, sample count, alpha, step
+# the FamilySpec fields that a config's [family] and a dataset's meta.ini set
+# besides the family name
+FAMILY_KEYS = ("a", "k", "theta_lo", "theta_hi", "clip_margin")
 
 
 class ConfigError(ValueError):
@@ -117,8 +128,7 @@ def family_from_config(cfg):
     if family is None:
         raise ConfigError("missing [family] family")
     return _config(FamilySpec, family=family, **{
-        key: cfg.get("family", key, cast=float)
-        for key in ("a", "k", "theta_lo", "theta_hi", "clip_margin")})
+        key: cfg.get("family", key, cast=float) for key in FAMILY_KEYS})
 
 
 def prior_preset(cfg):
@@ -180,6 +190,92 @@ def _write_table(path, header, fmt, rows):
             fh.write(fmt % row + "\n")
 
 
+def write_matrix(path, M):
+    """One CSV line per row, each value as %.17g (round-trips float64)."""
+    M = np.atleast_2d(M)
+    _write_table(path, None, ",".join(["%.17g"] * M.shape[1]), map(tuple, M))
+
+
+def save_dataset(dirpath, data, seed):
+    """X.csv and Y.csv, and meta.ini with the family and the seed."""
+    os.makedirs(dirpath, exist_ok=True)
+    write_matrix(os.path.join(dirpath, "X.csv"), data.X)
+    write_matrix(os.path.join(dirpath, "Y.csv"), data.Y)
+    spec = data.family
+    meta = configparser.ConfigParser()
+    meta["family"] = {"family": spec.family, **{
+        key: "%.17g" % getattr(spec, key) for key in FAMILY_KEYS}}
+    meta["provenance"] = {"seed": str(seed)}
+    with open(os.path.join(dirpath, "meta.ini"), "w") as fh:
+        meta.write(fh)
+
+
+def load_dataset(dirpath):
+    meta = configparser.ConfigParser()
+    with open(os.path.join(dirpath, "meta.ini")) as fh:
+        meta.read_file(fh)
+    fam = meta["family"]
+    spec = FamilySpec(family=fam["family"],
+                      **{key: float(fam[key]) for key in FAMILY_KEYS})
+    X, Y = (np.loadtxt(os.path.join(dirpath, name), delimiter=",", ndmin=2)
+            for name in ("X.csv", "Y.csv"))
+    return Dataset(X=X, Y=Y, family=spec)
+
+
+def save_chain(path, chain):
+    """Binary chain file: magic, p, q, count (int32 LE), alpha/gamma (f64),
+    then row-major float64 sample matrices.  A sidecar CSV
+    (step, log_post, accepted) is written next to it."""
+    m = len(chain.samples)
+    p, q = chain.samples.shape[1:] if m else (0, 0)
+    with open(path, "wb") as fh:
+        fh.write(CHAIN_MAGIC)
+        fh.write(CHAIN_HEADER.pack(p, q, m, chain.alpha, chain.step_size))
+        fh.write(np.ascontiguousarray(chain.samples, dtype="<f8").tobytes())
+    _write_table(str(path) + ".csv", "step,log_post,accepted", "%d,%.17g,%d",
+                 zip(range(m), chain.log_post, chain.accept_flags))
+
+
+def load_chain(path):
+    """The Chain that ``save_chain`` wrote, with its acceptance rate over the
+    retained steps and no dataset digest.  A short header or sample block,
+    or a sidecar whose row count differs from the sample count, raises
+    ValueError; a missing sidecar OSError."""
+    with open(path, "rb") as fh:
+        if fh.read(8) != CHAIN_MAGIC:
+            raise ValueError("not a chain file")
+        header = fh.read(CHAIN_HEADER.size)
+        if len(header) < CHAIN_HEADER.size:
+            raise ValueError("chain header is truncated")
+        p, q, m, alpha, gamma = CHAIN_HEADER.unpack(header)
+        if min(p, q, m) < 0:
+            raise ValueError(f"chain header gives a negative size {(m, p, q)}")
+        raw = fh.read(8 * m * p * q)
+    if len(raw) < 8 * m * p * q:
+        raise ValueError(f"chain file holds fewer than {m} samples")
+    side = np.loadtxt(str(path) + ".csv", delimiter=",",
+                      skiprows=1).reshape(-1, 3)
+    if side.shape[0] != m:
+        raise ValueError(f"chain sidecar has {side.shape[0]} rows, "
+                         f"expected {m}")
+    flags = side[:, 2].astype(bool)
+    return Chain(samples=np.frombuffer(raw, "<f8").reshape(m, p, q).copy(),
+                 log_post=side[:, 1], accept_flags=flags, alpha=alpha,
+                 dataset_digest="", step_size=gamma,
+                 acceptance_rate=float(np.mean(flags)) if m else 1.0)
+
+
+def _write_chain_summary(outdir, name, chain, **extra):
+    """bhat.csv, the posterior mean, and the JSON summary ``name`` of the
+    chain, with the ``extra`` keys."""
+    b_hat = posterior_mean(chain)
+    write_matrix(os.path.join(outdir, "bhat.csv"), b_hat)
+    _write_json(os.path.join(outdir, name), dict(
+        alpha=chain.alpha, step_size=chain.step_size,
+        n_retained=len(chain.samples), acceptance_rate=chain.acceptance_rate,
+        effective_rank_bhat=effective_rank(b_hat), **extra))
+
+
 def _outdir(cfg):
     """Make [output] dir, the last key a command reads: a section or key it
     left unread is rejected first, before any output or data is touched."""
@@ -226,20 +322,6 @@ def cmd_generate(cfg):
     return EXIT_OK
 
 
-def _write_fit_outputs(outdir, chain):
-    b_hat = posterior_mean(chain)
-    write_matrix(os.path.join(outdir, "bhat.csv"), b_hat)
-    summary = {
-        "acceptance_rate": chain.acceptance_rate,
-        "effective_rank_bhat": effective_rank(b_hat),
-        "step_size": chain.step_size,
-        "n_retained": int(len(chain.samples)),
-        "alpha": chain.config.alpha,
-        "dataset_digest": chain.dataset_digest,
-    }
-    _write_json(os.path.join(outdir, "fit_summary.json"), summary)
-
-
 def cmd_fit(cfg):
     dataset_dir = cfg.get("data", "dataset_dir")
     if dataset_dir is None:
@@ -272,7 +354,8 @@ def cmd_fit(cfg):
         print(f"error: sampler diverged: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     save_chain(os.path.join(out, "chain.bin"), chain)
-    _write_fit_outputs(out, chain)
+    _write_chain_summary(out, "fit_summary.json", chain,
+                         dataset_digest=chain.dataset_digest)
     write_manifest(out, cfg, frac.seed)
     return EXIT_OK
 
@@ -284,23 +367,11 @@ def cmd_summarize(cfg):
     seed = cfg.get("run", "seed", 0, int)
     out = _outdir(cfg)
     try:
-        samples, alpha, gamma, log_post, flags = load_chain(chain_file)
+        chain = load_chain(chain_file)
     except (OSError, ValueError) as exc:
         print(f"error: chain invalid: {exc}", file=sys.stderr)
         return EXIT_DATA
-    chain = Chain(samples=samples, log_post=log_post, accept_flags=flags,
-                  config=None, dataset_digest="", step_size=gamma,
-                  acceptance_rate=float(np.mean(flags)) if len(flags) else 1.0)
-    b_hat = posterior_mean(chain)
-    write_matrix(os.path.join(out, "bhat.csv"), b_hat)
-    summary = {
-        "alpha": alpha,
-        "step_size": gamma,
-        "n_retained": int(len(samples)),
-        "effective_rank_bhat": effective_rank(b_hat),
-        "acceptance_rate": chain.acceptance_rate,
-    }
-    _write_json(os.path.join(out, "summary.json"), summary)
+    _write_chain_summary(out, "summary.json", chain)
     write_manifest(out, cfg, seed)
     return EXIT_OK
 
@@ -320,8 +391,18 @@ def cmd_divergence(cfg):
     except (OSError, ValueError) as exc:
         print(f"error: bad parameter file: {exc}", file=sys.stderr)
         return EXIT_DATA
-    report = divergence_report(spec, Theta, Zeta, alphas)
-    report.to_csv(os.path.join(out, "divergence.csv"))
+    rep = divergence_report(spec, Theta, Zeta, alphas)
+    _write_table(
+        os.path.join(out, "divergence.csv"),
+        "metric,alpha,per_entry_avg,total,normalization",
+        "%s,%s,%.17g,%.17g,%s",
+        [("kl", "", rep.kl_avg, rep.kl_total, "additive")]
+        + [("renyi", "%.17g" % a, rep.renyi_avg[a], rep.renyi_total[a],
+            "additive") for a in sorted(rep.renyi_avg)]
+        + [("hellinger_sq", "", rep.hellinger_sq / rep.n_entries,
+            rep.hellinger_sq, "total"),
+           ("tv_lower", "", rep.tv_lower, rep.tv_lower, "total"),
+           ("tv_upper", "", rep.tv_upper, rep.tv_upper, "total")])
     write_manifest(out, cfg, seed)
     return EXIT_OK
 
@@ -395,10 +476,11 @@ def cmd_rate_study(cfg):
         _write_table(rows_path, _RATE_HEADER, "%s,,,,,,,,", [("PARTIAL",)])
         print(f"error: rate study failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _write_table(rows_path, _RATE_HEADER,
-                 "%(n)d,%(r)d,%(rep)d,%(pred_err).17g,%(pred_err_post).17g,"
-                 "%(est_err).17g,%(d_alpha).17g,%(prop1_bound).17g,"
-                 "%(acceptance).17g", result.to_rows())
+    _write_table(
+        rows_path, _RATE_HEADER, "%d,%d,%d" + ",%.17g" * 6,
+        ((c.n, c.r, i, c.pred_err[i], c.pred_err_post[i], c.est_err[i],
+          c.d_alpha[c.alpha][i], c.prop1_bound, c.acceptance[i])
+         for c in result.cells for i in range(len(c.pred_err))))
     summary = result.summary()
     summary["hellinger_check"] = hellinger_consistency_check(result)
     _write_json(os.path.join(out, "summary.json"), summary)

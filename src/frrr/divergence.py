@@ -63,20 +63,6 @@ class DivergenceReport:
     tv_lower: float
     tv_upper: float
 
-    def to_csv(self, path):
-        rows = [("kl", "", self.kl_avg, self.kl_total, "additive")]
-        for a in sorted(self.renyi_avg):
-            rows.append(("renyi", "%.17g" % a, self.renyi_avg[a],
-                         self.renyi_total[a], "additive"))
-        rows.append(("hellinger_sq", "", self.hellinger_sq / self.n_entries,
-                     self.hellinger_sq, "total"))
-        rows.append(("tv_lower", "", self.tv_lower, self.tv_lower, "total"))
-        rows.append(("tv_upper", "", self.tv_upper, self.tv_upper, "total"))
-        with open(path, "w") as fh:
-            fh.write("metric,alpha,per_entry_avg,total,normalization\n")
-            for name, a, avg, tot, norm in rows:
-                fh.write("%s,%s,%.17g,%.17g,%s\n" % (name, a, avg, tot, norm))
-
 
 def divergence_report(spec, Theta, Zeta, alphas=(0.25, 0.5, 0.75)):
     """Divergences between the product laws at parameter matrices Theta, Zeta."""

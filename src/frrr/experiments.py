@@ -222,13 +222,22 @@ def _run_cells(cells):
     return out
 
 
-def _check_study(cfg):
-    """ValueError unless the study has replicates, an n grid, a known design
-    mode and a valid sampler configuration."""
+def _check_study(cfg, ranks=()):
+    """ValueError unless the study has a p x q truth of a rank r (and each
+    rank in ``ranks``) in [0, min(p, q)], replicates, an n grid of positive
+    sizes, a known design mode and a valid sampler configuration."""
+    if min(cfg.p, cfg.q) < 1:
+        raise ValueError("p and q must be at least 1")
+    bad = [r for r in (cfg.r, *ranks) if not 0 <= r <= min(cfg.p, cfg.q)]
+    if bad:
+        raise ValueError(f"rank {bad[0]} invalid for a {cfg.p} x {cfg.q} "
+                         f"truth")
     if cfg.replications < 1:
         raise ValueError("replications must be at least 1")
     if not cfg.n_grid:
         raise ValueError("n_grid must not be empty")
+    if min(cfg.n_grid) < 1:
+        raise ValueError("each n_grid size must be at least 1")
     if cfg.design_mode not in DESIGN_MODES:
         raise ValueError(f"unknown design mode {cfg.design_mode!r}")
     FractionalConfig(alpha=cfg.alpha, n_steps=cfg.n_steps,
@@ -258,7 +267,7 @@ class RateStudyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_study(self)
+        _check_study(self, self.r_grid)
         if self.tau_preset not in THEOREM_PRESETS:
             raise ValueError(f"rate study tau preset must be one of "
                              f"{', '.join(THEOREM_PRESETS)}, not "
@@ -322,19 +331,6 @@ class RateStudyResult:
 
     def n_cells(self):
         return [c for c in self.cells if c.r == self.config.r]
-
-    def to_rows(self):
-        rows = []
-        for c in self.cells:
-            for i in range(len(c.pred_err)):
-                rows.append(dict(
-                    n=c.n, r=c.r, rep=i,
-                    pred_err=c.pred_err[i], pred_err_post=c.pred_err_post[i],
-                    est_err=c.est_err[i],
-                    d_alpha=c.d_alpha[c.alpha][i],
-                    prop1_bound=c.prop1_bound,
-                    acceptance=c.acceptance[i]))
-        return rows
 
     def summary(self):
         return {

@@ -248,42 +248,22 @@ def theta_from_eta(spec, eta):
     return link_terms(spec, eta)[0]
 
 
-def _sup_abs_bprime(spec, lo, hi):
-    if spec.family == "gaussian":
-        return max(abs(lo), abs(hi))
-    if np.isinf(hi):
-        if spec.family in ("bernoulli_logit", "bernoulli_probit"):
-            return 1.0
-        return np.inf
-    return float(b_prime(spec, hi))
-
-
 def family_bounds(spec):
     """Inf/sup of b'' and sup of |b'| over the configured interval.
 
-    b'' is monotone for every family except the bernoulli bell, so the
-    extrema sit at the interval endpoints (plus the interior mode at 0 for
-    bernoulli).  Unbounded infima come out as 0 and suprema as +inf.
+    b' is increasing and b'' is monotone for every family except the
+    bernoulli bell, whose b'' peaks at 1/4 at theta = 0, so each extremum
+    sits at an end of the interval, an infinite end taking the limit there.
+    Unbounded infima come out as 0 and suprema as +inf.
     """
-    lo, hi = spec.theta_min, spec.theta_max
-    f = spec.family
-    if f == "gaussian":
-        return FamilyBounds(1.0, 1.0, _sup_abs_bprime(spec, lo, hi))
-    if f in ("bernoulli_logit", "bernoulli_probit"):
-        ends = [float(b_second(spec, t)) if np.isfinite(t) else 0.0
-                for t in (lo, hi)]
-        c_u = 0.25 if lo <= 0.0 <= hi else max(ends)
-        return FamilyBounds(min(ends), c_u, _sup_abs_bprime(spec, lo, hi))
-    if f == "poisson_log":
-        c_l = float(np.exp(lo)) if np.isfinite(lo) else 0.0
-        c_u = float(np.exp(hi)) if np.isfinite(hi) else np.inf
-        return FamilyBounds(c_l, c_u, _sup_abs_bprime(spec, lo, hi))
-    if f == "gamma_log":
-        c_l = 1.0 / lo ** 2 if np.isfinite(lo) else 0.0
-        return FamilyBounds(c_l, 1.0 / hi ** 2, -1.0 / hi)
-    # negbin_log: b'' increasing in theta on (-inf, 0)
-    c_l = float(b_second(spec, lo)) if np.isfinite(lo) else 0.0
-    return FamilyBounds(c_l, float(b_second(spec, hi)), float(b_prime(spec, hi)))
+    ends = np.array([spec.theta_min, spec.theta_max])
+    second = b_second(spec, ends)
+    c_u = float(second.max())
+    if spec.family in ("bernoulli_logit", "bernoulli_probit") \
+            and ends[0] <= 0.0 <= ends[1]:
+        c_u = 0.25
+    return FamilyBounds(float(second.min()), c_u,
+                        float(np.abs(b_prime(spec, ends)).max()))
 
 
 def sample_response(spec, theta, rng):

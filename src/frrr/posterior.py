@@ -26,7 +26,6 @@ acceptance count and divergence checks, and is bit-identical to its
 one-chain run.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,6 @@ from .families import (LOG_SQRT_2PI, FamilySpec, b_and_prime, b_second,
                        log_norm_cdf, theta_from_eta)
 from .prior import log_prior_and_grad, stack_priors
 
-CHAIN_MAGIC = b"FRRRCHN1"
 LOG_POST_FLOOR = -1e12        # a lower log-posterior is a diverged chain
 # Largest n * q * chains that one block of the cell-wise kernel holds: a
 # temporary above 128 KiB is mapped afresh on every allocation, and the page
@@ -80,7 +78,7 @@ class Chain:
     samples: np.ndarray           # (m, p, q)
     log_post: np.ndarray          # (m,)
     accept_flags: np.ndarray      # (m,) bool
-    config: FractionalConfig
+    alpha: float                  # the fractional power sampled
     dataset_digest: str
     step_size: float = 0.0        # step size actually used after tuning
     acceptance_rate: float = 1.0
@@ -372,8 +370,8 @@ def _mala(datasets, prior_cfgs, cfgs):
             f"{cfg.n_steps - cfg.burn_in} steps after burn-in (step size "
             f"{gamma[stuck[0]]:.3g})")
     return [Chain(samples=samples[r], log_post=log_post[r],
-                  accept_flags=flags[r], config=c, dataset_digest=d.digest(),
-                  step_size=float(gamma[r]),
+                  accept_flags=flags[r], alpha=c.alpha,
+                  dataset_digest=d.digest(), step_size=float(gamma[r]),
                   acceptance_rate=int(n_acc[r]) / cfg.n_steps)
             for r, (c, d) in enumerate(zip(cfgs, datasets))]
 
@@ -401,38 +399,3 @@ def effective_rank(B):
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > 1e-3 * s[0]))
-
-
-def save_chain(path, chain):
-    """Binary chain file: magic, p, q, count (int32 LE), alpha/gamma (f64),
-    then row-major float64 sample matrices.  A sidecar CSV
-    (step, log_post, accepted) is written next to it."""
-    m = len(chain.samples)
-    p, q = chain.samples.shape[1:] if m else (0, 0)
-    with open(path, "wb") as fh:
-        fh.write(CHAIN_MAGIC)
-        fh.write(struct.pack("<iii", p, q, m))
-        fh.write(struct.pack("<dd", chain.config.alpha, chain.step_size))
-        fh.write(np.ascontiguousarray(chain.samples, dtype="<f8").tobytes())
-    with open(str(path) + ".csv", "w") as fh:
-        fh.write("step,log_post,accepted\n")
-        for i in range(m):
-            fh.write("%d,%.17g,%d\n" % (i, chain.log_post[i], chain.accept_flags[i]))
-
-
-def load_chain(path):
-    """Read a chain file and its sidecar CSV back; returns
-    (samples, alpha, gamma, log_post, flags).  A missing sidecar raises
-    OSError, one whose row count differs from the sample count ValueError."""
-    with open(path, "rb") as fh:
-        if fh.read(8) != CHAIN_MAGIC:
-            raise ValueError("not a chain file")
-        p, q, m = struct.unpack("<iii", fh.read(12))
-        alpha, gamma = struct.unpack("<dd", fh.read(16))
-        samples = np.frombuffer(fh.read(8 * m * p * q), dtype="<f8").reshape(m, p, q)
-    side = np.loadtxt(str(path) + ".csv", delimiter=",", skiprows=1)
-    side = side.reshape(-1, 3)
-    if side.shape[0] != m:
-        raise ValueError(f"chain sidecar has {side.shape[0]} rows, "
-                         f"expected {m}")
-    return samples.copy(), alpha, gamma, side[:, 1], side[:, 2].astype(bool)

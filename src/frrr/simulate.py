@@ -1,13 +1,10 @@
 """Synthetic low-rank truths, design matrices and data generation."""
 
-import configparser
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .families import (Dataset, FamilySpec, sample_response,
-                       theta_raw_from_eta)
+from .families import Dataset, sample_response, theta_raw_from_eta
 
 DESIGN_MODES = ("iid", "normalized")
 
@@ -105,57 +102,3 @@ def prediction_error(X, B_hat, B0):
         raise ValueError("shape mismatch")
     n, q = X.shape[0], diff.shape[1]
     return float(np.sum((X @ diff) ** 2) / (n * q))
-
-
-# ---------------------------------------------------------------------------
-# dataset persistence: X.csv, Y.csv plus an INI meta file
-
-
-def write_matrix(path, M):
-    """One CSV line per row, each value as %.17g (round-trips float64)."""
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(M):
-            fh.write(",".join("%.17g" % v for v in row))
-            fh.write("\n")
-
-
-def _read_matrix(path):
-    return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
-def save_dataset(dirpath, data, seed=None):
-    os.makedirs(dirpath, exist_ok=True)
-    write_matrix(os.path.join(dirpath, "X.csv"), data.X)
-    write_matrix(os.path.join(dirpath, "Y.csv"), data.Y)
-    meta = configparser.ConfigParser()
-    spec = data.family
-    meta["family"] = {
-        "family": spec.family,
-        "a": "%.17g" % spec.a,
-        "k": "%.17g" % spec.k,
-        "theta_lo": "%.17g" % spec.theta_lo,
-        "theta_hi": "%.17g" % spec.theta_hi,
-        "clip_margin": "%.17g" % spec.clip_margin,
-    }
-    if seed is not None:
-        meta["provenance"] = {"seed": str(seed)}
-    with open(os.path.join(dirpath, "meta.ini"), "w") as fh:
-        meta.write(fh)
-
-
-def load_dataset(dirpath):
-    meta = configparser.ConfigParser()
-    with open(os.path.join(dirpath, "meta.ini")) as fh:
-        meta.read_file(fh)
-    fam = meta["family"]
-    spec = FamilySpec(
-        family=fam["family"],
-        a=float(fam["a"]),
-        k=float(fam["k"]),
-        theta_lo=float(fam["theta_lo"]),
-        theta_hi=float(fam["theta_hi"]),
-        clip_margin=float(fam["clip_margin"]),
-    )
-    X = _read_matrix(os.path.join(dirpath, "X.csv"))
-    Y = _read_matrix(os.path.join(dirpath, "Y.csv"))
-    return Dataset(X=X, Y=Y, family=spec)

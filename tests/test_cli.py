@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -349,6 +350,21 @@ class TestFitAndSummarize:
         assert main(["summarize", scfg]) == EXIT_DATA
         assert not (tmp_path / "sum" / "summary.json").exists()
 
+    def test_truncated_chain_header_is_data_error(self, tmp_path):
+        """A chain file cut inside its header exits 3, like any other bad
+        chain, and writes no summary."""
+        data = run_generate(tmp_path)
+        out = tmp_path / "fit"
+        cfg = write_ini(tmp_path / "f.ini", FIT.format(data=data, out=out))
+        assert main(["fit", cfg]) == 0
+        chain_file = out / "chain.bin"
+        chain_file.write_bytes(chain_file.read_bytes()[:20])
+        scfg = write_ini(tmp_path / "s.ini", (
+            f"[data]\nchain_file = {chain_file}\n"
+            f"[output]\ndir = {tmp_path / 'sum'}\n"))
+        assert main(["summarize", scfg]) == EXIT_DATA
+        assert not (tmp_path / "sum" / "summary.json").exists()
+
 
 class TestDivergenceCommand:
     def test_identical_inputs_zero_report(self, tmp_path):
@@ -364,6 +380,20 @@ class TestDivergenceCommand:
         for row in rows:
             metric, _, avg, tot, _ = row.split(",")
             assert float(avg) == 0.0 and float(tot) == 0.0
+
+    def test_csv_format(self, tmp_path):
+        th, ze = tmp_path / "th.csv", tmp_path / "ze.csv"
+        np.savetxt(th, [[0.3]], delimiter=",")
+        np.savetxt(ze, [[0.1]], delimiter=",")
+        out = tmp_path / "div"
+        cfg = write_ini(tmp_path / "d.ini", (
+            "[family]\nfamily = gaussian\n"
+            f"[divergence]\ntheta_file = {th}\nzeta_file = {ze}\n"
+            f"[output]\ndir = {out}\n"))
+        assert main(["divergence", cfg]) == 0
+        lines = (out / "divergence.csv").read_text().splitlines()
+        assert lines[0] == "metric,alpha,per_entry_avg,total,normalization"
+        assert lines[1].startswith("kl,")
 
 
 class TestVerifyBoundsCommand:
@@ -445,7 +475,13 @@ class TestStudyConfigErrors:
         ("burn_in = 100", "burn_in = 300"),     # would retain no sample
         ("thin = 5", "thin = 0"),
         ("[output]", "[sampler]\nalpha = 1.0\n[output]"),
-    ], ids=["replications_0", "burn_in_n_steps", "thin_0", "alpha_1"])
+        ("p = 3", "p = 0"),
+        ("q = 2", "q = 0"),
+        ("r = 1", "r = 5"),                     # above min(p, q) = 2
+        ("r = 1", "r = -1"),
+        ("n_grid = ", "n_grid = 0 "),
+    ], ids=["replications_0", "burn_in_n_steps", "thin_0", "alpha_1", "p_0",
+            "q_0", "r_above_min_pq", "r_negative", "n_grid_0"])
     def test_bad_study_is_config_error(self, tmp_path, command, template,
                                        old, new):
         out = tmp_path / "o"
@@ -473,8 +509,9 @@ class TestStudyConfigErrors:
         ("[output]", "[design]\nmode = fixed\n[output]"),
         ("[output]", "[prior]\ntau_manual = 0.5\n[output]"),
         ("[output]", "[design]\nn = 50\n[output]"),
+        ("thin = 5", "thin = 5\nr_grid = 9"),
     ], ids=["manual_preset", "unknown_preset", "unknown_design_mode",
-            "tau_manual", "design_n"])
+            "tau_manual", "design_n", "r_grid_above_min_pq"])
     def test_rate_study_bad_setting_is_config_error(self, tmp_path, old, new):
         """The rate study reads neither tau_manual nor [design] n, and takes
         no unknown preset or design mode; each is a config error, not a
@@ -682,6 +719,33 @@ class TestStartUp:
         loaded = self.scipy_modules_after(
             f"from frrr.cli import main\nassert main({argv!r}) == 0\n")
         assert not [m for m in loaded if m.startswith("scipy.optimize")]
+
+
+class TestFileBoundary:
+    def test_only_cli_reads_and_writes_files(self):
+        """Every file format lives in cli.py: no other module of the package
+        calls open or np.loadtxt, or imports struct or configparser."""
+        src = os.path.dirname(os.path.abspath(cli.__file__))
+        found = []
+        for name in sorted(os.listdir(src)):
+            if not name.endswith(".py") or name == "cli.py":
+                continue
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = getattr(func, "id", getattr(func, "attr", None))
+                    if called in ("open", "loadtxt"):
+                        found.append(f"{name}:{node.lineno} calls {called}")
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    modules = [getattr(node, "module", None)] + [
+                        alias.name for alias in node.names]
+                    for module in ("struct", "configparser"):
+                        if module in modules:
+                            found.append(f"{name}:{node.lineno} imports "
+                                         f"{module}")
+        assert found == []
 
 
 class TestManifest:

@@ -178,15 +178,6 @@ class TestDivergenceReport:
             assert rep.hellinger_sq <= float(
                 np.sum(renyi_per_entry(spec, T, Z, 0.5))) + 1e-12
 
-    def test_csv_format(self, tmp_path):
-        spec = FamilySpec("gaussian")
-        rep = divergence_report(spec, np.array([[0.3]]), np.array([[0.1]]))
-        path = tmp_path / "d.csv"
-        rep.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "metric,alpha,per_entry_avg,total,normalization"
-        assert lines[1].startswith("kl,")
-
 
 class TestLemmaBounds:
     def test_zero_gap(self):

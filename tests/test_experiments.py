@@ -262,8 +262,6 @@ class TestSmallStudies:
             assert len(c.pred_err) == 2
             assert np.all(c.pred_err >= 0)
             assert c.prop1_bound > 0
-        rows = res.to_rows()
-        assert len(rows) == 6
         hc = hellinger_consistency_check(res)
         assert len(hc) == 3
         for row in hc:

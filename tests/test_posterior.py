@@ -11,11 +11,11 @@ from frrr.posterior import (Chain, DataStack, FractionalConfig,
                             SamplerDivergence, default_step_size,
                             effective_rank, fisher_information,
                             grad_log_fractional_posterior,
-                            grad_log_likelihood, load_chain,
-                            log_fractional_posterior, log_likelihood,
-                            log_likelihood_and_grad, posterior_mean,
-                            run_chains, run_sampler, save_chain,
+                            grad_log_likelihood, log_fractional_posterior,
+                            log_likelihood, log_likelihood_and_grad,
+                            posterior_mean, run_chains, run_sampler,
                             stack_datasets, value_and_grad)
+from frrr.cli import load_chain, save_chain
 from frrr.prior import PriorConfig
 
 from conftest import central_diff, default_specs
@@ -472,14 +472,14 @@ class TestPosteriorMeanAndRank:
     def test_single_sample(self):
         s = np.arange(6.0).reshape(1, 2, 3)
         chain = Chain(samples=s, log_post=np.zeros(1),
-                      accept_flags=np.ones(1, bool), config=None,
+                      accept_flags=np.ones(1, bool), alpha=0.5,
                       dataset_digest="")
         assert np.array_equal(posterior_mean(chain), s[0])
 
     def test_antisymmetric_pair(self, rng):
         B = rng.standard_normal((2, 2))
         chain = Chain(samples=np.stack([B, -B]), log_post=np.zeros(2),
-                      accept_flags=np.ones(2, bool), config=None,
+                      accept_flags=np.ones(2, bool), alpha=0.5,
                       dataset_digest="")
         assert np.allclose(posterior_mean(chain), 0.0)
 
@@ -487,7 +487,7 @@ class TestPosteriorMeanAndRank:
         M = rng.standard_normal((2, 2))
         samples = M + 0.1 * rng.standard_normal((1000, 2, 2))
         chain = Chain(samples=samples, log_post=np.zeros(1000),
-                      accept_flags=np.ones(1000, bool), config=None,
+                      accept_flags=np.ones(1000, bool), alpha=0.5,
                       dataset_digest="")
         assert np.max(np.abs(posterior_mean(chain) - M)) < 0.01 + 0.02
 
@@ -500,7 +500,7 @@ class TestPosteriorMeanAndRank:
 
     def test_empty_chain_error(self):
         chain = Chain(samples=np.zeros((0, 2, 2)), log_post=np.zeros(0),
-                      accept_flags=np.zeros(0, bool), config=None,
+                      accept_flags=np.zeros(0, bool), alpha=0.5,
                       dataset_digest="")
         with pytest.raises(ValueError):
             posterior_mean(chain)
@@ -516,12 +516,14 @@ class TestChainPersistence:
         chain = run_sampler(data, cfg, frac)
         path = tmp_path / "chain.bin"
         save_chain(path, chain)
-        samples, alpha, gamma, log_post, flags = load_chain(path)
-        assert np.array_equal(samples, chain.samples)
-        assert alpha == 0.3
-        assert gamma == chain.step_size
-        assert np.allclose(log_post, chain.log_post)
-        assert np.array_equal(flags, chain.accept_flags)
+        back = load_chain(path)
+        assert np.array_equal(back.samples, chain.samples)
+        assert back.alpha == 0.3
+        assert back.step_size == chain.step_size
+        assert np.allclose(back.log_post, chain.log_post)
+        assert np.array_equal(back.accept_flags, chain.accept_flags)
+        assert back.acceptance_rate == np.mean(chain.accept_flags)
+        assert back.dataset_digest == ""
 
     def test_sidecar_row_count_must_match(self, rng, tmp_path):
         data, _ = make_data(default_specs()["gaussian"], 20, 2, 2, rng)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from frrr.cli import load_dataset, save_dataset
 from frrr.families import FamilySpec
 from frrr.simulate import (calibrate_scale, compute_kappa, generate_dataset,
-                           load_dataset, make_design, make_low_rank_truth,
-                           prediction_error, save_dataset)
+                           make_design, make_low_rank_truth, prediction_error)
 
 
 class TestMakeLowRankTruth:
