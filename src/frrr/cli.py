@@ -14,8 +14,16 @@ holds the INI config, the dataset directory (``X.csv``, ``Y.csv`` and
 output kind: ``_write_table`` for every text table (the ``%.17g`` matrix
 CSVs of ``write_matrix`` included) and ``_write_json`` for every JSON file.
 
-Exit codes: 0 success, 2 config error, 3 data validation error,
-4 numerical failure.
+``main`` alone decides the exit code, and writes the manifest on success:
+
+  0  success.
+  2  ConfigError: a section or key unread, missing or out of range, or an
+     ``[output] dir`` that cannot be made; raised before that dir is made,
+     but for a ``fit`` ``[family]`` that differs from the dataset's.
+  3  DataError: an input file the config names is missing, unreadable or
+     invalid; ``[output] dir`` is made, but nothing is written to it.
+  4  any other exception, named by its type (``SamplerDivergence``, a failed
+     study); a failed ``rate-study`` leaves a ``PARTIAL`` row.
 
 Importing this module loads no SciPy: the library imports each SciPy function
 where it is called.  A gaussian ``generate``/``fit``/``summarize`` never loads
@@ -38,10 +46,11 @@ from . import __version__
 from .divergence import divergence_report
 from .experiments import (MisspecConfig, RateStudyConfig,
                           hellinger_consistency_check, run_misspec_study,
-                          run_rate_study, verify_divergence_bounds)
+                          run_rate_study, sampling_box,
+                          verify_divergence_bounds)
 from .families import Dataset, FamilySpec
-from .posterior import (Chain, FractionalConfig, SamplerDivergence,
-                        effective_rank, posterior_mean, run_sampler)
+from .posterior import (Chain, FractionalConfig, effective_rank,
+                        posterior_mean, run_sampler)
 from .prior import THEOREM_PRESETS, PriorConfig, tau_preset
 from .simulate import (DESIGN_MODES, calibrate_scale, generate_dataset,
                        make_design, make_low_rank_truth)
@@ -60,6 +69,11 @@ FAMILY_KEYS = ("a", "k", "theta_lo", "theta_hi", "clip_margin")
 
 class ConfigError(ValueError):
     pass
+
+
+class DataError(ValueError):
+    """An input file that the config names is missing, unreadable or
+    invalid."""
 
 
 def read_config(path):
@@ -115,12 +129,9 @@ class ConfigReader:
                                   + (" ".join(unread) or "section"))
 
 
-def _int_list(raw):
-    return tuple(int(x) for x in raw.replace(",", " ").split())
-
-
-def _float_list(raw):
-    return tuple(float(x) for x in raw.replace(",", " ").split())
+def _list(cast):
+    """The cast of a space- or comma-separated list of ``cast`` values."""
+    return lambda raw: tuple(cast(x) for x in raw.replace(",", " ").split())
 
 
 def family_from_config(cfg):
@@ -162,7 +173,7 @@ def _config(config_class, **fields):
         raise ConfigError(str(exc))
 
 
-def write_manifest(outdir, cfg, seed):
+def write_manifest(cfg, seed):
     manifest = {
         "command": cfg.command,
         "config_hash": hashlib.sha256(
@@ -171,7 +182,8 @@ def write_manifest(outdir, cfg, seed):
         "seed": seed,
         "version": __version__,
     }
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
+    _write_json(os.path.join(cfg.parsed["output"]["dir"], "manifest.json"),
+                manifest)
 
 
 def _write_json(path, obj):
@@ -239,8 +251,8 @@ def save_chain(path, chain):
 def load_chain(path):
     """The Chain that ``save_chain`` wrote, with its acceptance rate over the
     retained steps and no dataset digest.  A short header or sample block,
-    or a sidecar whose row count differs from the sample count, raises
-    ValueError; a missing sidecar OSError."""
+    a chain with no sample, or a sidecar whose row count differs from the
+    sample count, raises ValueError; a missing sidecar OSError."""
     with open(path, "rb") as fh:
         if fh.read(8) != CHAIN_MAGIC:
             raise ValueError("not a chain file")
@@ -248,8 +260,8 @@ def load_chain(path):
         if len(header) < CHAIN_HEADER.size:
             raise ValueError("chain header is truncated")
         p, q, m, alpha, gamma = CHAIN_HEADER.unpack(header)
-        if min(p, q, m) < 0:
-            raise ValueError(f"chain header gives a negative size {(m, p, q)}")
+        if min(p, q, m) < 1:
+            raise ValueError(f"chain header gives an empty size {(m, p, q)}")
         raw = fh.read(8 * m * p * q)
     if len(raw) < 8 * m * p * q:
         raise ValueError(f"chain file holds fewer than {m} samples")
@@ -262,7 +274,7 @@ def load_chain(path):
     return Chain(samples=np.frombuffer(raw, "<f8").reshape(m, p, q).copy(),
                  log_post=side[:, 1], accept_flags=flags, alpha=alpha,
                  dataset_digest="", step_size=gamma,
-                 acceptance_rate=float(np.mean(flags)) if m else 1.0)
+                 acceptance_rate=float(np.mean(flags)))
 
 
 def _write_chain_summary(outdir, name, chain, **extra):
@@ -283,7 +295,10 @@ def _outdir(cfg):
     if out is None:
         raise ConfigError("missing [output] dir")
     cfg.reject_unread()
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make [output] dir: {exc}")
     return out
 
 
@@ -318,8 +333,7 @@ def cmd_generate(cfg):
     data = generate_dataset(X, truth, spec, rng)
     save_dataset(out, data, seed=seed)
     write_matrix(os.path.join(out, "truth.csv"), truth.b0)
-    write_manifest(out, cfg, seed)
-    return EXIT_OK
+    return seed
 
 
 def cmd_fit(cfg):
@@ -339,25 +353,19 @@ def cmd_fit(cfg):
     )
     preset, tau = prior_preset(cfg)
     out = _outdir(cfg)
-    try:
+    try:  # a theorem preset also needs a design that is not all zeros
         data = load_dataset(dataset_dir)
-    except (OSError, ValueError) as exc:
-        print(f"error: dataset invalid: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        prior_cfg = resolve_prior(preset, tau, data.n, data.p, data.q,
+                                  data.family.a, float(np.linalg.norm(data.X)))
+    except (OSError, KeyError, ValueError, configparser.Error) as exc:
+        raise DataError(f"dataset invalid: {type(exc).__name__}: {exc}")
     if spec is not None and spec != data.family:
         raise ConfigError(f"[family] {spec} differs from {data.family}")
-    prior_cfg = resolve_prior(preset, tau, data.n, data.p, data.q,
-                              data.family.a, float(np.linalg.norm(data.X)))
-    try:
-        chain = run_sampler(data, prior_cfg, frac)
-    except SamplerDivergence as exc:
-        print(f"error: sampler diverged: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    chain = run_sampler(data, prior_cfg, frac)
     save_chain(os.path.join(out, "chain.bin"), chain)
     _write_chain_summary(out, "fit_summary.json", chain,
                          dataset_digest=chain.dataset_digest)
-    write_manifest(out, cfg, frac.seed)
-    return EXIT_OK
+    return frac.seed
 
 
 def cmd_summarize(cfg):
@@ -369,11 +377,9 @@ def cmd_summarize(cfg):
     try:
         chain = load_chain(chain_file)
     except (OSError, ValueError) as exc:
-        print(f"error: chain invalid: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise DataError(f"chain invalid: {exc}")
     _write_chain_summary(out, "summary.json", chain)
-    write_manifest(out, cfg, seed)
-    return EXIT_OK
+    return seed
 
 
 def cmd_divergence(cfg):
@@ -382,16 +388,17 @@ def cmd_divergence(cfg):
     zeta_file = cfg.get("divergence", "zeta_file")
     if theta_file is None or zeta_file is None:
         raise ConfigError("[divergence] requires theta_file and zeta_file")
-    alphas = cfg.get("divergence", "alphas", (0.25, 0.5, 0.75), _float_list)
+    alphas = cfg.get("divergence", "alphas", (0.25, 0.5, 0.75), _list(float))
+    if not alphas or not all(0 < a < 1 for a in alphas):
+        raise ConfigError("[divergence] alphas must be values in (0, 1)")
     seed = cfg.get("run", "seed", 0, int)
     out = _outdir(cfg)
-    try:
-        Theta = np.loadtxt(theta_file, delimiter=",", ndmin=2)
-        Zeta = np.loadtxt(zeta_file, delimiter=",", ndmin=2)
+    try:  # the report rejects unequal shapes and values outside the domain
+        Theta, Zeta = (np.loadtxt(path, delimiter=",", ndmin=2)
+                       for path in (theta_file, zeta_file))
+        rep = divergence_report(spec, Theta, Zeta, alphas)
     except (OSError, ValueError) as exc:
-        print(f"error: bad parameter file: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    rep = divergence_report(spec, Theta, Zeta, alphas)
+        raise DataError(f"bad parameter file: {exc}")
     _write_table(
         os.path.join(out, "divergence.csv"),
         "metric,alpha,per_entry_avg,total,normalization",
@@ -403,8 +410,7 @@ def cmd_divergence(cfg):
             rep.hellinger_sq, "total"),
            ("tv_lower", "", rep.tv_lower, rep.tv_lower, "total"),
            ("tv_upper", "", rep.tv_upper, rep.tv_upper, "total")])
-    write_manifest(out, cfg, seed)
-    return EXIT_OK
+    return seed
 
 
 def cmd_verify_bounds(cfg):
@@ -413,6 +419,7 @@ def cmd_verify_bounds(cfg):
     trials = cfg.get("study", "trials", 1000, int)
     if trials < 1:
         raise ConfigError("[study] trials must be at least 1")
+    _config(sampling_box, spec=spec)  # the interval must meet the box
     out = _outdir(cfg)
     rng = np.random.default_rng(seed)
     res = verify_divergence_bounds(spec, trials, rng)
@@ -433,8 +440,7 @@ def cmd_verify_bounds(cfg):
     _write_json(os.path.join(out, "summary.json"),
                 {"satisfied_fraction": min(frac.values()),
                  "per_lemma": frac, "trials": trials})
-    write_manifest(out, cfg, seed)
-    return EXIT_OK
+    return seed
 
 
 _RATE_HEADER = ("n,r,rep,pred_err,pred_err_post,est_err,d_alpha,prop1_bound,"
@@ -448,7 +454,7 @@ def _study_fields(cfg):
         p=cfg.get("truth", "p", cast=int),
         q=cfg.get("truth", "q", cast=int),
         r=cfg.get("truth", "r", cast=int),
-        n_grid=cfg.get("study", "n_grid", cast=_int_list),
+        n_grid=cfg.get("study", "n_grid", cast=_list(int)),
         replications=cfg.get("study", "replications", cast=int),
         alpha=cfg.get("sampler", "alpha", cast=float),
         design_mode=cfg.get("design", "mode"),
@@ -463,7 +469,7 @@ def cmd_rate_study(cfg):
     study = _config(
         RateStudyConfig,
         family=family_from_config(cfg),
-        r_grid=cfg.get("study", "r_grid", cast=_int_list),
+        r_grid=cfg.get("study", "r_grid", cast=_list(int)),
         n_ref=cfg.get("study", "n_ref", cast=int),
         tau_preset=cfg.get("prior", "tau_preset"),
         **_study_fields(cfg),
@@ -472,10 +478,9 @@ def cmd_rate_study(cfg):
     rows_path = os.path.join(out, "rate_cells.csv")
     try:
         result = run_rate_study(study)
-    except Exception as exc:  # partial results are flushed with a marker
+    except Exception:  # a marker row in place of the cells
         _write_table(rows_path, _RATE_HEADER, "%s,,,,,,,,", [("PARTIAL",)])
-        print(f"error: rate study failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise
     _write_table(
         rows_path, _RATE_HEADER, "%d,%d,%d" + ",%.17g" * 6,
         ((c.n, c.r, i, c.pred_err[i], c.pred_err_post[i], c.est_err[i],
@@ -490,19 +495,14 @@ def cmd_rate_study(cfg):
                  ((c.n, float(np.mean(c.pred_err))) for c in ncells))
     _write_table(os.path.join(out, "bound_vs_n.dat"), None, "%d %.17g",
                  ((c.n, c.prop1_bound) for c in ncells))
-    write_manifest(out, cfg, study.seed)
-    return EXIT_OK
+    return study.seed
 
 
 def cmd_misspec(cfg):
     # the study fixes its true and fitted families and its tau preset
     study = _config(MisspecConfig, **_study_fields(cfg))
     out = _outdir(cfg)
-    try:
-        result = run_misspec_study(study)
-    except Exception as exc:
-        print(f"error: misspec study failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    result = run_misspec_study(study)
     _write_table(
         os.path.join(out, "misspec_cells.csv"),
         "n,rep,lhs_pred,d_alpha,oracle_rhs,theorem2_rhs,kl_floor",
@@ -512,8 +512,7 @@ def cmd_misspec(cfg):
     _write_json(os.path.join(out, "summary.json"), result.summary())
     _write_table(os.path.join(out, "dalpha_vs_n.dat"), None, "%d %.17g",
                  ((c.n, float(np.mean(c.d_alpha))) for c in result.cells))
-    write_manifest(out, cfg, study.seed)
-    return EXIT_OK
+    return study.seed
 
 
 _COMMANDS = {
@@ -536,16 +535,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = ConfigReader(args.command, read_config(args.config))
-        return _COMMANDS[args.command](cfg)
+        write_manifest(cfg, _COMMANDS[args.command](cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

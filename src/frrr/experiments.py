@@ -483,6 +483,8 @@ def fit_kl_minimizer(true_spec, B0, fit_spec, X, restarts=0, rng=None):
     if fit_spec.family == "bernoulli_probit":
         raise ValueError("the KL projection cannot fit bernoulli_probit: its "
                          "likelihood kernel needs binary responses")
+    if restarts and rng is None:
+        raise ValueError("restarts need an rng to draw their starts from")
     X = np.asarray(X, dtype=float)
     B0 = np.asarray(B0, dtype=float)
     theta0 = theta_from_eta(true_spec, X @ B0)
@@ -490,7 +492,7 @@ def fit_kl_minimizer(true_spec, B0, fit_spec, X, restarts=0, rng=None):
     core = DataStack(X, mu0, replace(fit_spec, theta_lo=-np.inf,
                                      theta_hi=np.inf))
     starts = np.zeros((1,) + B0.shape)
-    if restarts and rng is not None:
+    if restarts:
         starts = np.concatenate(
             [starts, rng.standard_normal((restarts,) + B0.shape)])
     sols, values, grads = _fisher_scoring(core, starts, 0.0)

@@ -88,6 +88,8 @@ class Chain:
             raise ValueError("chain field lengths differ")
         if len(self.log_post) and not np.all(np.isfinite(self.log_post)):
             raise ValueError("non-finite log-posterior in retained samples")
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError("non-finite entries in retained samples")
 
 
 @dataclass(frozen=True)

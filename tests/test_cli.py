@@ -271,9 +271,10 @@ class TestFitAndSummarize:
         assert main(["fit", cfg]) == EXIT_CONFIG
         assert not (out / "chain.bin").exists()
 
-    def test_sampler_failure_is_numeric_error(self, tmp_path):
+    def test_sampler_failure_is_numeric_error(self, tmp_path, capsys):
         """Proposals that overflow are rejections, so the chain never
-        accepts and fit exits 4, not 3 (the prior's ValueError)."""
+        accepts and fit exits 4, not 3 (the prior's ValueError), naming the
+        exception's type."""
         data_dir = tmp_path / "data"
         gen = GEN.replace("family = gaussian", "family = poisson_log")
         assert main(["generate", write_ini(tmp_path / "gen.ini",
@@ -284,6 +285,7 @@ class TestFitAndSummarize:
             "family = gaussian", "family = poisson_log")
         assert main(["fit", write_ini(tmp_path / "f.ini", text)]) \
             == EXIT_NUMERIC
+        assert "SamplerDivergence" in capsys.readouterr().err
         assert not (out / "chain.bin").exists()
 
     @pytest.mark.parametrize("old,new", [
@@ -325,6 +327,30 @@ class TestFitAndSummarize:
                         FIT.format(data=tmp_path / "nope", out=tmp_path / "f"))
         assert main(["fit", cfg]) == EXIT_DATA
 
+    @pytest.mark.parametrize("line", ["clip_margin", "[family]"],
+                             ids=["no_clip_margin", "no_section_header"])
+    def test_broken_meta_ini_is_data_error(self, tmp_path, line):
+        """A meta.ini that lacks a key (KeyError) or that configparser
+        cannot parse exits 3, not with a traceback."""
+        data = run_generate(tmp_path)
+        meta = data / "meta.ini"
+        lines = meta.read_text().splitlines(True)
+        meta.write_text("".join(x for x in lines if not x.startswith(line)))
+        out = tmp_path / "fit"
+        cfg = write_ini(tmp_path / "f.ini", FIT.format(data=data, out=out))
+        assert main(["fit", cfg]) == EXIT_DATA
+        assert os.listdir(out) == []
+
+    def test_zero_design_is_data_error(self, tmp_path, capsys):
+        """A theorem preset scales tau by the norm of X, so an all-zero
+        design is a data error."""
+        data = run_generate(tmp_path)
+        cli.write_matrix(data / "X.csv", np.zeros((40, 4)))
+        cfg = write_ini(tmp_path / "f.ini",
+                        FIT.format(data=data, out=tmp_path / "fit"))
+        assert main(["fit", cfg]) == EXIT_DATA
+        assert "x_frob must be positive" in capsys.readouterr().err
+
     def test_summarize_matches_fit(self, tmp_path):
         data = run_generate(tmp_path)
         out = tmp_path / "fit"
@@ -365,6 +391,24 @@ class TestFitAndSummarize:
         assert main(["summarize", scfg]) == EXIT_DATA
         assert not (tmp_path / "sum" / "summary.json").exists()
 
+    @pytest.mark.parametrize("samples", [np.zeros((0, 2, 2)),
+                                         np.full((2, 2, 2), np.nan)],
+                             ids=["no_sample", "nan_samples"])
+    def test_chain_without_finite_samples_is_data_error(self, tmp_path,
+                                                         samples):
+        """A chain file with no sample, or with a non-finite one, gives no
+        posterior mean."""
+        chain_file = tmp_path / "chain.bin"
+        chain_file.write_bytes(cli.CHAIN_MAGIC + cli.CHAIN_HEADER.pack(
+            2, 2, len(samples), 0.5, 0.1) + samples.tobytes())
+        (tmp_path / "chain.bin.csv").write_text(
+            "step,log_post,accepted\n" + "0,1,1\n" * len(samples))
+        scfg = write_ini(tmp_path / "s.ini", (
+            f"[data]\nchain_file = {chain_file}\n"
+            f"[output]\ndir = {tmp_path / 'sum'}\n"))
+        assert main(["summarize", scfg]) == EXIT_DATA
+        assert not (tmp_path / "sum" / "summary.json").exists()
+
 
 class TestDivergenceCommand:
     def test_identical_inputs_zero_report(self, tmp_path):
@@ -395,6 +439,32 @@ class TestDivergenceCommand:
         assert lines[0] == "metric,alpha,per_entry_avg,total,normalization"
         assert lines[1].startswith("kl,")
 
+    @pytest.mark.parametrize("alphas", ["0.5 1.0", ""], ids=["one", "empty"])
+    def test_bad_alphas_are_config_error(self, tmp_path, alphas):
+        out = tmp_path / "div"
+        text = DIVERGENCE.format(out=out).replace(
+            "[output]", f"alphas = {alphas}\n[output]")
+        assert main(["divergence", write_ini(tmp_path / "d.ini", text)]) \
+            == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family,theta,zeta", [
+        ("gaussian", [[0.3, 0.1]], [[0.3]]),
+        ("gamma_log", [[-0.5, 0.0]], [[-0.5, -1.0]]),
+    ], ids=["shapes_differ", "outside_domain"])
+    def test_bad_matrices_are_data_error(self, tmp_path, family, theta,
+                                         zeta):
+        th, ze = tmp_path / "th.csv", tmp_path / "ze.csv"
+        np.savetxt(th, theta, delimiter=",")
+        np.savetxt(ze, zeta, delimiter=",")
+        out = tmp_path / "div"
+        cfg = write_ini(tmp_path / "d.ini", (
+            f"[family]\nfamily = {family}\n"
+            f"[divergence]\ntheta_file = {th}\nzeta_file = {ze}\n"
+            f"[output]\ndir = {out}\n"))
+        assert main(["divergence", cfg]) == EXIT_DATA
+        assert os.listdir(out) == []
+
 
 class TestVerifyBoundsCommand:
     def test_gaussian_satisfied(self, tmp_path):
@@ -415,6 +485,23 @@ class TestVerifyBoundsCommand:
         assert main(["verify-bounds", write_ini(tmp_path / "v.ini",
                                                 text)]) == EXIT_CONFIG
         assert not out.exists()
+
+    def test_interval_outside_sampling_box_is_config_error(self, tmp_path):
+        """The lemmas are checked on the interval within [-3, 3]; one that
+        misses it leaves no box to sample."""
+        out = tmp_path / "vb"
+        text = VERIFY.format(out=out).replace(
+            "family = gaussian",
+            "family = gamma_log\ntheta_lo = -10\ntheta_hi = -5")
+        assert main(["verify-bounds", write_ini(tmp_path / "v.ini",
+                                                text)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_output_dir_that_is_a_file_is_config_error(self, tmp_path):
+        out = tmp_path / "vb"
+        out.write_text("")
+        assert main(["verify-bounds", write_ini(
+            tmp_path / "v.ini", VERIFY.format(out=out))]) == EXIT_CONFIG
 
 
 def run_twice(tmp_path, command, template):
@@ -462,6 +549,21 @@ class TestRateStudyCommand:
         assert len(rows) == 2 * 2
         assert np.all(np.isfinite(rows["d_alpha"]))
         assert np.all(rows["d_alpha"] >= 0)
+
+    def test_failed_study_leaves_a_partial_row(self, tmp_path, monkeypatch):
+        """A study that raises leaves a PARTIAL row in place of the cells,
+        exits 4 and writes no manifest."""
+        def fail(study):
+            raise RuntimeError("study failed")
+
+        monkeypatch.setattr(cli, "run_rate_study", fail)
+        out = tmp_path / "o"
+        cfg = write_ini(tmp_path / "c.ini", RATE.format(out=out))
+        assert main(["rate-study", cfg]) == EXIT_NUMERIC
+        assert (out / "rate_cells.csv").read_text() == (
+            "n,r,rep,pred_err,pred_err_post,est_err,d_alpha,prop1_bound,"
+            "acceptance\nPARTIAL,,,,,,,,\n")
+        assert not (out / "manifest.json").exists()
 
 
 class TestStudyConfigErrors:
@@ -746,6 +848,26 @@ class TestFileBoundary:
                             found.append(f"{name}:{node.lineno} imports "
                                          f"{module}")
         assert found == []
+
+    def test_only_main_decides_exit_codes_and_writes_the_manifest(self):
+        """In cli.py only main returns an EXIT_* constant or calls
+        write_manifest; the commands raise and return their seed."""
+        with open(cli.__file__) as fh:
+            tree = ast.parse(fh.read())
+        sites = []
+        for func in tree.body:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                value = getattr(node, "value", None)
+                if isinstance(node, ast.Return) and isinstance(
+                        value, ast.Name) and value.id.startswith("EXIT_"):
+                    sites.append((func.name, value.id))
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", None) == "write_manifest":
+                    sites.append((func.name, "write_manifest"))
+        assert {name for name, _ in sites} == {"main"}
+        assert len(sites) == 5
 
 
 class TestManifest:

@@ -167,6 +167,14 @@ class TestFitKLMinimizer:
         assert fit.restart_spread < 1e-4
         assert fit.converged
 
+    def test_restarts_without_rng_rejected(self, rng):
+        """Restarts draw their starts from rng, so asking for them without
+        one is an error, not a run from the zero start alone."""
+        spec = FamilySpec("bernoulli_logit")
+        X = make_design(20, 2, "iid", rng)
+        with pytest.raises(ValueError, match="rng"):
+            fit_kl_minimizer(spec, np.zeros((2, 1)), spec, X, restarts=3)
+
 
 class TestPosteriorAverageDivergence:
     @pytest.mark.parametrize("spec", [
