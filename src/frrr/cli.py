@@ -23,7 +23,11 @@ CSVs of ``write_matrix`` included) and ``_write_json`` for every JSON file.
   3  DataError: an input file the config names is missing, unreadable or
      invalid; ``[output] dir`` is made, but nothing is written to it.
   4  any other exception, named by its type (``SamplerDivergence``, a failed
-     study); a failed ``rate-study`` leaves a ``PARTIAL`` row.
+     study) on the first line of stderr, its traceback after it; a failed
+     ``rate-study`` leaves a ``PARTIAL`` row.
+
+Config and data errors print their message alone, ``config error: ...``
+or ``data error: ...``, with no traceback.
 
 Importing this module loads no SciPy: the library imports each SciPy function
 where it is called.  A gaussian ``generate``/``fit``/``summarize`` never loads
@@ -543,7 +547,10 @@ def main(argv=None):
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:
+        import traceback
+
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

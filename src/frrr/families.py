@@ -6,17 +6,26 @@ for a linear predictor eta.  Families with an open natural-parameter boundary
 (gamma-log, negbin-log) are clipped a configurable margin away from it so
 that the curvature bounds stay finite.
 
-The probit link and the probit likelihood both rest on log Phi, the log of
-the standard normal CDF, computed in one place: ``log_norm_cdf`` makes one
-erfc pass and falls back to ``log_ndtr`` only below LOG_NDTR_BELOW, where
-erfc underflows.  Theta for the probit link is log Phi(eta) - log Phi(-eta),
-and the per-cell probit log-likelihood y theta - b(theta) is log Phi(z) with
-z = (2y - 1) eta, the closed form the posterior kernel uses.
+The probit link and the probit likelihood both rest on the standard normal
+CDF Phi, and its tail is computed in one place: ``_half_tail`` makes the one
+erfc pass, h = Phi(-|z|) = erfc(|z| / sqrt 2) / 2, and ``_log_ndtr_below``
+puts ``log_ndtr`` in place of log Phi on the cells below LOG_NDTR_BELOW,
+where h underflows.  Both functions below share them:
+
+- ``log_norm_cdf`` gives log h for z < 0 and log1p(-h) otherwise, accurate
+  to 1e-14 relative.  The probit link takes it: theta is
+  log Phi(eta) - log Phi(-eta).
+- ``log_norm_cdf_and_ratio`` gives log Phi(z) and phi(z) / Phi(z) in one
+  pass over the cells for the posterior kernel, where the per-cell
+  log-likelihood y theta - b(theta) is log Phi(z) with z = (2y - 1) eta:
+  Phi(z) = h + [z >= 0] (1 - 2h) without a branch, then one log, and one
+  exp and a divide.
 
 The module imports no SciPy at load time: each ``scipy.special`` function is
-imported inside the function that calls it (``erfc`` and ``log_ndtr`` in
-``log_norm_cdf``, ``expit`` in the bernoulli branches), so only the bernoulli
-families load ``scipy.special`` and the others need NumPy alone.
+imported inside the function that calls it (``erfc`` in ``_half_tail``,
+``log_ndtr`` in ``_log_ndtr_below``, ``expit`` in the bernoulli branches),
+so only the bernoulli families load ``scipy.special`` and the others need
+NumPy alone.
 """
 
 from dataclasses import dataclass
@@ -186,24 +195,68 @@ def b_second(spec, theta):
     return spec.k * e / (1.0 - e) ** 2
 
 
+def _half_tail(z):
+    """h = Phi(-|z|) = erfc(|z| / sqrt 2) / 2, from the one erfc pass."""
+    from scipy.special import erfc
+
+    h = erfc(np.abs(z) * np.sqrt(0.5))
+    h *= 0.5
+    return h
+
+
+def _log_ndtr_below(z, log_cdf):
+    """Overwrite ``log_cdf`` with ``log_ndtr`` on the cells below
+    LOG_NDTR_BELOW, where h underflows; the mask of those cells, or None
+    if there are none."""
+    far = z < LOG_NDTR_BELOW
+    if not far.any():
+        return None
+    from scipy.special import log_ndtr
+
+    log_cdf[far] = log_ndtr(z[far])
+    return far
+
+
 def log_norm_cdf(z):
     """log Phi(z) of the standard normal CDF, from one erfc pass.
 
-    With h = Phi(-|z|) = erfc(|z| / sqrt 2) / 2, log Phi(z) is log h for
-    z < 0 and log1p(-h) otherwise, accurate since h <= 1/2.  Cells below
-    LOG_NDTR_BELOW, where h underflows, take ``log_ndtr``.
+    With h = Phi(-|z|), log Phi(z) is log h for z < 0 and log1p(-h)
+    otherwise, accurate since h <= 1/2.  Cells below LOG_NDTR_BELOW take
+    ``log_ndtr``.
     """
-    from scipy.special import erfc, log_ndtr
-
     z = np.asarray(z, dtype=float)
-    h = erfc(np.abs(z) * np.sqrt(0.5))
-    h *= 0.5
+    h = _half_tail(z)
     with np.errstate(divide="ignore"):
         out = np.where(z < 0.0, np.log(h), np.log1p(-h))
-    far = z < LOG_NDTR_BELOW
-    if far.any():
-        out[far] = log_ndtr(z[far])
+    _log_ndtr_below(z, out)
     return out
+
+
+def log_norm_cdf_and_ratio(z):
+    """log Phi(z) and phi(z) / Phi(z), from one erfc pass.
+
+    Phi(z) is h + [z >= 0] (1 - 2h) with h = Phi(-|z|); for z >= 0 its log
+    is off by at most about 1.1e-16 absolute.  The ratio takes one exp and
+    one divide.  Cells below LOG_NDTR_BELOW, where Phi and phi underflow, take
+    ``log_ndtr`` and the ratio exp(log phi(z) - log Phi(z)).
+    """
+    z = np.asarray(z, dtype=float)
+    h = _half_tail(z)
+    cdf = h * -2.0
+    cdf += 1.0
+    cdf *= z >= 0.0
+    cdf += h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_cdf = np.log(cdf)
+        ratio = np.square(z)
+        ratio *= -0.5
+        ratio -= LOG_SQRT_2PI
+        np.exp(ratio, out=ratio)
+        ratio /= cdf
+    far = _log_ndtr_below(z, log_cdf)
+    if far is not None:
+        ratio[far] = np.exp(-0.5 * z[far] ** 2 - LOG_SQRT_2PI - log_cdf[far])
+    return log_cdf, ratio
 
 
 def _raw_link(spec, eta):

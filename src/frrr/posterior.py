@@ -12,11 +12,13 @@ X^T S for the likelihood gradient, and one batched Cholesky factor for the
 prior.  Two families on the whole real line take closed forms.  Gaussian
 skips eta altogether: its likelihood needs only X^T X and X^T Y, computed
 once per dataset, so a step costs the same at every n.  Probit skips the
-link: with z = (2y - 1) eta the cell's log-likelihood is log Phi(z), one
-erfc pass (``families.log_norm_cdf``), and its eta-derivative is
-(2y - 1) phi(z) / Phi(z).  A clipped family of either kind takes the link
-pass.  The separate value and gradient functions below are views of the
-same kernel.
+link: with z = (2y - 1) eta the cell's log-likelihood is log Phi(z) and
+its eta-derivative (2y - 1) phi(z) / Phi(z).  One pass over the cells
+(``families.log_norm_cdf_and_ratio``) gives both from one erfc call, one
+log, one exp and a divide, and the sign 2y - 1, cached on the stack when it
+is built, is folded into the ratio in place.  A clipped family of either
+kind takes the link pass.  The separate value and gradient functions below
+are views of the same kernel.
 
 ``run_chains`` advances many chains together over an (R, p, q) state: a
 study makes one sampler call for the replicates of all its cells, each
@@ -26,13 +28,13 @@ acceptance count and divergence checks, and is bit-identical to its
 one-chain run.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import (LOG_SQRT_2PI, FamilySpec, b_and_prime, b_second,
-                       family_bounds, linear_predictor, link_terms,
-                       log_norm_cdf, theta_from_eta)
+from .families import (FamilySpec, b_and_prime, b_second, family_bounds,
+                       linear_predictor, link_terms, log_norm_cdf_and_ratio,
+                       theta_from_eta)
 from .prior import log_prior_and_grad, stack_priors
 
 LOG_POST_FLOOR = -1e12        # a lower log-posterior is a diverged chain
@@ -98,13 +100,21 @@ class DataStack:
     family, unchecked against its support (the KL projection passes means).
     Cell-wise, the datasets share the design X.  For an unclipped gaussian
     family the sufficient statistics G_r = X_r^T X_r and C_r = X_r^T Y_r
-    stand in for X and Y, so the designs may differ."""
+    stand in for X and Y, so the designs may differ.  For an unclipped
+    probit family the sign 2Y - 1 is computed once, when the stack is
+    built."""
 
     X: np.ndarray                 # (n, p); None with gram and cross
     Y: np.ndarray                 # (R, n, q) or (n, q); None with gram
     family: FamilySpec
     gram: np.ndarray = None       # (R, p, p)
     cross: np.ndarray = None      # (R, p, q)
+    sign: np.ndarray = field(init=False, default=None, repr=False,
+                             compare=False)   # 2Y - 1, unclipped probit
+
+    def __post_init__(self):
+        if _unclipped(self.family, "bernoulli_probit"):
+            object.__setattr__(self, "sign", 2.0 * self.Y - 1.0)
 
 
 def _unclipped(spec, family):
@@ -138,7 +148,7 @@ def log_likelihood_and_grad(data, B):
     (R,).  With the sufficient statistics of an unclipped gaussian stack the
     value is [<B, C> - <B, G B> / 2] / a and the gradient (C - G B) / a.
     Unclipped probit sums log Phi(z), z = (2Y - 1) * eta, with gradient
-    X^T [(2Y - 1) phi(z) / Phi(z)].
+    X^T [(2Y - 1) phi(z) / Phi(z)], 2Y - 1 cached on a DataStack.
     """
     spec = data.family
     if getattr(data, "gram", None) is not None:
@@ -146,12 +156,13 @@ def log_likelihood_and_grad(data, B):
         value = (B * (data.cross - 0.5 * GB)).sum(axis=(-2, -1)) / spec.a
         return value, (data.cross - GB) / spec.a
     if _unclipped(spec, "bernoulli_probit"):
-        sign = 2.0 * data.Y - 1.0
+        sign = getattr(data, "sign", None)
+        if sign is None:              # a Dataset: no sign cached
+            sign = 2.0 * data.Y - 1.0
         z = sign * linear_predictor(data.X, B)
-        log_cdf = log_norm_cdf(z)
-        # phi(z) / Phi(z) in logs, finite where Phi(z) underflows
-        ratio = np.exp(-0.5 * z * z - LOG_SQRT_2PI - log_cdf)
-        return log_cdf.sum(axis=(-2, -1)), data.X.T @ (sign * ratio)
+        log_cdf, ratio = log_norm_cdf_and_ratio(z)
+        ratio *= sign
+        return log_cdf.sum(axis=(-2, -1)), data.X.T @ ratio
     theta, dtheta = link_terms(spec, linear_predictor(data.X, B))
     b, mean = b_and_prime(spec, theta)
     value = (data.Y * theta - b).sum(axis=(-2, -1)) / spec.a

@@ -274,7 +274,8 @@ class TestFitAndSummarize:
     def test_sampler_failure_is_numeric_error(self, tmp_path, capsys):
         """Proposals that overflow are rejections, so the chain never
         accepts and fit exits 4, not 3 (the prior's ValueError), naming the
-        exception's type."""
+        exception's type on the first line of stderr and printing the
+        traceback, down to the raising frame, after it."""
         data_dir = tmp_path / "data"
         gen = GEN.replace("family = gaussian", "family = poisson_log")
         assert main(["generate", write_ini(tmp_path / "gen.ini",
@@ -285,7 +286,12 @@ class TestFitAndSummarize:
             "family = gaussian", "family = poisson_log")
         assert main(["fit", write_ini(tmp_path / "f.ini", text)]) \
             == EXIT_NUMERIC
-        assert "SamplerDivergence" in capsys.readouterr().err
+        first, *trace = capsys.readouterr().err.splitlines()
+        assert first.startswith("error: SamplerDivergence: chain 0 accepted "
+                                "no proposal")
+        assert trace[0] == "Traceback (most recent call last):"
+        assert any(line.strip().startswith("File ")
+                   and line.endswith(", in _mala") for line in trace)
         assert not (out / "chain.bin").exists()
 
     @pytest.mark.parametrize("old,new", [
@@ -329,16 +335,21 @@ class TestFitAndSummarize:
 
     @pytest.mark.parametrize("line", ["clip_margin", "[family]"],
                              ids=["no_clip_margin", "no_section_header"])
-    def test_broken_meta_ini_is_data_error(self, tmp_path, line):
+    def test_broken_meta_ini_is_data_error(self, tmp_path, capsys, line):
         """A meta.ini that lacks a key (KeyError) or that configparser
-        cannot parse exits 3, not with a traceback."""
+        cannot parse exits 3 with its message on stderr, not a
+        traceback."""
         data = run_generate(tmp_path)
         meta = data / "meta.ini"
         lines = meta.read_text().splitlines(True)
         meta.write_text("".join(x for x in lines if not x.startswith(line)))
         out = tmp_path / "fit"
         cfg = write_ini(tmp_path / "f.ini", FIT.format(data=data, out=out))
+        capsys.readouterr()
         assert main(["fit", cfg]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("data error: dataset invalid: ")
+        assert "Traceback (most recent call last):" not in err
         assert os.listdir(out) == []
 
     def test_zero_design_is_data_error(self, tmp_path, capsys):
@@ -728,7 +739,10 @@ class TestConfigContract:
         cfg = write_ini(tmp_path / "c.ini", text)
         assert main([command, cfg]) == EXIT_CONFIG
         key = line.split()[0]
-        assert f"{command} reads no {section} {key}" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("config error: ")
+        assert f"{command} reads no {section} {key}" in err[-1]
+        assert "Traceback (most recent call last):" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,runner,text,expected", [

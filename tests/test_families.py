@@ -7,7 +7,7 @@ from frrr.families import (FAMILY_IDS, LOG_NDTR_BELOW, Dataset, FamilySpec,
                            InvalidParameterError, b_and_prime, b_prime,
                            b_second, b_value, family_bounds,
                            linear_predictor, link_terms, log_norm_cdf,
-                           response_in_support,
+                           log_norm_cdf_and_ratio, response_in_support,
                            sample_response, theta_from_eta,
                            theta_raw_from_eta)
 
@@ -161,6 +161,26 @@ class TestLogNormCdf:
         got, want = log_norm_cdf(z), log_ndtr(z)
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_ratio_pass_matches_log_ndtr(self):
+        """The kernel's pass: log Phi within 1e-14 relative for z < 0 and,
+        since Phi = h + (1 - 2h) rounds twice, within 1.2e-16 absolute for
+        z >= 0; phi / Phi within 1e-12 relative of the ratio in logs."""
+        switch = LOG_NDTR_BELOW
+        z = np.concatenate([
+            np.linspace(-45.0, 45.0, 180001),
+            np.linspace(switch - 1.5, switch + 1.0, 2501),
+            [switch, np.nextafter(switch, 0.0), np.nextafter(switch, -np.inf),
+             0.0, -0.0]])
+        log_cdf, ratio = log_norm_cdf_and_ratio(z)
+        want = log_ndtr(z)
+        want_ratio = np.exp(-0.5 * z * z - 0.5 * np.log(2.0 * np.pi) - want)
+        assert np.all(np.isfinite(log_cdf)) and np.all(np.isfinite(ratio))
+        neg = z < 0.0
+        assert np.all(np.abs(log_cdf - want)[neg]
+                      <= 1e-14 * np.abs(want[neg]))
+        assert np.all(np.abs(log_cdf - want)[~neg] <= 1.2e-16)
+        assert np.all(np.abs(ratio - want_ratio) <= 1e-12 * want_ratio)
 
 
 class TestFamilyBounds:

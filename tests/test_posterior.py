@@ -424,6 +424,42 @@ class TestProbitClosedForm:
         for g, w in zip(grad, want_grad):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
+    def test_matches_the_link_pass_across_the_fallback(self):
+        """Cells whose z straddles LOG_NDTR_BELOW, where the erfc pass hands
+        over to log_ndtr, and cells out at z = +40."""
+        t = np.concatenate([np.linspace(-38.5, -36.0, 251),
+                            np.linspace(-3.0, 3.0, 61), [36.0, 38.5, 40.0]])
+        X = np.column_stack([t, np.ones_like(t)])
+        Y = np.ones((len(t), 3))
+        Y[::2, 1] = 0.0
+        stack = stack_datasets([Dataset(X=X, Y=Y, family=FamilySpec(
+            "bernoulli_probit"))])
+        B = np.array([[[1.0, -1.0, 1.0], [0.0, 0.0, 1e-3]]])
+        z = (2.0 * Y - 1.0) * linear_predictor(X, B)
+        assert z.min() < -38.0 and z.max() > 39.9
+        assert np.any((z > -38.5) & (z < LOG_NDTR_BELOW))
+        assert np.any((z >= LOG_NDTR_BELOW) & (z < -36.0))
+        value, grad = log_likelihood_and_grad(stack, B)
+        want_value, want_grad = generic_likelihood(stack, B)
+        for v, g in ((value, grad), (want_value, want_grad)):
+            assert np.all(np.isfinite(v)) and np.all(np.isfinite(g))
+        assert np.all(np.abs(value - want_value)
+                      <= 1e-12 * np.abs(want_value))
+        assert np.abs(grad - want_grad).max() \
+            <= 1e-12 * np.abs(want_grad).max()
+
+    def test_direct_stack_matches_stack_datasets(self, rng):
+        """A DataStack built directly caches the same 2Y - 1 as one from
+        stack_datasets, and the kernel gives the same bits on either."""
+        spec = FamilySpec("bernoulli_probit")
+        stack = probit_stack(spec, rng)
+        direct = DataStack(stack.X, stack.Y, spec)
+        assert np.array_equal(direct.sign, 2.0 * stack.Y - 1.0)
+        B = 3.0 * rng.standard_normal((3, 4, 3))
+        for got, want in zip(log_likelihood_and_grad(direct, B),
+                             log_likelihood_and_grad(stack, B)):
+            assert np.array_equal(got, want)
+
     def test_clipped_probit_keeps_the_link_pass(self, rng):
         stack = probit_stack(
             FamilySpec("bernoulli_probit", theta_lo=-2.0, theta_hi=2.0), rng)
