@@ -9,8 +9,7 @@ the log-density penalizes rank.
 
 import numpy as np
 
-from frrr import PriorConfig, log_prior, prior_second_moment_check, \
-    sample_prior, tau_preset
+from frrr import PriorConfig, log_prior, sample_prior, tau_preset
 
 p, q, tau = 5, 4, 0.3
 cfg = PriorConfig(tau=tau, p=p, q=q)
@@ -19,8 +18,6 @@ rng = np.random.default_rng(1)
 draws = sample_prior(cfg, 4000, rng)
 emp = np.mean([np.sum(B ** 2) for B in draws])
 print(f"E||B||_F^2: empirical {emp:.4f}  vs  p*q*tau^2 = {p * q * tau ** 2:.4f}")
-mom = prior_second_moment_check(cfg, 4000, rng)
-print(f"median-of-means estimate : {mom:.4f}  (robust to the heavy tails)")
 
 # Rank penalty: spreading the same Frobenius mass over more singular
 # directions costs log-density.

@@ -26,8 +26,7 @@ from .posterior import (Chain, FractionalConfig, SamplerDivergence,
                         log_likelihood_and_grad, posterior_mean, run_chains,
                         run_sampler, value_and_grad)
 from .prior import (PriorConfig, grad_log_prior, log_prior,
-                    log_prior_and_grad, prior_second_moment_check,
-                    sample_prior, tau_preset)
+                    log_prior_and_grad, sample_prior, tau_preset)
 from .simulate import (SyntheticTruth, calibrate_scale, compute_kappa,
                        generate_dataset, make_design, make_low_rank_truth,
                        prediction_error)

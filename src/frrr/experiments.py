@@ -473,9 +473,10 @@ def fit_kl_minimizer(true_spec, B0, fit_spec, X, restarts=0, rng=None):
 
     The two families must share a law up to the link (both bernoulli, or
     equal family, a and k), so the KL has the fitted family's closed form.
-    A bernoulli_probit fitted family is rejected: the kernel's probit
-    likelihood log Phi((2y - 1) eta) holds only for binary y, and mu0 lies
-    strictly between 0 and 1.
+    A bernoulli_probit fitted family is rejected: the one eta-space
+    function, ``families.log_likelihood_terms``, takes the unclipped probit
+    likelihood as log Phi((2y - 1) eta), which holds only for binary y, and
+    mu0 lies strictly between 0 and 1.
     """
     if _law(true_spec) != _law(fit_spec):
         raise ValueError("true and fitted families must share a law up to "

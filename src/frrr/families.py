@@ -6,26 +6,25 @@ for a linear predictor eta.  Families with an open natural-parameter boundary
 (gamma-log, negbin-log) are clipped a configurable margin away from it so
 that the curvature bounds stay finite.
 
-The probit link and the probit likelihood both rest on the standard normal
-CDF Phi, and its tail is computed in one place: ``_half_tail`` makes the one
-erfc pass, h = Phi(-|z|) = erfc(|z| / sqrt 2) / 2, and ``_log_ndtr_below``
-puts ``log_ndtr`` in place of log Phi on the cells below LOG_NDTR_BELOW,
-where h underflows.  Both functions below share them:
+The posterior kernel's cell-wise work lives here too, in one eta-space
+function, ``log_likelihood_terms``: a times each cell's log-likelihood,
+y theta - b(theta), and its eta-derivative, in one of two forms.  On the
+whole real line probit has log Phi(z) with z = (2y - 1) eta, a form that
+holds only for binary y; every other case takes the link pass
+``link_terms``.
 
-- ``log_norm_cdf`` gives log h for z < 0 and log1p(-h) otherwise, accurate
-  to 1e-14 relative.  The probit link takes it: theta is
-  log Phi(eta) - log Phi(-eta).
-- ``log_norm_cdf_and_ratio`` gives log Phi(z) and phi(z) / Phi(z) in one
-  pass over the cells for the posterior kernel, where the per-cell
-  log-likelihood y theta - b(theta) is log Phi(z) with z = (2y - 1) eta:
-  Phi(z) = h + [z >= 0] (1 - 2h) without a branch, then one log, and one
-  exp and a divide.
+Both probit forms rest on one routine for the standard normal CDF Phi,
+``log_norm_cdf_and_ratio``: one erfc pass gives h = Phi(-|z|), then
+Phi(z) = h + [z >= 0] (1 - 2h) without a branch, one log, and one exp and a
+divide for phi(z) / Phi(z).  Cells below LOG_NDTR_BELOW, where h underflows,
+take ``log_ndtr``.  The probit link calls it at z = -|eta|, where log Phi is
+accurate to 1e-14 relative.
 
 The module imports no SciPy at load time: each ``scipy.special`` function is
-imported inside the function that calls it (``erfc`` in ``_half_tail``,
-``log_ndtr`` in ``_log_ndtr_below``, ``expit`` in the bernoulli branches),
-so only the bernoulli families load ``scipy.special`` and the others need
-NumPy alone.
+imported inside the function that calls it (``erfc`` and ``log_ndtr`` in
+``log_norm_cdf_and_ratio``, ``expit`` in the bernoulli branches), so only
+the bernoulli families load ``scipy.special`` and the others need NumPy
+alone.
 """
 
 from dataclasses import dataclass
@@ -195,53 +194,24 @@ def b_second(spec, theta):
     return spec.k * e / (1.0 - e) ** 2
 
 
-def _half_tail(z):
-    """h = Phi(-|z|) = erfc(|z| / sqrt 2) / 2, from the one erfc pass."""
+def log_norm_cdf_and_ratio(z):
+    """log Phi(z) and phi(z) / Phi(z) of the standard normal, from one erfc
+    pass; z may be 0-d.
+
+    With h = Phi(-|z|) = erfc(|z| / sqrt 2) / 2, Phi(z) is h + [z >= 0]
+    (1 - 2h): its log is accurate to 1e-14 relative for z < 0, and off by
+    at most about 1.1e-16 absolute for z >= 0.  The ratio takes one exp and
+    one divide.  Cells below LOG_NDTR_BELOW, where Phi and phi underflow,
+    take ``log_ndtr`` and the ratio exp(log phi(z) - log Phi(z)).
+    """
     from scipy.special import erfc
 
-    h = erfc(np.abs(z) * np.sqrt(0.5))
+    z = np.asarray(z, dtype=float)
+    shape, z = z.shape, np.atleast_1d(z)   # in-place passes need arrays
+    h = np.abs(z)
+    h *= np.sqrt(0.5)
+    erfc(h, out=h)
     h *= 0.5
-    return h
-
-
-def _log_ndtr_below(z, log_cdf):
-    """Overwrite ``log_cdf`` with ``log_ndtr`` on the cells below
-    LOG_NDTR_BELOW, where h underflows; the mask of those cells, or None
-    if there are none."""
-    far = z < LOG_NDTR_BELOW
-    if not far.any():
-        return None
-    from scipy.special import log_ndtr
-
-    log_cdf[far] = log_ndtr(z[far])
-    return far
-
-
-def log_norm_cdf(z):
-    """log Phi(z) of the standard normal CDF, from one erfc pass.
-
-    With h = Phi(-|z|), log Phi(z) is log h for z < 0 and log1p(-h)
-    otherwise, accurate since h <= 1/2.  Cells below LOG_NDTR_BELOW take
-    ``log_ndtr``.
-    """
-    z = np.asarray(z, dtype=float)
-    h = _half_tail(z)
-    with np.errstate(divide="ignore"):
-        out = np.where(z < 0.0, np.log(h), np.log1p(-h))
-    _log_ndtr_below(z, out)
-    return out
-
-
-def log_norm_cdf_and_ratio(z):
-    """log Phi(z) and phi(z) / Phi(z), from one erfc pass.
-
-    Phi(z) is h + [z >= 0] (1 - 2h) with h = Phi(-|z|); for z >= 0 its log
-    is off by at most about 1.1e-16 absolute.  The ratio takes one exp and
-    one divide.  Cells below LOG_NDTR_BELOW, where Phi and phi underflow, take
-    ``log_ndtr`` and the ratio exp(log phi(z) - log Phi(z)).
-    """
-    z = np.asarray(z, dtype=float)
-    h = _half_tail(z)
     cdf = h * -2.0
     cdf += 1.0
     cdf *= z >= 0.0
@@ -253,10 +223,13 @@ def log_norm_cdf_and_ratio(z):
         ratio -= LOG_SQRT_2PI
         np.exp(ratio, out=ratio)
         ratio /= cdf
-    far = _log_ndtr_below(z, log_cdf)
-    if far is not None:
+    far = z < LOG_NDTR_BELOW
+    if far.any():
+        from scipy.special import log_ndtr
+
+        log_cdf[far] = log_ndtr(z[far])
         ratio[far] = np.exp(-0.5 * z[far] ** 2 - LOG_SQRT_2PI - log_cdf[far])
-    return log_cdf, ratio
+    return log_cdf.reshape(shape), ratio.reshape(shape)
 
 
 def _raw_link(spec, eta):
@@ -267,12 +240,12 @@ def _raw_link(spec, eta):
         return eta + 0.0, np.ones_like(eta)
     if f == "bernoulli_probit":
         # theta = log Phi(eta) - log Phi(-eta) (odd), dtheta = phi(eta) /
-        # (Phi(eta) Phi(-eta)); one log Phi pass on the small tail, and
-        # log1p(-Phi(-|eta|)) for the large side, accurate as Phi(-|eta|) <= 1/2
-        small = log_norm_cdf(-np.abs(eta))
+        # (Phi(eta) Phi(-eta)); one log Phi pass on the small tail gives
+        # log Phi(-|eta|) and phi / Phi(-|eta|), and log1p(-Phi(-|eta|)) the
+        # large side, accurate as Phi(-|eta|) <= 1/2
+        small, ratio = log_norm_cdf_and_ratio(-np.abs(eta))
         big = np.log1p(-np.exp(small))
-        return (np.copysign(big - small, eta), np.exp(
-            -0.5 * eta * eta - LOG_SQRT_2PI - small - big))
+        return np.copysign(big - small, eta), ratio * np.exp(-big)
     if f == "gamma_log":
         d = np.exp(-eta)
         return -d, d
@@ -281,14 +254,44 @@ def _raw_link(spec, eta):
     return np.log(m) - np.log1p(m), 1.0 / (1.0 + m)
 
 
+def _unclipped(spec):
+    """Whether theta is free on the whole real line."""
+    return spec.theta_min == -np.inf and spec.theta_max == np.inf
+
+
+def has_sufficient_statistics(spec):
+    """Whether the likelihood of ``spec`` reduces to X^T X and X^T Y: an
+    unclipped gaussian family."""
+    return spec.family == "gaussian" and _unclipped(spec)
+
+
 def link_terms(spec, eta):
     """Natural parameter clipped into the interval, and d theta / d eta of
     that clipped map (zero on clipped cells), from one pass over eta."""
     raw, d = _raw_link(spec, eta)
-    lo, hi = spec.theta_min, spec.theta_max
-    if lo == -np.inf and hi == np.inf:
+    if _unclipped(spec):
         return raw, d
+    lo, hi = spec.theta_min, spec.theta_max
     return np.clip(raw, lo, hi), np.where((raw < lo) | (raw > hi), 0.0, d)
+
+
+def log_likelihood_terms(spec, Y, eta):
+    """a times each cell's log-likelihood, y theta - b(theta) with c(y, a)
+    dropped, and its eta-derivative (y - b'(theta)) d theta / d eta.
+
+    Unclipped probit has log Phi(z), z = (2y - 1) eta, with derivative
+    (2y - 1) phi(z) / Phi(z), from one ``log_norm_cdf_and_ratio`` pass; that
+    form holds only for binary y.  Every other case takes the link pass.
+    """
+    if spec.family == "bernoulli_probit" and _unclipped(spec):
+        sign = Y * 2.0
+        sign -= 1.0
+        log_cdf, ratio = log_norm_cdf_and_ratio(sign * eta)
+        ratio *= sign
+        return log_cdf, ratio
+    theta, dtheta = link_terms(spec, eta)
+    b, mean = b_and_prime(spec, theta)
+    return Y * theta - b, (Y - mean) * dtheta
 
 
 def theta_raw_from_eta(spec, eta):

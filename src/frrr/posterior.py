@@ -6,19 +6,14 @@ B' = B + gamma grad U(B) + sqrt(2 gamma) xi and accepts it with the
 Metropolis-Hastings ratio of the asymmetric Gaussian proposal density.
 
 One kernel, ``value_and_grad``, evaluates U and grad U together, for one
-(p, q) matrix or a stack (R, p, q) of them: one eta = X @ B per matrix, one
-pass of the link (theta and d theta / d eta, zero on clipped cells), one
-X^T S for the likelihood gradient, and one batched Cholesky factor for the
-prior.  Two families on the whole real line take closed forms.  Gaussian
-skips eta altogether: its likelihood needs only X^T X and X^T Y, computed
-once per dataset, so a step costs the same at every n.  Probit skips the
-link: with z = (2y - 1) eta the cell's log-likelihood is log Phi(z) and
-its eta-derivative (2y - 1) phi(z) / Phi(z).  One pass over the cells
-(``families.log_norm_cdf_and_ratio``) gives both from one erfc call, one
-log, one exp and a divide, and the sign 2y - 1, cached on the stack when it
-is built, is folded into the ratio in place.  A clipped family of either
-kind takes the link pass.  The separate value and gradient functions below
-are views of the same kernel.
+(p, q) matrix or a stack (R, p, q) of them, and names no family.  Where
+``families.has_sufficient_statistics`` holds, it skips eta altogether: the
+likelihood needs only X^T X and X^T Y, computed once per dataset, so a step
+costs the same at every n.  Otherwise it makes one eta = X @ B per matrix,
+one call of ``families.log_likelihood_terms`` for each cell's
+log-likelihood and its eta-derivative S, and one X^T S for the gradient.
+The prior takes one batched Cholesky factor.  The separate value and
+gradient functions below are views of the same kernel.
 
 ``run_chains`` advances many chains together over an (R, p, q) state: a
 study makes one sampler call for the replicates of all its cells, each
@@ -28,13 +23,13 @@ acceptance count and divergence checks, and is bit-identical to its
 one-chain run.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .families import (FamilySpec, b_and_prime, b_second, family_bounds,
-                       linear_predictor, link_terms, log_norm_cdf_and_ratio,
-                       theta_from_eta)
+from .families import (FamilySpec, b_second, family_bounds,
+                       has_sufficient_statistics, linear_predictor,
+                       link_terms, log_likelihood_terms, theta_from_eta)
 from .prior import log_prior_and_grad, stack_priors
 
 LOG_POST_FLOOR = -1e12        # a lower log-posterior is a diverged chain
@@ -98,42 +93,23 @@ class Chain:
 class DataStack:
     """What the likelihood kernel reads: the responses of R datasets of one
     family, unchecked against its support (the KL projection passes means).
-    Cell-wise, the datasets share the design X.  For an unclipped gaussian
-    family the sufficient statistics G_r = X_r^T X_r and C_r = X_r^T Y_r
-    stand in for X and Y, so the designs may differ.  For an unclipped
-    probit family the sign 2Y - 1 is computed once, when the stack is
-    built."""
+    Cell-wise, the datasets share the design X.  Where the family has
+    sufficient statistics, G_r = X_r^T X_r and C_r = X_r^T Y_r stand in for
+    X and Y, so the designs may differ."""
 
     X: np.ndarray                 # (n, p); None with gram and cross
     Y: np.ndarray                 # (R, n, q) or (n, q); None with gram
     family: FamilySpec
     gram: np.ndarray = None       # (R, p, p)
     cross: np.ndarray = None      # (R, p, q)
-    sign: np.ndarray = field(init=False, default=None, repr=False,
-                             compare=False)   # 2Y - 1, unclipped probit
-
-    def __post_init__(self):
-        if _unclipped(self.family, "bernoulli_probit"):
-            object.__setattr__(self, "sign", 2.0 * self.Y - 1.0)
-
-
-def _unclipped(spec, family):
-    """Whether ``spec`` is ``family`` with theta free on the whole line."""
-    return spec.family == family and spec.theta_min == -np.inf \
-        and spec.theta_max == np.inf
-
-
-def _sufficient(spec):
-    """Whether the likelihood of ``spec`` reduces to X^T X and X^T Y."""
-    return _unclipped(spec, "gaussian")
 
 
 def stack_datasets(datasets):
     """The kernel's view of datasets that share the family: the sufficient
-    statistics of each for an unclipped gaussian family, else the shared X
-    of the first and the stacked responses."""
+    statistics of each where the family has them, else the shared X of the
+    first and the stacked responses."""
     spec = datasets[0].family
-    if _sufficient(spec):
+    if has_sufficient_statistics(spec):
         return DataStack(None, None, spec,
                          np.stack([d.X.T @ d.X for d in datasets]),
                          np.stack([d.X.T @ d.Y for d in datasets]))
@@ -145,37 +121,28 @@ def log_likelihood_and_grad(data, B):
     its gradient X^T [(Y - b'(theta)) * dtheta/deta] / a.
 
     B is one (p, q) matrix or a stack (R, p, q); the value then has shape
-    (R,).  With the sufficient statistics of an unclipped gaussian stack the
-    value is [<B, C> - <B, G B> / 2] / a and the gradient (C - G B) / a.
-    Unclipped probit sums log Phi(z), z = (2Y - 1) * eta, with gradient
-    X^T [(2Y - 1) phi(z) / Phi(z)], 2Y - 1 cached on a DataStack.
+    (R,).  With sufficient statistics the value is [<B, C> - <B, G B> / 2]
+    / a and the gradient (C - G B) / a.  Cell-wise, the per-cell forms come
+    from ``families.log_likelihood_terms``, and each sum is divided by a
+    once.
     """
     spec = data.family
     if getattr(data, "gram", None) is not None:
         GB = data.gram @ B
         value = (B * (data.cross - 0.5 * GB)).sum(axis=(-2, -1)) / spec.a
         return value, (data.cross - GB) / spec.a
-    if _unclipped(spec, "bernoulli_probit"):
-        sign = getattr(data, "sign", None)
-        if sign is None:              # a Dataset: no sign cached
-            sign = 2.0 * data.Y - 1.0
-        z = sign * linear_predictor(data.X, B)
-        log_cdf, ratio = log_norm_cdf_and_ratio(z)
-        ratio *= sign
-        return log_cdf.sum(axis=(-2, -1)), data.X.T @ ratio
-    theta, dtheta = link_terms(spec, linear_predictor(data.X, B))
-    b, mean = b_and_prime(spec, theta)
-    value = (data.Y * theta - b).sum(axis=(-2, -1)) / spec.a
-    return value, data.X.T @ ((data.Y - mean) * dtheta) / spec.a
+    cell, slope = log_likelihood_terms(spec, data.Y,
+                                       linear_predictor(data.X, B))
+    return cell.sum(axis=(-2, -1)) / spec.a, data.X.T @ slope / spec.a
 
 
 def fisher_information(data, B):
     """Expected information of ``log_likelihood_and_grad`` per column of B,
     X^T diag(b''(theta) (d theta / d eta)^2) X / a over the cells of column
     j, of shape (..., q, p, p) for B of shape (..., p, q).  Clipped cells
-    add nothing.  With the sufficient statistics of an unclipped gaussian
-    stack it is G / a for every column.  For a canonical link on unclipped
-    cells it is minus the Hessian of the log-likelihood."""
+    add nothing.  With sufficient statistics it is G / a for every column.
+    For a canonical link on unclipped cells it is minus the Hessian of the
+    log-likelihood."""
     spec = data.family
     if getattr(data, "gram", None) is not None:
         R, p = data.gram.shape[:2]
@@ -255,10 +222,10 @@ def run_chains(datasets, prior_cfgs, frac_cfgs):
     chain's log-posterior falls below the floor or a chain accepts nothing
     after burn-in.
 
-    An unclipped gaussian likelihood runs as one block across designs.
-    Cell-wise likelihoods run in blocks of consecutive datasets with equal
-    X, each of at most BLOCK_CELLS cells.  Chain r is bit-identical to its
-    one-chain run.
+    A likelihood with sufficient statistics runs as one block across
+    designs.  Cell-wise likelihoods run in blocks of consecutive datasets
+    with equal X, each of at most BLOCK_CELLS cells.  Chain r is
+    bit-identical to its one-chain run.
     """
     if not len(datasets) == len(prior_cfgs) == len(frac_cfgs) \
             or not datasets:
@@ -271,8 +238,8 @@ def run_chains(datasets, prior_cfgs, frac_cfgs):
            for d, c in zip(datasets, prior_cfgs)):
         raise ValueError("the chains of one call must share the family and "
                          "(p, q)")
-    blocks = [0, len(datasets)] if _sufficient(spec) else _cellwise_blocks(
-        datasets)
+    blocks = [0, len(datasets)] if has_sufficient_statistics(spec) \
+        else _cellwise_blocks(datasets)
     return [chain for i, j in zip(blocks, blocks[1:])
             for chain in _mala(datasets[i:j], prior_cfgs[i:j],
                                frac_cfgs[i:j])]

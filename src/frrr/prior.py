@@ -151,18 +151,3 @@ def sample_prior(cfg, size, rng):
         out[i] = cfg.tau * inv_sqrt @ rng.standard_normal((p, q))
     return out.transpose(0, 2, 1) if transpose else out
 
-
-def prior_second_moment_check(cfg, draws, rng):
-    """Median-of-means Monte Carlo estimate of E ||B||_F^2 under the prior.
-
-    ||B||_F^2 has Student-like tails with infinite variance, so a plain
-    sample mean is unstable; 20-block median-of-means keeps the estimate
-    usable as a test statistic.  Test utility, not part of inference.
-    """
-    if draws < 1000:
-        raise ValueError("use at least 1000 draws")
-    samples = sample_prior(cfg, draws, rng)
-    sq = np.sum(samples ** 2, axis=(1, 2))
-    blocks = np.array_split(sq, 20)
-    means = np.array([b.mean() for b in blocks])
-    return float(np.median(means))

@@ -6,7 +6,7 @@ from scipy.special import log_ndtr
 from frrr.families import (FAMILY_IDS, LOG_NDTR_BELOW, Dataset, FamilySpec,
                            InvalidParameterError, b_and_prime, b_prime,
                            b_second, b_value, family_bounds,
-                           linear_predictor, link_terms, log_norm_cdf,
+                           linear_predictor, link_terms,
                            log_norm_cdf_and_ratio, response_in_support,
                            sample_response, theta_from_eta,
                            theta_raw_from_eta)
@@ -34,6 +34,18 @@ class TestThetaFromEta:
     def test_probit_zero(self):
         spec = FamilySpec("bernoulli_probit")
         assert abs(theta_from_eta(spec, 0.0)) < 1e-15
+
+    @pytest.mark.parametrize("eta", [-40.0, 40.0, -1e5])
+    def test_probit_scalar_tails(self, eta):
+        """A 0-d eta beyond LOG_NDTR_BELOW on one side or the other: theta
+        is log Phi(eta) - log Phi(-eta), odd, with a finite slope."""
+        spec = FamilySpec("bernoulli_probit")
+        theta, dtheta = link_terms(spec, eta)
+        want = log_ndtr(eta) - log_ndtr(-eta)
+        assert np.ndim(theta) == np.ndim(dtheta) == 0
+        assert abs(theta - want) <= 1e-14 * abs(want)
+        assert theta_from_eta(spec, -eta) == -theta
+        assert np.isfinite(dtheta) and dtheta > 0
 
     def test_gamma_bisection_oracle(self):
         spec = FamilySpec("gamma_log")
@@ -138,6 +150,15 @@ class TestDthetaDeta:
         spec = FamilySpec("gamma_log")
         assert link_terms(spec, 0.0)[1] == 1.0
 
+    def test_probit_matches_log_ndtr(self):
+        """The probit slope phi(eta) / (Phi(eta) Phi(-eta)) within 1e-12
+        relative of its value in logs, across the log_ndtr fallback."""
+        spec = FamilySpec("bernoulli_probit")
+        eta = np.linspace(-45.0, 45.0, 9001)
+        want = np.exp(-0.5 * eta ** 2 - 0.5 * np.log(2.0 * np.pi)
+                      - log_ndtr(eta) - log_ndtr(-eta))
+        assert np.all(np.abs(link_terms(spec, eta)[1] - want) <= 1e-12 * want)
+
     @pytest.mark.parametrize("fam", FAMILY_IDS)
     def test_matches_finite_difference(self, fam, rng):
         spec = default_specs()[fam]
@@ -151,17 +172,6 @@ class TestDthetaDeta:
 
 
 class TestLogNormCdf:
-    def test_matches_log_ndtr(self):
-        switch = LOG_NDTR_BELOW
-        z = np.concatenate([
-            np.linspace(-45.0, 45.0, 180001),
-            np.linspace(switch - 0.01, switch + 0.01, 2001),
-            [switch, np.nextafter(switch, 0.0), np.nextafter(switch, -np.inf),
-             0.0, -0.0, 1e3, -1e3, 1e5, -1e5]])
-        got, want = log_norm_cdf(z), log_ndtr(z)
-        assert np.all(np.isfinite(got))
-        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-
     def test_ratio_pass_matches_log_ndtr(self):
         """The kernel's pass: log Phi within 1e-14 relative for z < 0 and,
         since Phi = h + (1 - 2h) rounds twice, within 1.2e-16 absolute for

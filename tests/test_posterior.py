@@ -1,12 +1,14 @@
+import ast
+
 import numpy as np
 import pytest
 
 import frrr.families
 import frrr.posterior
 import frrr.prior
-from frrr.families import (LOG_NDTR_BELOW, Dataset, FamilySpec, b_and_prime,
-                           b_prime, linear_predictor, link_terms,
-                           theta_from_eta)
+from frrr.families import (FAMILY_IDS, LOG_NDTR_BELOW, Dataset, FamilySpec,
+                           b_and_prime, b_prime, linear_predictor, link_terms,
+                           sample_response, theta_from_eta)
 from frrr.posterior import (Chain, DataStack, FractionalConfig,
                             SamplerDivergence, default_step_size,
                             effective_rank, fisher_information,
@@ -18,7 +20,7 @@ from frrr.posterior import (Chain, DataStack, FractionalConfig,
 from frrr.cli import load_chain, save_chain
 from frrr.prior import PriorConfig
 
-from conftest import central_diff, default_specs
+from conftest import bounded_specs, central_diff, default_specs
 
 
 def make_data(fam_spec, n, p, q, rng, b_scale=0.5):
@@ -448,27 +450,6 @@ class TestProbitClosedForm:
         assert np.abs(grad - want_grad).max() \
             <= 1e-12 * np.abs(want_grad).max()
 
-    def test_direct_stack_matches_stack_datasets(self, rng):
-        """A DataStack built directly caches the same 2Y - 1 as one from
-        stack_datasets, and the kernel gives the same bits on either."""
-        spec = FamilySpec("bernoulli_probit")
-        stack = probit_stack(spec, rng)
-        direct = DataStack(stack.X, stack.Y, spec)
-        assert np.array_equal(direct.sign, 2.0 * stack.Y - 1.0)
-        B = 3.0 * rng.standard_normal((3, 4, 3))
-        for got, want in zip(log_likelihood_and_grad(direct, B),
-                             log_likelihood_and_grad(stack, B)):
-            assert np.array_equal(got, want)
-
-    def test_clipped_probit_keeps_the_link_pass(self, rng):
-        stack = probit_stack(
-            FamilySpec("bernoulli_probit", theta_lo=-2.0, theta_hi=2.0), rng)
-        B = 1.5 * rng.standard_normal((3, 4, 3))
-        value, grad = log_likelihood_and_grad(stack, B)
-        want_value, want_grad = generic_likelihood(stack, B)
-        assert np.array_equal(value, want_value)
-        assert np.array_equal(grad, want_grad)
-
     def test_one_erfc_pass_per_kernel_call(self, rng, monkeypatch):
         """Every ufunc of scipy.special (the kernel's modules import their
         special functions from it when they call them) and every ufunc those
@@ -495,13 +476,52 @@ class TestProbitClosedForm:
                     count(module, name)
         assert {"erfc", "log_ndtr"} <= patched
         for name in ("link_terms", "b_and_prime"):
-            count(frrr.posterior, name)
+            count(frrr.families, name)
         stack = probit_stack(FamilySpec("bernoulli_probit"), rng)
         B = rng.standard_normal((3, 4, 3))
         assert linear_predictor(stack.X, B).min() > LOG_NDTR_BELOW
         assert linear_predictor(stack.X, -B).min() > LOG_NDTR_BELOW
         value_and_grad(stack, B, PriorConfig(tau=0.5, p=4, q=3), 0.5)
         assert calls == {"erfc": 1}
+
+
+class TestCellwiseKernel:
+    """The kernel's cell-wise forms, all of them in
+    ``families.log_likelihood_terms``."""
+
+    @pytest.mark.parametrize("clipped", [False, True],
+                             ids=["unclipped", "clipped"])
+    @pytest.mark.parametrize("fam", FAMILY_IDS)
+    def test_matches_the_link_pass(self, fam, clipped, rng):
+        """Every family on a cell-wise stack, gaussian included, gives the
+        link pass's bits; unclipped probit, whose closed form rounds
+        differently, agrees to 1e-12 relative."""
+        spec = (bounded_specs() if clipped else default_specs())[fam]
+        X = rng.standard_normal((200, 4))
+        theta = theta_from_eta(spec, X @ (0.5 * rng.standard_normal((4, 3))))
+        stack = DataStack(X, np.stack([sample_response(spec, theta, rng)
+                                       for _ in range(3)]), spec)
+        B = 1.5 * rng.standard_normal((3, 4, 3))
+        value, grad = log_likelihood_and_grad(stack, B)
+        want_value, want_grad = generic_likelihood(stack, B)
+        if fam == "bernoulli_probit" and not clipped:
+            assert np.all(np.abs(value - want_value)
+                          <= 1e-12 * np.abs(want_value))
+            assert np.abs(grad - want_grad).max() \
+                <= 1e-12 * np.abs(want_grad).max()
+        else:
+            assert np.array_equal(value, want_value)
+            assert np.array_equal(grad, want_grad)
+
+    def test_posterior_names_no_family(self):
+        """Every per-family form lives in families: no string constant in
+        posterior.py is a family id."""
+        with open(frrr.posterior.__file__) as fh:
+            tree = ast.parse(fh.read())
+        found = [f"line {node.lineno}: {node.value!r}"
+                 for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                 and node.value in FAMILY_IDS]
+        assert found == []
 
 
 class TestPosteriorMeanAndRank:
