@@ -21,7 +21,7 @@ truth = calibrate_scale(X, make_low_rank_truth(p, q, r, 1.0, rng))
 data = generate_dataset(X, truth, spec, rng)
 
 tau = tau_preset("theorem1", n, p, q, spec.a, float(np.linalg.norm(X)))
-prior = PriorConfig(tau=tau, p=p, q=q, preset="theorem1")
+prior = PriorConfig(tau=tau, p=p, q=q)
 frac = FractionalConfig(alpha=0.5, n_steps=4000, burn_in=1000, thin=5,
                         seed=7, init=likelihood_ridge_fit([data])[0])
 

@@ -164,7 +164,7 @@ def resolve_prior(preset, tau, n, p, q, a, x_frob):
     """The prior of a dataset: tau as given, or from a theorem preset."""
     if tau is None:
         tau = tau_preset(preset, n, p, q, a, x_frob)
-    return _config(PriorConfig, tau=tau, p=p, q=q, preset=preset)
+    return _config(PriorConfig, tau=tau, p=p, q=q)
 
 
 def _config(config_class, **fields):

@@ -11,7 +11,7 @@ the lemma right-hand sides.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,11 @@ def renyi_per_entry(spec, theta, zeta, alpha):
     return np.maximum(val, 0.0)
 
 
+def hellinger_sq(d_half):
+    """Squared Hellinger distance 2(1 - exp(-D_{1/2}/2)) from D_{1/2}."""
+    return 2.0 * (1.0 - np.exp(-0.5 * d_half))
+
+
 @dataclass
 class DivergenceReport:
     """KL/Renyi/Hellinger/TV quantities in both normalizations.
@@ -77,7 +82,7 @@ def divergence_report(spec, Theta, Zeta, alphas=(0.25, 0.5, 0.75)):
     d_half = renyi_tot.get(0.5)
     if d_half is None:
         d_half = float(np.sum(renyi_per_entry(spec, Theta, Zeta, 0.5)))
-    hell_sq = 2.0 * (1.0 - np.exp(-0.5 * d_half))
+    hell_sq = hellinger_sq(d_half)
     tv_upper = min(1.0, min(np.sqrt(2.0 * renyi_tot[a] / a) for a in renyi_tot))
     tv_lower = hell_sq / 2.0
     return DivergenceReport(
@@ -276,7 +281,6 @@ class RateFormulas:
     epsilon_n_thm3: float
     epsilon_prime_n: float
     r_n: float
-    inputs: dict = field(default_factory=dict)
 
 
 def rate_formulas(n, p, q, r, a, bounds, x_frob, b_frob):
@@ -301,8 +305,6 @@ def rate_formulas(n, p, q, r, a, bounds, x_frob, b_frob):
         epsilon_n_thm3=float(eps3),
         epsilon_prime_n=float(eps_prime),
         r_n=float(r_n),
-        inputs=dict(n=n, p=p, q=q, r=r, a=a, c_u=c_u, u_1=u_1,
-                    x_frob=x_frob, b_frob=b_frob),
     )
 
 

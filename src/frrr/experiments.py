@@ -26,11 +26,11 @@ from all its starts at once.  Both free theta from the fitted family's
 configured interval, so the objective has no kinks.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divergence import (c_alpha, kl_per_entry, lemma_rhs,
+from .divergence import (c_alpha, hellinger_sq, kl_per_entry, lemma_rhs,
                          log_ratio_sq_per_entry, misspec_kl_per_entry,
                          rate_formulas, renyi_per_entry)
 from .families import (Dataset, FamilySpec, b_prime, family_bounds,
@@ -283,23 +283,20 @@ class RateCell:
     alpha: float
     tau: float
     kappa: float
-    x_frob: float
-    b_frob: float
+    a: float
     c_l: float
-    c_u: float
     rates: object                 # RateFormulas at the cell's truth
     pred_err: np.ndarray          # per-rep ||X(Bhat - B0)||_F^2/(nq)
     pred_err_post: np.ndarray     # per-rep posterior-integrated version
     est_err: np.ndarray           # per-rep ||Bhat - B0||_F^2
     d_alpha: dict                 # {alpha, 1/2} -> per-rep posterior-avg D_alpha
     acceptance: np.ndarray
-    failures: list = field(default_factory=list)
 
     @property
     def prop1_bound(self):
-        a = self.rates.inputs["a"]
         al = self.alpha
-        return 2.0 * a * (1 + al) / (self.c_l * (1 - al)) * self.rates.epsilon_n_thm1
+        return (2.0 * self.a * (1 + al) / (self.c_l * (1 - al))
+                * self.rates.epsilon_n_thm1)
 
     @property
     def bound_satisfied(self):
@@ -362,7 +359,7 @@ def _rate_cell(cfg, cell_index, n, r):
     truth = calibrate_scale(X, make_low_rank_truth(cfg.p, cfg.q, r, 1.0, rng))
     x_frob = float(np.linalg.norm(X))
     tau = tau_preset(cfg.tau_preset, n, cfg.p, cfg.q, spec.a, x_frob)
-    prior_cfg = PriorConfig(tau=tau, p=cfg.p, q=cfg.q, preset=cfg.tau_preset)
+    prior_cfg = PriorConfig(tau=tau, p=cfg.p, q=cfg.q)
     fb = family_bounds(spec)
     rates = rate_formulas(n, cfg.p, cfg.q, truth.rank, spec.a, fb,
                           x_frob, truth.frob)
@@ -370,31 +367,19 @@ def _rate_cell(cfg, cell_index, n, r):
     theta0 = theta_from_eta(spec, X @ truth.b0)
     orders = sorted({cfg.alpha, 0.5})
 
-    def summarize(chain):
-        b_hat = posterior_mean(chain)
-        post_pe = float(np.mean([
-            prediction_error(X, s, truth.b0) for s in chain.samples[::10]]))
-        div = posterior_average_divergence(
-            spec, X, chain.samples, theta0, orders)
-        return dict(
-            pred_err=prediction_error(X, b_hat, truth.b0),
-            pred_err_post=post_pe,
-            est_err=float(np.sum((b_hat - truth.b0) ** 2)),
-            d_alpha=div,
-            acceptance=chain.acceptance_rate)
-
     def finish(chains):
-        reps = [summarize(chain) for chain in chains]
+        b_hat = np.array([posterior_mean(chain) for chain in chains])
+        divs = [posterior_average_divergence(spec, X, chain.samples, theta0,
+                                             orders) for chain in chains]
         return RateCell(
-            n=n, r=r, alpha=cfg.alpha, tau=tau,
-            kappa=compute_kappa(X), x_frob=x_frob, b_frob=truth.frob,
-            c_l=fb.c_l, c_u=fb.c_u, rates=rates,
-            pred_err=np.array([x["pred_err"] for x in reps]),
-            pred_err_post=np.array([x["pred_err_post"] for x in reps]),
-            est_err=np.array([x["est_err"] for x in reps]),
-            d_alpha={al: np.array([x["d_alpha"][al] for x in reps])
-                     for al in orders},
-            acceptance=np.array([x["acceptance"] for x in reps]),
+            n=n, r=r, alpha=cfg.alpha, tau=tau, kappa=compute_kappa(X),
+            a=spec.a, c_l=fb.c_l, rates=rates,
+            pred_err=prediction_error(X, b_hat, truth.b0),
+            pred_err_post=np.array([np.mean(prediction_error(
+                X, chain.samples[::10], truth.b0)) for chain in chains]),
+            est_err=((b_hat - truth.b0) ** 2).sum(axis=(1, 2)),
+            d_alpha={al: np.array([d[al] for d in divs]) for al in orders},
+            acceptance=np.array([chain.acceptance_rate for chain in chains]),
         )
 
     return _cell_chains(cfg, [cfg.seed, 7919, cell_index], X, truth, spec,
@@ -414,12 +399,12 @@ def run_rate_study(cfg):
         x = np.log([c.n for c in ncells])
         y = np.log([np.mean(c.pred_err) for c in ncells])
         A = np.vstack([x, np.ones_like(x)]).T
-        coef, res_, *_ = np.linalg.lstsq(A, y, rcond=None)
-        resid = y - A @ coef
-        dof = max(1, len(x) - 2)
-        sxx = np.sum((x - x.mean()) ** 2)
+        coef = np.linalg.lstsq(A, y, rcond=None)[0]
         result.slope = float(coef[0])
-        result.slope_se = float(np.sqrt(np.sum(resid ** 2) / dof / sxx))
+        if len(x) > 2:  # a two-point fit is exact: it has no standard error
+            resid = y - A @ coef
+            result.slope_se = float(np.sqrt(np.sum(resid ** 2) / (len(x) - 2)
+                                            / np.sum((x - x.mean()) ** 2)))
     return result
 
 
@@ -436,7 +421,7 @@ def hellinger_consistency_check(result):
         eps = c.rates.epsilon_n_thm1
         d_half = float(np.mean(c.d_alpha[0.5]))
         d_al = float(np.mean(c.d_alpha[al]))
-        h_sq = 2.0 * (1.0 - np.exp(-0.5 * d_half))
+        h_sq = hellinger_sq(d_half)
         h_bound = c_alpha(al) * eps
         tv_sq = 2.0 / al * d_al
         tv_bound = 2.0 * (1 + al) / (al * (1 - al)) * eps
@@ -554,7 +539,6 @@ class MisspecCell:
     kl_floor: float               # avg KL(P_B0, P_Bbar)
     r_n: float
     rank_bar: int
-    b_bar_frob: float
     theorem2_rhs: float           # bound on posterior-avg D_alpha
     oracle_rhs: float             # Corollary-2 bound on avg prediction error
     lhs_pred: np.ndarray          # per-rep posterior-avg (1/nq)||X(B-B0)||^2
@@ -598,7 +582,7 @@ def _misspec_cell(cfg, ci, X, truth):
     rank_bar = int(np.linalg.matrix_rank(b_bar))
     x_frob = float(np.linalg.norm(X))
     tau = tau_preset("misspecified", n, cfg.p, cfg.q, fit_spec.a, x_frob)
-    prior_cfg = PriorConfig(tau=tau, p=cfg.p, q=cfg.q, preset="misspecified")
+    prior_cfg = PriorConfig(tau=tau, p=cfg.p, q=cfg.q)
     rates = rate_formulas(n, cfg.p, cfg.q, rank_bar, fit_spec.a, fb,
                           x_frob, float(np.linalg.norm(b_bar)))
     r_n = rates.r_n
@@ -614,11 +598,9 @@ def _misspec_cell(cfg, ci, X, truth):
     def finish(chains):
         return MisspecCell(
             n=n, kl_floor=fit.kl_value, r_n=r_n, rank_bar=rank_bar,
-            b_bar_frob=float(np.linalg.norm(b_bar)),
             theorem2_rhs=thm2_rhs, oracle_rhs=oracle_rhs,
-            lhs_pred=np.array([np.mean([
-                prediction_error(X, s, truth.b0) for s in chain.samples])
-                for chain in chains]),
+            lhs_pred=np.array([np.mean(prediction_error(
+                X, chain.samples, truth.b0)) for chain in chains]),
             d_alpha=np.array([posterior_average_divergence(
                 fit_spec, X, chain.samples, theta0, (al,))[al]
                 for chain in chains]),

@@ -11,7 +11,6 @@ import numpy as np
 
 # the presets that tau_preset computes from a theorem's prescription
 THEOREM_PRESETS = ("theorem1", "theorem3", "misspecified")
-TAU_PRESETS = THEOREM_PRESETS + ("manual",)
 
 
 def tau_preset(preset, n, p, q, a, x_frob):
@@ -34,13 +33,10 @@ class PriorConfig:
     tau: float
     p: int
     q: int
-    preset: str = "manual"
 
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.preset not in TAU_PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}")
         if self.p < 1 or self.q < 1:
             raise ValueError("p and q must be positive")
 

@@ -1,24 +1,25 @@
-"""Synthetic low-rank truths, design matrices and data generation."""
+"""Synthetic low-rank truths, design matrices and data generation.
 
-from dataclasses import dataclass
+A ``SyntheticTruth`` is frozen: ``calibrate_scale`` returns a rescaled copy.
+``prediction_error`` works through X^T X, for one matrix or a stack.
+"""
+
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .families import Dataset, sample_response, theta_raw_from_eta
+from .families import Dataset, sample_response, theta_from_eta
 
 DESIGN_MODES = ("iid", "normalized")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticTruth:
-    """Exact-rank true coefficient matrix plus generation diagnostics."""
+    """Exact-rank true coefficient matrix, its rank and its scale."""
 
     b0: np.ndarray
     rank: int
     scale: float
-    eta_min: float = np.nan
-    eta_max: float = np.nan
-    theta_clip_events: int = 0
 
     @property
     def frob(self):
@@ -57,30 +58,21 @@ def make_design(n, p, mode, rng):
 
 
 def calibrate_scale(X, truth, eta_cap=3.0, quantile=0.99):
-    """Rescale the truth so that |eta| <= eta_cap at the given quantile."""
-    if truth.rank == 0:
+    """The truth rescaled so that |eta| <= eta_cap at the given quantile
+    (itself when that quantile is 0, as for a rank-0 truth)."""
+    level = np.quantile(np.abs(X @ truth.b0), quantile)
+    if not level > 0:
         return truth
-    eta = X @ truth.b0
-    level = np.quantile(np.abs(eta), quantile)
-    if level > 0:
-        factor = eta_cap / level
-        truth.b0 = truth.b0 * factor
-        truth.scale = truth.scale * factor
-    return truth
+    factor = eta_cap / level
+    return replace(truth, b0=truth.b0 * factor, scale=truth.scale * factor)
 
 
 def generate_dataset(X, truth, spec, rng):
-    """Sample Y_ij from the family at theta(eta_ij), counting clip events."""
+    """Sample Y_ij from the family at the clipped theta(eta_ij)."""
     X = np.asarray(X, dtype=float)
     if X.shape[1] != truth.b0.shape[0]:
         raise ValueError("X and truth shapes do not conform")
-    eta = X @ truth.b0
-    raw = theta_raw_from_eta(spec, eta)
-    theta = np.clip(raw, spec.theta_min, spec.theta_max)
-    truth.eta_min = float(eta.min())
-    truth.eta_max = float(eta.max())
-    truth.theta_clip_events = int(np.sum(raw != theta))
-    Y = sample_response(spec, theta, rng)
+    Y = sample_response(spec, theta_from_eta(spec, X @ truth.b0), rng)
     return Dataset(X=X, Y=Y, family=spec)
 
 
@@ -94,11 +86,14 @@ def compute_kappa(X):
     return float(s[-1] / np.sqrt(n))
 
 
-def prediction_error(X, B_hat, B0):
-    """||X (B_hat - B0)||_F^2 / (nq)."""
+def prediction_error(X, B, B0):
+    """||X (B - B0)||_F^2 / (nq) of one (p, q) matrix B, as a float, or of
+    each matrix of a stack (..., p, q), as an array; computed as
+    <B - B0, X^T X (B - B0)>, so no n x q product is formed."""
     X = np.asarray(X, dtype=float)
-    diff = np.asarray(B_hat, dtype=float) - np.asarray(B0, dtype=float)
-    if X.shape[1] != diff.shape[0]:
+    diff = np.asarray(B, dtype=float) - np.asarray(B0, dtype=float)
+    if X.shape[1] != diff.shape[-2]:
         raise ValueError("shape mismatch")
-    n, q = X.shape[0], diff.shape[1]
-    return float(np.sum((X @ diff) ** 2) / (n * q))
+    n, q = X.shape[0], diff.shape[-1]
+    err = (((X.T @ X) @ diff) * diff).sum(axis=(-2, -1)) / (n * q)
+    return float(err) if diff.ndim == 2 else err

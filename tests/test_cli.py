@@ -777,6 +777,18 @@ class TestStartUp:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("extra,code", [
+        ("", cli.EXIT_OK), ("zz = 1\n", EXIT_CONFIG)], ids=["ok", "unread_key"])
+    def test_module_exit_status_is_mains(self, tmp_path, extra, code):
+        """``python -m frrr.cli`` exits with the code ``main`` returns."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        cfg = write_ini(tmp_path / "gen.ini",
+                        GEN.format(out=tmp_path / "d") + extra)
+        proc = subprocess.run(
+            [sys.executable, "-m", "frrr.cli", "generate", cfg],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+        assert proc.returncode == code
+
     @staticmethod
     def scipy_modules_after(code):
         """The scipy modules loaded once ``code`` has run in a fresh

@@ -275,6 +275,19 @@ class TestSmallStudies:
         for row in hc:
             assert row["hellinger_sq"] >= 0
 
+    @pytest.mark.parametrize("n_grid", [(40, 80), (40, 80, 160)],
+                             ids=["two_points", "three_points"])
+    def test_slope_se_needs_three_points(self, n_grid):
+        """A log-log fit through two points is exact and has no standard
+        error: slope_se is NaN, not rounding noise."""
+        cfg = RateStudyConfig(
+            family=FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0),
+            p=3, q=2, r=1, n_grid=n_grid, replications=2, n_steps=200,
+            burn_in=50, thin=5, seed=3)
+        res = run_rate_study(cfg)
+        assert np.isfinite(res.slope)
+        assert np.isnan(res.slope_se) == (len(n_grid) == 2)
+
     def test_replicate_rng_order(self, monkeypatch):
         """Each replicate's stream draws Y first, then the chain seed, and a
         study makes one sampler call, its chains in cell order."""

@@ -1,10 +1,23 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from frrr.cli import load_dataset, save_dataset
-from frrr.families import FamilySpec
+from frrr.families import FamilySpec, sample_response, theta_raw_from_eta
 from frrr.simulate import (calibrate_scale, compute_kappa, generate_dataset,
                            make_design, make_low_rank_truth, prediction_error)
+
+
+def snapshot(truth):
+    """Copies of every attribute of a truth."""
+    return {k: np.copy(v) for k, v in vars(truth).items()}
+
+
+def assert_unchanged(truth, before):
+    assert vars(truth).keys() == before.keys()
+    for k, v in before.items():
+        assert np.array_equal(vars(truth)[k], v, equal_nan=True), k
 
 
 class TestMakeLowRankTruth:
@@ -76,14 +89,42 @@ class TestGenerateDataset:
         X = make_design(50, 3, "iid", rng)
         truth = make_low_rank_truth(3, 2, 1, 1.0, rng)
         generate_dataset(X, truth, spec, rng)
-        assert truth.theta_clip_events == 0
-        assert truth.eta_min <= truth.eta_max
 
     def test_calibrate_scale(self, rng):
         X = make_design(200, 4, "iid", rng)
         truth = calibrate_scale(X, make_low_rank_truth(4, 3, 2, 5.0, rng))
         eta = X @ truth.b0
         assert np.quantile(np.abs(eta), 0.99) <= 3.0 + 1e-9
+
+    def test_generate_leaves_truth_unchanged(self, rng):
+        spec = FamilySpec("bernoulli_logit", theta_lo=-1.0, theta_hi=1.0)
+        X = make_design(50, 3, "iid", rng)
+        truth = make_low_rank_truth(3, 2, 1, 3.0, rng)
+        before = snapshot(truth)
+        generate_dataset(X, truth, spec, rng)
+        assert_unchanged(truth, before)
+
+    def test_calibrate_scale_returns_a_new_truth(self, rng):
+        X = make_design(200, 4, "iid", rng)
+        truth = make_low_rank_truth(4, 3, 2, 5.0, rng)
+        before = snapshot(truth)
+        scaled = calibrate_scale(X, truth)
+        assert_unchanged(truth, before)
+        factor = scaled.scale / truth.scale
+        assert factor != 1.0
+        assert np.array_equal(scaled.b0, truth.b0 * factor)
+        with pytest.raises(FrozenInstanceError):
+            scaled.scale = 1.0
+
+    def test_samples_at_the_clipped_raw_link(self):
+        """Y is drawn at the raw link clipped into the interval."""
+        spec = FamilySpec("bernoulli_logit", theta_lo=-1.0, theta_hi=1.0)
+        X = make_design(80, 3, "iid", np.random.default_rng(3))
+        truth = make_low_rank_truth(3, 4, 2, 3.0, np.random.default_rng(4))
+        theta = np.clip(theta_raw_from_eta(spec, X @ truth.b0), -1.0, 1.0)
+        Y = generate_dataset(X, truth, spec, np.random.default_rng(5)).Y
+        assert np.array_equal(
+            Y, sample_response(spec, theta, np.random.default_rng(5)))
 
 
 class TestKappa:
@@ -124,6 +165,21 @@ class TestPredictionError:
         diff = X @ (B1 - B2)
         naive = sum(diff[i, j] ** 2 for i in range(6) for j in range(2)) / 12
         assert abs(prediction_error(X, B1, B2) - naive) < 1e-12
+
+    def test_stack_matches_each_matrix(self, rng):
+        """A (..., p, q) stack gives one value per matrix, and one (p, q)
+        matrix a float."""
+        X = rng.standard_normal((30, 4))
+        B0 = rng.standard_normal((4, 3))
+        stack = rng.standard_normal((2, 5, 4, 3))
+        vals = prediction_error(X, stack, B0)
+        assert vals.shape == (2, 5)
+        for idx in np.ndindex(2, 5):
+            naive = np.sum((X @ (stack[idx] - B0)) ** 2) / (30 * 3)
+            assert abs(vals[idx] - naive) <= 1e-12 * naive
+            one = prediction_error(X, stack[idx], B0)
+            assert type(one) is float
+            assert abs(one - naive) <= 1e-12 * naive
 
     def test_spectral_compatibility(self, rng):
         X = rng.standard_normal((10, 3))
