@@ -29,11 +29,10 @@ CSVs of ``write_matrix`` included) and ``_write_json`` for every JSON file.
 Config and data errors print their message alone, ``config error: ...``
 or ``data error: ...``, with no traceback.
 
-Importing this module loads no SciPy: the library imports each SciPy function
-where it is called.  A gaussian ``generate``/``fit``/``summarize`` never loads
-SciPy, and a bernoulli family loads ``scipy.special``.  No command loads
-SciPy's optimisers: the studies' ridge starts and KL projection are
-Fisher-scoring fits in NumPy.
+Importing this module loads no SciPy.  Only the probit link loads
+``scipy.special`` (for Phi); the brute-force oracles, which no command calls,
+load more.  The studies' ridge starts and KL projection are Fisher-scoring
+fits in NumPy.
 """
 
 import argparse
@@ -254,9 +253,9 @@ def save_chain(path, chain):
 
 def load_chain(path):
     """The Chain that ``save_chain`` wrote, with its acceptance rate over the
-    retained steps and no dataset digest.  A short header or sample block,
-    a chain with no sample, or a sidecar whose row count differs from the
-    sample count, raises ValueError; a missing sidecar OSError."""
+    retained steps.  A short header or sample block, a chain with no sample,
+    or a sidecar whose row count differs from the sample count, raises
+    ValueError; a missing sidecar OSError."""
     with open(path, "rb") as fh:
         if fh.read(8) != CHAIN_MAGIC:
             raise ValueError("not a chain file")
@@ -277,8 +276,7 @@ def load_chain(path):
     flags = side[:, 2].astype(bool)
     return Chain(samples=np.frombuffer(raw, "<f8").reshape(m, p, q).copy(),
                  log_post=side[:, 1], accept_flags=flags, alpha=alpha,
-                 dataset_digest="", step_size=gamma,
-                 acceptance_rate=float(np.mean(flags)))
+                 step_size=gamma, acceptance_rate=float(np.mean(flags)))
 
 
 def _write_chain_summary(outdir, name, chain, **extra):
@@ -368,7 +366,7 @@ def cmd_fit(cfg):
     chain = run_sampler(data, prior_cfg, frac)
     save_chain(os.path.join(out, "chain.bin"), chain)
     _write_chain_summary(out, "fit_summary.json", chain,
-                         dataset_digest=chain.dataset_digest)
+                         dataset_digest=data.digest())
     return frac.seed
 
 

@@ -47,25 +47,28 @@ RIDGE = 1e-3                  # ridge penalty of the chain start
 FIT_MAXITER = 100             # iterations and step halvings of a fit
 FIT_RTOL = 1e-14              # squared Newton decrement over the objective
 DIVERGENCE_SAMPLES = 40       # chain samples per posterior-average D_alpha
+BOX_HALF_WIDTH = 3.0          # half-width of the lemma sweeps' theta box
+LEMMA_ALPHAS = (0.25, 0.5, 0.75)   # Renyi orders of the lemma sweeps
 
 
 # ---------------------------------------------------------------------------
 # lemma-inequality sweeps
 
 
-def sampling_box(spec, half_width=3.0):
+def sampling_box(spec):
     """Working interval for random natural parameters: the configured interval
-    intersected with [-half_width, half_width] (so unbounded families still
-    get a finite box)."""
-    lo = max(spec.theta_min, -half_width)
-    hi = min(spec.theta_max, half_width)
+    intersected with [-BOX_HALF_WIDTH, BOX_HALF_WIDTH] (so unbounded families
+    still get a finite box)."""
+    lo = max(spec.theta_min, -BOX_HALF_WIDTH)
+    hi = min(spec.theta_max, BOX_HALF_WIDTH)
     if not lo < hi:
         raise ValueError("empty sampling box")
     return lo, hi
 
 
-def verify_divergence_bounds(spec, trials, rng, alphas=(0.25, 0.5, 0.75)):
-    """Check the four divergence lemmas on random clipped parameter pairs.
+def verify_divergence_bounds(spec, trials, rng):
+    """Check the four divergence lemmas on random clipped parameter pairs,
+    the Renyi lemma at each order of LEMMA_ALPHAS.
 
     Returns a dict of per-trial arrays (exact values, bound values and
     satisfied flags) plus satisfied fractions per lemma.
@@ -80,8 +83,9 @@ def verify_divergence_bounds(spec, trials, rng, alphas=(0.25, 0.5, 0.75)):
     rhs = lemma_rhs(bounds, spec.a, diff_sq, 1)
     kl_exact = kl_per_entry(spec, theta, zeta)
     renyi_lower = {al: lemma_rhs(bounds, spec.a, diff_sq, 1, al).renyi_lower
-                   for al in alphas}
-    renyi_exact = {al: renyi_per_entry(spec, theta, zeta, al) for al in alphas}
+                   for al in LEMMA_ALPHAS}
+    renyi_exact = {al: renyi_per_entry(spec, theta, zeta, al)
+                   for al in LEMMA_ALPHAS}
     logsq_exact = log_ratio_sq_per_entry(spec, theta, zeta)
     mis_exact = misspec_kl_per_entry(spec, theta0, theta, zeta)
 
@@ -90,7 +94,7 @@ def verify_divergence_bounds(spec, trials, rng, alphas=(0.25, 0.5, 0.75)):
         "kl_upper": kl_exact <= rhs.kl_upper * (1 + 1e-9) + tol,
         "renyi_lower": np.all(
             [renyi_exact[al] >= renyi_lower[al] * (1 - 1e-9) - tol
-             for al in alphas],
+             for al in LEMMA_ALPHAS],
             axis=0),
         "log_sq": logsq_exact <= rhs.logsq_upper * (1 + 1e-9) + tol,
         "misspec_kl": mis_exact <= rhs.misspec_kl * (1 + 1e-9) + tol,
@@ -506,8 +510,11 @@ def _law(spec):
 
 @dataclass
 class MisspecConfig:
-    true_family: FamilySpec = None
-    fit_family: FamilySpec = None
+    true_family: FamilySpec = FamilySpec("bernoulli_probit")
+    # the tight interval keeps the KL floor clear of the O(1/n) posterior
+    # spread, so the D_alpha plateau shows at desk-scale n
+    fit_family: FamilySpec = FamilySpec("bernoulli_logit",
+                                        theta_lo=-2.0, theta_hi=2.0)
     p: int = 6
     q: int = 4
     r: int = 2
@@ -523,14 +530,6 @@ class MisspecConfig:
 
     def __post_init__(self):
         _check_study(self)
-        if self.true_family is None:
-            self.true_family = FamilySpec("bernoulli_probit")
-        if self.fit_family is None:
-            # The tight interval keeps the KL floor well separated from the
-            # O(1/n) posterior-spread term, so the D_alpha plateau is visible
-            # at desk-scale n.
-            self.fit_family = FamilySpec("bernoulli_logit",
-                                         theta_lo=-2.0, theta_hi=2.0)
 
 
 @dataclass

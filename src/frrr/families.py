@@ -20,11 +20,9 @@ divide for phi(z) / Phi(z).  Cells below LOG_NDTR_BELOW, where h underflows,
 take ``log_ndtr``.  The probit link calls it at z = -|eta|, where log Phi is
 accurate to 1e-14 relative.
 
-The module imports no SciPy at load time: each ``scipy.special`` function is
-imported inside the function that calls it (``erfc`` and ``log_ndtr`` in
-``log_norm_cdf_and_ratio``, ``expit`` in the bernoulli branches), so only
-the bernoulli families load ``scipy.special`` and the others need NumPy
-alone.
+Each law's mean b' is written once, in ``b_and_prime``.  SciPy is imported
+only inside ``log_norm_cdf_and_ratio`` (``erfc``, and ``log_ndtr`` in the
+far tail), so only the probit link loads ``scipy.special``.
 """
 
 from dataclasses import dataclass
@@ -146,34 +144,29 @@ def b_value(spec, theta):
     return -spec.k * np.log1p(-np.exp(theta))
 
 
-def b_prime(spec, theta):
-    """Mean function b'(theta)."""
-    theta = _check_domain(spec, theta)
-    f = spec.family
-    if f == "gaussian":
-        return theta + 0.0
-    if f in ("bernoulli_logit", "bernoulli_probit"):
-        from scipy.special import expit
-        return expit(theta)
-    if f == "poisson_log":
-        return np.exp(theta)
-    if f == "gamma_log":
-        return -1.0 / theta
-    e = np.exp(theta)
-    return spec.k * e / (1.0 - e)
-
-
 def b_and_prime(spec, theta):
-    """b(theta) and b'(theta), reusing b where b' is a function of it: the
-    bernoulli mean is exp(theta - b(theta)), with no expit pass, and the
-    poisson mean is b itself."""
+    """b(theta) and the mean b'(theta), the one place each law's mean is
+    written.  Where b' is a function of b it comes from b: the bernoulli
+    mean is 1 - e^{-b} = -expm1(-b), exactly 0 and 1 at theta = -inf and
+    +inf, and the poisson mean is b itself."""
+    theta = np.asarray(theta, dtype=float)
     b = b_value(spec, theta)
     f = spec.family
+    if f == "gaussian":
+        return b, theta + 0.0
     if f in ("bernoulli_logit", "bernoulli_probit"):
-        return b, np.exp(theta - b)
+        return b, -np.expm1(-b)
     if f == "poisson_log":
         return b, b
-    return b, b_prime(spec, theta)
+    if f == "gamma_log":
+        return b, -1.0 / theta
+    e = np.exp(theta)
+    return b, spec.k * e / (1.0 - e)
+
+
+def b_prime(spec, theta):
+    """Mean function b'(theta), the mean of ``b_and_prime``."""
+    return b_and_prime(spec, theta)[1]
 
 
 def b_second(spec, theta):
@@ -183,8 +176,7 @@ def b_second(spec, theta):
     if f == "gaussian":
         return np.ones_like(theta)
     if f in ("bernoulli_logit", "bernoulli_probit"):
-        from scipy.special import expit
-        s = expit(theta)
+        s = b_prime(spec, theta)
         return s * (1.0 - s)
     if f == "poisson_log":
         return np.exp(theta)
@@ -331,8 +323,8 @@ def sample_response(spec, theta, rng):
     if f == "gaussian":
         return rng.normal(theta, np.sqrt(spec.a))
     if f in ("bernoulli_logit", "bernoulli_probit"):
-        from scipy.special import expit
-        return (rng.random(np.shape(theta)) < expit(theta)).astype(float)
+        mean = b_prime(spec, theta)
+        return (rng.random(np.shape(theta)) < mean).astype(float)
     if f == "poisson_log":
         return rng.poisson(np.exp(theta)).astype(float)
     if f == "gamma_log":

@@ -76,7 +76,6 @@ class Chain:
     log_post: np.ndarray          # (m,)
     accept_flags: np.ndarray      # (m,) bool
     alpha: float                  # the fractional power sampled
-    dataset_digest: str
     step_size: float = 0.0        # step size actually used after tuning
     acceptance_rate: float = 1.0
 
@@ -350,10 +349,10 @@ def _mala(datasets, prior_cfgs, cfgs):
             f"{cfg.n_steps - cfg.burn_in} steps after burn-in (step size "
             f"{gamma[stuck[0]]:.3g})")
     return [Chain(samples=samples[r], log_post=log_post[r],
-                  accept_flags=flags[r], alpha=c.alpha,
-                  dataset_digest=d.digest(), step_size=float(gamma[r]),
+                  accept_flags=flags[r], alpha=cfg.alpha,
+                  step_size=float(gamma[r]),
                   acceptance_rate=int(n_acc[r]) / cfg.n_steps)
-            for r, (c, d) in enumerate(zip(cfgs, datasets))]
+            for r in range(R)]
 
 
 def _check_floor(value, step):

@@ -128,22 +128,15 @@ def grad_log_prior(B, cfg):
 def sample_prior(cfg, size, rng):
     """Exact draws from the prior via its matrix-Student representation.
 
-    With S ~ Wishart_p(p+2, I_p) and N a standard normal p x q matrix,
-    tau * S^{-1/2} N has the prior density; for p > q the transpose
-    construction on the q side is used.
+    With k = min(p, q), S = G G^T for a k x (k+2) standard normal G is
+    Wishart_k(k+2, I_k).  With S = L L^T and N a standard normal k x max(p,
+    q) matrix, tau L^{-T} N has the prior density, as L^{-T} L^{-1} =
+    S^{-1}; for p > q it is drawn on the q side and transposed.
     """
-    from scipy.stats import wishart     # kept out of the CLI's start-up
-
     p, q = cfg.p, cfg.q
-    transpose = p > q
-    if transpose:
-        p, q = q, p
-    S = wishart.rvs(df=p + 2, scale=np.eye(p), size=size, random_state=rng)
-    S = np.asarray(S).reshape(size, p, p)
-    out = np.empty((size, p, q))
-    for i in range(size):
-        w, V = np.linalg.eigh(S[i])
-        inv_sqrt = (V / np.sqrt(w)) @ V.T
-        out[i] = cfg.tau * inv_sqrt @ rng.standard_normal((p, q))
-    return out.transpose(0, 2, 1) if transpose else out
-
+    k, m = min(p, q), max(p, q)
+    G = rng.standard_normal((size, k, k + 2))
+    L = np.linalg.cholesky(G @ G.transpose(0, 2, 1))
+    out = cfg.tau * np.linalg.solve(L.transpose(0, 2, 1),
+                                    rng.standard_normal((size, k, m)))
+    return out.transpose(0, 2, 1) if p > q else out

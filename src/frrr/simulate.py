@@ -11,6 +11,8 @@ import numpy as np
 from .families import Dataset, sample_response, theta_from_eta
 
 DESIGN_MODES = ("iid", "normalized")
+ETA_CAP = 3.0                 # calibrate_scale's level of |eta|
+ETA_QUANTILE = 0.99           # the quantile of |eta| set to ETA_CAP
 
 
 @dataclass(frozen=True)
@@ -57,13 +59,13 @@ def make_design(n, p, mode, rng):
     return X
 
 
-def calibrate_scale(X, truth, eta_cap=3.0, quantile=0.99):
-    """The truth rescaled so that |eta| <= eta_cap at the given quantile
+def calibrate_scale(X, truth):
+    """The truth rescaled so that |eta| <= ETA_CAP at quantile ETA_QUANTILE
     (itself when that quantile is 0, as for a rank-0 truth)."""
-    level = np.quantile(np.abs(X @ truth.b0), quantile)
+    level = np.quantile(np.abs(X @ truth.b0), ETA_QUANTILE)
     if not level > 0:
         return truth
-    factor = eta_cap / level
+    factor = ETA_CAP / level
     return replace(truth, b0=truth.b0 * factor, scale=truth.scale * factor)
 
 

@@ -767,8 +767,8 @@ class TestConfigContract:
 
 class TestStartUp:
     def test_import_leaves_out_stats_and_integrate(self):
-        """Only the brute-force oracles and sample_prior need scipy.stats and
-        scipy.integrate, so importing the CLI does not load them."""
+        """Only the brute-force oracles need scipy.stats and scipy.integrate,
+        so importing the CLI does not load them."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         code = ("import sys, frrr.cli; print(sorted(m for m in sys.modules "
                 "if m in ('scipy.stats', 'scipy.integrate')))")
@@ -825,9 +825,22 @@ class TestStartUp:
         the package nor the CLI loads SciPy on import."""
         assert self.scipy_modules_after("import frrr, frrr.cli") == []
 
-    def test_gaussian_pipeline_loads_no_scipy(self, tmp_path):
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli_logit",
+                                        "poisson_log"])
+    def test_pipeline_loads_no_scipy(self, tmp_path, family):
+        """Only the probit link needs SciPy: every other family's mean and
+        draw are NumPy."""
         assert self.scipy_modules_after(
-            self.pipeline_code(tmp_path, "gaussian")) == []
+            self.pipeline_code(tmp_path, family)) == []
+
+    def test_sample_prior_loads_no_scipy(self):
+        """The prior draw builds its Wishart matrix from normals."""
+        assert self.scipy_modules_after(
+            "import numpy as np\n"
+            "from frrr.prior import PriorConfig, sample_prior\n"
+            "for p, q in [(2, 3), (3, 2)]:\n"
+            "    sample_prior(PriorConfig(tau=0.5, p=p, q=q), 5,\n"
+            "                 np.random.default_rng(0))\n") == []
 
     def test_probit_pipeline_loads_only_special(self, tmp_path):
         """The probit link needs scipy.special, and no command needs

@@ -3,8 +3,8 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import log_ndtr
 
-from frrr.families import (FAMILY_IDS, LOG_NDTR_BELOW, Dataset, FamilySpec,
-                           InvalidParameterError, b_and_prime, b_prime,
+from frrr.families import (FAMILY_IDS, LOG_NDTR_BELOW, Dataset, FamilyBounds,
+                           FamilySpec, InvalidParameterError, b_prime,
                            b_second, b_value, family_bounds,
                            linear_predictor, link_terms,
                            log_norm_cdf_and_ratio, response_in_support,
@@ -116,17 +116,6 @@ class TestBFunctions:
         assert np.allclose(fd2, b_second(spec, theta), rtol=1e-4, atol=1e-6)
         assert np.all(b_second(spec, theta) >= 0)
 
-    @pytest.mark.parametrize("fam", FAMILY_IDS)
-    def test_b_and_prime_match_b_and_bprime(self, fam, rng):
-        """The kernel's b' (exp(theta - b) for bernoulli, b for poisson)
-        agrees with b_prime to the last bits."""
-        spec = default_specs()[fam]
-        theta = rng.uniform(max(spec.theta_min, -30.0),
-                            min(spec.theta_max, 30.0), size=1000)
-        b, mean = b_and_prime(spec, theta)
-        assert np.array_equal(b, b_value(spec, theta))
-        assert np.allclose(mean, b_prime(spec, theta), rtol=1e-13, atol=0)
-
     def test_gamma_domain_violation(self):
         spec = FamilySpec("gamma_log")
         with pytest.raises(InvalidParameterError):
@@ -205,6 +194,11 @@ class TestFamilyBounds:
         assert fb.c_u == 0.25
         assert abs(fb.c_l - np.exp(2) / (1 + np.exp(2)) ** 2) < 1e-12
         assert abs(fb.u_1 - 1 / (1 + np.exp(-2))) < 1e-12
+
+    @pytest.mark.parametrize("fam", ["bernoulli_logit", "bernoulli_probit"])
+    def test_unclipped_bernoulli_is_exact_at_both_ends(self, fam):
+        """The mean -expm1(-b) is exactly 0 at theta = -inf and 1 at +inf."""
+        assert family_bounds(FamilySpec(fam)) == FamilyBounds(0.0, 0.25, 1.0)
 
     def test_poisson_interval(self):
         fb = family_bounds(FamilySpec("poisson_log",

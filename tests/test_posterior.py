@@ -528,23 +528,20 @@ class TestPosteriorMeanAndRank:
     def test_single_sample(self):
         s = np.arange(6.0).reshape(1, 2, 3)
         chain = Chain(samples=s, log_post=np.zeros(1),
-                      accept_flags=np.ones(1, bool), alpha=0.5,
-                      dataset_digest="")
+                      accept_flags=np.ones(1, bool), alpha=0.5)
         assert np.array_equal(posterior_mean(chain), s[0])
 
     def test_antisymmetric_pair(self, rng):
         B = rng.standard_normal((2, 2))
         chain = Chain(samples=np.stack([B, -B]), log_post=np.zeros(2),
-                      accept_flags=np.ones(2, bool), alpha=0.5,
-                      dataset_digest="")
+                      accept_flags=np.ones(2, bool), alpha=0.5)
         assert np.allclose(posterior_mean(chain), 0.0)
 
     def test_lln(self, rng):
         M = rng.standard_normal((2, 2))
         samples = M + 0.1 * rng.standard_normal((1000, 2, 2))
         chain = Chain(samples=samples, log_post=np.zeros(1000),
-                      accept_flags=np.ones(1000, bool), alpha=0.5,
-                      dataset_digest="")
+                      accept_flags=np.ones(1000, bool), alpha=0.5)
         assert np.max(np.abs(posterior_mean(chain) - M)) < 0.01 + 0.02
 
     def test_effective_rank(self, rng):
@@ -556,8 +553,7 @@ class TestPosteriorMeanAndRank:
 
     def test_empty_chain_error(self):
         chain = Chain(samples=np.zeros((0, 2, 2)), log_post=np.zeros(0),
-                      accept_flags=np.zeros(0, bool), alpha=0.5,
-                      dataset_digest="")
+                      accept_flags=np.zeros(0, bool), alpha=0.5)
         with pytest.raises(ValueError):
             posterior_mean(chain)
 
@@ -579,7 +575,6 @@ class TestChainPersistence:
         assert np.allclose(back.log_post, chain.log_post)
         assert np.array_equal(back.accept_flags, chain.accept_flags)
         assert back.acceptance_rate == np.mean(chain.accept_flags)
-        assert back.dataset_digest == ""
 
     def test_sidecar_row_count_must_match(self, rng, tmp_path):
         data, _ = make_data(default_specs()["gaussian"], 20, 2, 2, rng)

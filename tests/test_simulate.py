@@ -84,12 +84,6 @@ class TestGenerateDataset:
         data = generate_dataset(X, truth, spec, rng)
         assert abs(data.Y.mean() - 1.0) < 0.03
 
-    def test_no_clip_for_unbounded(self, rng):
-        spec = FamilySpec("gaussian")
-        X = make_design(50, 3, "iid", rng)
-        truth = make_low_rank_truth(3, 2, 1, 1.0, rng)
-        generate_dataset(X, truth, spec, rng)
-
     def test_calibrate_scale(self, rng):
         X = make_design(200, 4, "iid", rng)
         truth = calibrate_scale(X, make_low_rank_truth(4, 3, 2, 5.0, rng))
@@ -117,14 +111,17 @@ class TestGenerateDataset:
             scaled.scale = 1.0
 
     def test_samples_at_the_clipped_raw_link(self):
-        """Y is drawn at the raw link clipped into the interval."""
-        spec = FamilySpec("bernoulli_logit", theta_lo=-1.0, theta_hi=1.0)
+        """Y is drawn at the raw link clipped into the interval; an
+        unbounded interval leaves it unclipped."""
         X = make_design(80, 3, "iid", np.random.default_rng(3))
         truth = make_low_rank_truth(3, 4, 2, 3.0, np.random.default_rng(4))
-        theta = np.clip(theta_raw_from_eta(spec, X @ truth.b0), -1.0, 1.0)
-        Y = generate_dataset(X, truth, spec, np.random.default_rng(5)).Y
-        assert np.array_equal(
-            Y, sample_response(spec, theta, np.random.default_rng(5)))
+        for spec in (FamilySpec("bernoulli_logit", theta_lo=-1.0,
+                                theta_hi=1.0), FamilySpec("gaussian")):
+            theta = np.clip(theta_raw_from_eta(spec, X @ truth.b0),
+                            spec.theta_min, spec.theta_max)
+            Y = generate_dataset(X, truth, spec, np.random.default_rng(5)).Y
+            assert np.array_equal(
+                Y, sample_response(spec, theta, np.random.default_rng(5)))
 
 
 class TestKappa:
