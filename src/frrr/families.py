@@ -176,8 +176,8 @@ def b_second(spec, theta):
     if f == "gaussian":
         return np.ones_like(theta)
     if f in ("bernoulli_logit", "bernoulli_probit"):
-        s = b_prime(spec, theta)
-        return s * (1.0 - s)
+        b, s = b_and_prime(spec, theta)
+        return s * np.exp(-b)       # s (1 - s), which cancels near s = 1
     if f == "poisson_log":
         return np.exp(theta)
     if f == "gamma_log":

@@ -12,8 +12,9 @@ likelihood needs only X^T X and X^T Y, computed once per dataset, so a step
 costs the same at every n.  Otherwise it makes one eta = X @ B per matrix,
 one call of ``families.log_likelihood_terms`` for each cell's
 log-likelihood and its eta-derivative S, and one X^T S for the gradient.
-The prior takes one batched Cholesky factor.  The separate value and
-gradient functions below are views of the same kernel.
+The prior takes one batched Cholesky factor and no solve.  The sampler
+checks its start once and then calls the unchecked target ``_target``; the
+separate value and gradient functions below are views of the same kernel.
 
 ``run_chains`` advances many chains together over an (R, p, q) state: a
 study makes one sampler call for the replicates of all its cells, each
@@ -30,7 +31,7 @@ import numpy as np
 from .families import (FamilySpec, b_second, family_bounds,
                        has_sufficient_statistics, linear_predictor,
                        link_terms, log_likelihood_terms, theta_from_eta)
-from .prior import log_prior_and_grad, stack_priors
+from .prior import checked_stack, stack_log_prior_and_grad, stack_priors
 
 LOG_POST_FLOOR = -1e12        # a lower log-posterior is a diverged chain
 # Largest n * q * chains that one block of the cell-wise kernel holds: a
@@ -159,9 +160,14 @@ def value_and_grad(data, B, prior_cfg, alpha):
     ``log_likelihood_and_grad``."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
+    return _target(data, *checked_stack(B, prior_cfg), alpha)
+
+
+def _target(data, B, prior, alpha):
+    """``value_and_grad`` without its checks, on a PriorStack for B."""
     lik, lik_grad = log_likelihood_and_grad(data, B)
-    prior, prior_grad = log_prior_and_grad(B, prior_cfg)
-    return alpha * lik + prior, alpha * lik_grad + prior_grad
+    value, grad = stack_log_prior_and_grad(B, prior)
+    return alpha * lik + value, alpha * lik_grad + grad
 
 
 def log_likelihood(data, B):
@@ -299,8 +305,7 @@ def _mala(datasets, prior_cfgs, cfgs):
             if not np.isfinite(prop).all():
                 finite = np.isfinite(prop).all(axis=(1, 2))
                 prop[~finite] = B[~finite]      # evaluated, then rejected
-            prop_value, prop_grad = value_and_grad(data, prop, prior,
-                                                   cfg.alpha)
+            prop_value, prop_grad = _target(data, prop, prior, cfg.alpha)
             bwd = B - prop - g * prop_grad
             log_ratio = prop_value - value + (
                 (fwd * fwd).sum(axis=(1, 2))

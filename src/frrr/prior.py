@@ -2,7 +2,8 @@
 
 The unnormalized log-density is -((p+q+2)/2) log det(tau^2 I_p + B B^T),
 which is a scaled Student density on each singular value and therefore
-shrinks most singular values toward zero.
+shrinks most singular values toward zero.  Its value and gradient come
+from one batched Cholesky factor per evaluation, with no solve.
 """
 
 from dataclasses import dataclass
@@ -43,76 +44,90 @@ class PriorConfig:
 
 @dataclass(frozen=True)
 class PriorStack:
-    """The priors of a stack of R matrices on one (p, q), one tau each:
-    tau^2 and the p > q log-determinant term 2 (p - q) log tau, computed
-    once per sampler run rather than once per evaluation."""
+    """The priors of R matrices on one (p, q), one tau each, and what a run
+    computes once: tau^2, the p > q log-determinant term 2 (p - q) log tau
+    and the workspace that each ``stack_log_prior_and_grad`` overwrites."""
 
     p: int
     q: int
     tau_sq: np.ndarray            # (R,)
     logdet_shift: np.ndarray      # (R,)
+    work: np.ndarray              # (R, 2k, 2k), k = min(p, q)
 
 
 def stack_priors(cfgs):
     """The PriorStack of a list of PriorConfig that share p and q."""
     p, q = cfgs[0].p, cfgs[0].q
-    return PriorStack(p, q, np.array([c.tau ** 2 for c in cfgs]),
-                      np.array([(p - q) * 2.0 * np.log(c.tau) for c in cfgs]))
+    k, tau_sq = min(p, q), np.array([c.tau ** 2 for c in cfgs])
+    work = np.zeros((len(cfgs), 2 * k, 2 * k))
+    work[:, :k, k:] = work[:, k:, :k] = np.eye(k)
+    work[:, k:, k:] = np.eye(k) * (2.0 / tau_sq[:, None, None])
+    return PriorStack(p, q, tau_sq, np.array(
+        [(p - q) * 2.0 * np.log(c.tau) for c in cfgs]), work)
+
+
+def checked_stack(B, cfg):
+    """B as a float array of finite (..., p, q) matrices, and their
+    PriorStack: ``cfg`` itself, or a PriorConfig once per matrix."""
+    B = np.asarray(B, dtype=float)
+    if B.shape[-2:] != (cfg.p, cfg.q):
+        raise ValueError(f"B has shape {B.shape}, expected (..., {cfg.p}, "
+                         f"{cfg.q})")
+    if not np.isfinite(B).all():
+        raise ValueError("B has non-finite entries")
+    count = B.size // (cfg.p * cfg.q)
+    if isinstance(cfg, PriorConfig):
+        cfg = stack_priors([cfg] * max(count, 1))
+    if len(cfg.tau_sq) != count:
+        raise ValueError(f"{count} matrices for {len(cfg.tau_sq)} priors")
+    return B, cfg
 
 
 def log_prior_and_grad(B, cfg):
     """Unnormalized log-density of the spectral scaled Student prior and its
     gradient -(p+q+2) (tau^2 I_p + B B^T)^{-1} B, for one (p, q) matrix or a
     stack (..., p, q) of them.  ``cfg`` is one PriorConfig for every matrix,
-    or a PriorStack with one tau per matrix of an (R, p, q) stack.  One
-    batched Cholesky factor on the smaller Gram side (push-through identity
-    for p > q) gives the log-determinant and one batched solve the gradient.
-    A Gram matrix that overflows or is not numerically positive definite,
-    far out in the tails, gets a NaN value rather than stopping the other
-    matrices of the stack."""
-    if isinstance(cfg, PriorConfig):
-        cfg = stack_priors([cfg])
-    B = np.asarray(B, dtype=float)
-    p, q = cfg.p, cfg.q
-    if B.shape[-2:] != (p, q):
-        raise ValueError(f"B has shape {B.shape}, expected (..., {p}, {q})")
-    if not np.isfinite(B).all():
-        raise ValueError("B has non-finite entries")
-    k = min(p, q)
+    or a PriorStack with one tau per matrix of an (R, p, q) stack."""
+    return stack_log_prior_and_grad(*checked_stack(B, cfg))
+
+
+def stack_log_prior_and_grad(B, prior):
+    """``log_prior_and_grad`` unchecked, for B and its PriorStack.  With W
+    = B on the smaller Gram side and M = tau^2 I + W W^T, one Cholesky
+    factor of [[M, I], [I, (2 / tau^2) I]] gives both pieces: its top-left
+    block is chol(M), and its lower-left block C = chol(M)^{-T} makes M^{-1}
+    W = C (C^T W).  The factor exists whenever chol(M) does, as the Schur
+    complement (2 / tau^2) I - M^{-1} is at least I / tau^2.  A Gram matrix
+    that overflows or is not numerically positive definite, far out in the
+    tails, gets a NaN value rather than stopping the other matrices."""
+    p, q, k = prior.p, prior.q, min(prior.p, prior.q)
+    diag = np.s_[:, :2 * k * k:2 * k + 1]       # M's diagonal, flattened
     W = B.reshape(-1, p, q)
     if p > q:
         W = W.transpose(0, 2, 1)
-    M = W @ W.transpose(0, 2, 1)
-    M.reshape(-1, k * k)[:, ::k + 1] += cfg.tau_sq[:, None]
-    L, bad = _cholesky(M)
-    if bad is not None:
-        M[bad] = np.eye(k)      # its value is NaN; keep the solve finite
-    sol = np.linalg.solve(M, W)
-    logdet = 2.0 * np.log(L.reshape(-1, k * k)[:, ::k + 1]).sum(axis=1)
+    np.matmul(W, W.transpose(0, 2, 1), out=prior.work[:, :k, :k])
+    prior.work.reshape(len(W), -1)[diag] += prior.tau_sq[:, None]
+    F = _cholesky(prior.work)
+    logdet = 2.0 * np.log(F.reshape(len(W), -1)[diag]).sum(axis=1)
     if p > q:
-        logdet += cfg.logdet_shift
-    value = -0.5 * (p + q + 2) * logdet
-    grad = -(p + q + 2) * (sol if p <= q else sol.transpose(0, 2, 1))
+        logdet += prior.logdet_shift
+    value = np.where(np.isfinite(logdet), -0.5 * (p + q + 2) * logdet, np.nan)
+    C = F[:, k:, :k]
+    grad = -(p + q + 2) * (C @ (C.transpose(0, 2, 1) @ W))
+    if p > q:
+        grad = grad.transpose(0, 2, 1)
     return value.reshape(B.shape[:-2])[()], grad.reshape(B.shape)
 
 
 def _cholesky(M):
-    """Lower Cholesky factors of a stack of matrices, and the mask of the
-    matrices that have non-finite entries or are not numerically positive
-    definite, whose factor is NaN (None when there is no such matrix)."""
+    """Lower Cholesky factors of a stack of matrices, NaN for one that is
+    not numerically positive definite.  NumPy factors a matrix with
+    infinite entries into non-finite entries, without raising."""
     try:
-        if np.isfinite(M).all():
-            return np.linalg.cholesky(M), None
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        pass
-    L = np.full_like(M, np.nan)
-    for i, m in enumerate(M):
-        try:
-            if np.isfinite(m).all():
-                L[i] = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            pass
-    return L, np.isnan(L[:, 0, 0])
+        return np.array([_cholesky(m) for m in M]) if M.ndim > 2 \
+            else np.full_like(M, np.nan)
 
 
 def log_prior(B, cfg):

@@ -21,6 +21,11 @@ def write_ini(path, text):
     return str(path)
 
 
+# the last stderr line of a command whose study was stopped on purpose: a
+# test that provokes exit 4 reads its traceback rather than printing it
+STOP = "RuntimeError: stop after capturing the config"
+
+
 GEN = """
 [family]
 family = gaussian
@@ -561,7 +566,8 @@ class TestRateStudyCommand:
         assert np.all(np.isfinite(rows["d_alpha"]))
         assert np.all(rows["d_alpha"] >= 0)
 
-    def test_failed_study_leaves_a_partial_row(self, tmp_path, monkeypatch):
+    def test_failed_study_leaves_a_partial_row(self, tmp_path, monkeypatch,
+                                               capsys):
         """A study that raises leaves a PARTIAL row in place of the cells,
         exits 4 and writes no manifest."""
         def fail(study):
@@ -571,6 +577,8 @@ class TestRateStudyCommand:
         out = tmp_path / "o"
         cfg = write_ini(tmp_path / "c.ini", RATE.format(out=out))
         assert main(["rate-study", cfg]) == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "RuntimeError: study failed"
         assert (out / "rate_cells.csv").read_text() == (
             "n,r,rep,pred_err,pred_err_post,est_err,d_alpha,prop1_bound,"
             "acceptance\nPARTIAL,,,,,,,,\n")
@@ -683,7 +691,7 @@ class TestMisspecCommand:
         assert set(summary) == {"cells"}
         assert_same_bytes(out, again)
 
-    def test_study_thin_is_read(self, tmp_path, monkeypatch):
+    def test_study_thin_is_read(self, tmp_path, monkeypatch, capsys):
         seen = {}
 
         def capture(study):
@@ -696,8 +704,9 @@ class TestMisspecCommand:
         cfg = write_ini(tmp_path / "m.ini", text)
         assert main(["misspec", cfg]) == EXIT_NUMERIC
         assert seen["thin"] == 7
+        assert capsys.readouterr().err.splitlines()[-1] == STOP
 
-    def test_design_mode_is_read(self, tmp_path, monkeypatch):
+    def test_design_mode_is_read(self, tmp_path, monkeypatch, capsys):
         seen = {}
 
         def capture(study):
@@ -710,6 +719,7 @@ class TestMisspecCommand:
         cfg = write_ini(tmp_path / "m.ini", text)
         assert main(["misspec", cfg]) == EXIT_NUMERIC
         assert seen["mode"] == "normalized"
+        assert capsys.readouterr().err.splitlines()[-1] == STOP
 
 
 class TestConfigContract:
@@ -751,7 +761,8 @@ class TestConfigContract:
         ("misspec", "run_misspec_study", "", MisspecConfig()),
     ], ids=["rate", "misspec"])
     def test_minimal_study_takes_the_class_defaults(
-            self, tmp_path, monkeypatch, command, runner, text, expected):
+            self, tmp_path, monkeypatch, capsys, command, runner, text,
+            expected):
         seen = []
 
         def capture(study):
@@ -763,6 +774,7 @@ class TestConfigContract:
                         f"{text}[output]\ndir = {tmp_path / 'o'}\n")
         assert main([command, cfg]) == EXIT_NUMERIC
         assert seen == [expected]
+        assert capsys.readouterr().err.splitlines()[-1] == STOP
 
 
 class TestStartUp:

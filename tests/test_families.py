@@ -99,6 +99,16 @@ class TestBFunctions:
         assert b_prime(spec, 0.0) == 0.5
         assert b_second(spec, 0.0) == 0.25
 
+    @pytest.mark.parametrize("fam", ["bernoulli_logit", "bernoulli_probit"])
+    def test_bernoulli_variance_does_not_cancel_in_the_tails(self, fam):
+        """b'' = e^{-|theta|} / (1 + e^{-|theta|})^2 to a few ulps where
+        b'(1 - b') loses every digit (it reads 0 from theta near 37)."""
+        theta = np.array([-40.0, -30.0, -20.0, 20.0, 30.0, 40.0])
+        e = np.exp(-np.abs(theta))
+        exact = e / (1.0 + e) ** 2
+        got = b_second(FamilySpec(fam), theta)
+        assert np.all(np.abs(got - exact) <= 2e-15 * exact)
+
     def test_poisson_values(self):
         spec = FamilySpec("poisson_log")
         assert b_value(spec, 0.0) == 1.0

@@ -209,6 +209,23 @@ class TestSampler:
         with pytest.raises(SamplerDivergence, match="accepted no proposal"):
             run_sampler(data, PriorConfig(tau=1.0, p=4, q=3), frac)
 
+    def test_checks_its_start_once_and_no_step(self, rng, monkeypatch):
+        """alpha, B and the prior stack are checked at the start; each step
+        calls the unchecked target."""
+        calls = []
+        checked = frrr.prior.checked_stack
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return checked(*args)
+
+        for module in (frrr.prior, frrr.posterior):
+            monkeypatch.setattr(module, "checked_stack", counted)
+        data, _ = make_data(FamilySpec("gaussian"), 30, 3, 2, rng)
+        run_sampler(data, PriorConfig(tau=0.5, p=3, q=2),
+                    FractionalConfig(n_steps=100, seed=1))
+        assert calls == [(1, 3, 2)]
+
     def test_nonfinite_proposals_do_not_stop_other_chains(self, rng):
         """Chain 0 starts with a step so large that its proposals overflow
         until tuning shrinks it; neither chain is changed by the other."""

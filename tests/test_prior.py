@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from frrr.prior import (PriorConfig, grad_log_prior, log_prior,
-                        sample_prior, tau_preset)
+                        log_prior_and_grad, sample_prior, stack_priors,
+                        tau_preset)
 
 from conftest import central_diff
 
@@ -92,6 +93,97 @@ class TestGradLogPrior:
             fd = central_diff(lambda M: log_prior(M, cfg), B)
             g = grad_log_prior(B, cfg)
             assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
+
+
+class TestPriorKernel:
+    """The one-factor kernel on (R, p, q) stacks with one tau per matrix."""
+
+    SHAPES = [(4, 6), (5, 5), (6, 4)]
+
+    @staticmethod
+    def stack(rng, shape, taus):
+        B = rng.standard_normal((len(taus),) + shape)
+        return B, stack_priors([PriorConfig(t, *shape) for t in taus])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_stack_matches_one_matrix_calls(self, shape, rng):
+        taus = [1e-3, 0.05, 0.3, 1.0, 2.5]
+        B, stack = self.stack(rng, shape, taus)
+        value, grad = log_prior_and_grad(B, stack)
+        for b, t, v, g in zip(B, taus, value, grad):
+            v1, g1 = log_prior_and_grad(b, PriorConfig(t, *shape))
+            assert abs(v - v1) <= 1e-13 * abs(v1)
+            assert np.allclose(g, g1, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("tau", [1e-6, 1e-3, 1.0])
+    def test_gradient_matches_an_lu_solve(self, shape, tau, rng):
+        p, q = shape
+        B = rng.standard_normal((3, p, q)) * np.array([1e-7, 1e-2, 1.0])[
+            :, None, None]
+        grad = grad_log_prior(B, PriorConfig(tau, p, q))
+        # the same matrix B^T (tau^2 I + B B^T)^{-1} is solved on the
+        # smaller side, where tau^2 I + W W^T is best conditioned
+        W = B if p <= q else B.transpose(0, 2, 1)
+        ref = -(p + q + 2) * np.linalg.solve(
+            tau ** 2 * np.eye(min(p, q)) + W @ W.transpose(0, 2, 1), W)
+        if p > q:
+            ref = ref.transpose(0, 2, 1)
+        for g, r in zip(grad, ref):
+            assert np.abs(g - r).max() <= 1e-10 * np.abs(r).max()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_workspace_carries_nothing_between_calls(self, shape, rng):
+        taus = [0.01, 0.2, 1.5]
+        B1, shared = self.stack(rng, shape, taus)
+        B2 = 3.0 * rng.standard_normal(B1.shape)
+        for B in (B1, B2, B1, B2):
+            value, grad = log_prior_and_grad(B, shared)
+            fresh = log_prior_and_grad(B, stack_priors(
+                [PriorConfig(t, *shape) for t in taus]))
+            assert np.array_equal(value, fresh[0])
+            assert np.array_equal(grad, fresh[1])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_failed_factor_costs_only_its_own_matrix(self, shape, rng):
+        """An overflowing Gram matrix, or one that is not positive definite
+        (tau^2 underflows to 0 at B = 0), gets a NaN value; the others keep
+        their exact value and gradient."""
+        taus = [0.5, 0.5, 1e-200, 0.5]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            B, stack = self.stack(rng, shape, taus)
+            B[1] = 1e200
+            B[2] = 0.0
+            value, grad = log_prior_and_grad(B, stack)
+        assert np.isnan(value[1]) and np.isnan(value[2])
+        for r in (0, 3):
+            v, g = log_prior_and_grad(B[r], PriorConfig(0.5, *shape))
+            assert value[r] == v and np.array_equal(grad[r], g)
+
+    def test_one_cholesky_and_no_solve(self, rng, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(M):
+            calls.append(M.shape)
+            return cholesky(M)
+
+        def forbidden(*args):
+            raise AssertionError("the prior solved a system")
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        B, stack = self.stack(rng, (8, 6), np.linspace(0.1, 1.0, 30))
+        log_prior_and_grad(B, stack)
+        assert calls == [(30, 12, 12)]
+
+    def test_stack_size_must_match_the_priors(self, rng):
+        B, stack = self.stack(rng, (3, 2), [0.5, 0.5])
+        with pytest.raises(ValueError, match="1 matrices for 2 priors"):
+            log_prior_and_grad(B[:1], stack)
+        with pytest.raises(ValueError, match="0 matrices for 1 priors"):
+            log_prior_and_grad(B[:0], PriorConfig(0.5, 3, 2))
 
 
 class TestTauPresets:
