@@ -54,7 +54,7 @@ from .experiments import (MisspecConfig, RateStudyConfig,
 from .families import Dataset, FamilySpec
 from .posterior import (Chain, FractionalConfig, effective_rank,
                         posterior_mean, run_sampler)
-from .prior import THEOREM_PRESETS, PriorConfig, tau_preset
+from .prior import THEOREM_PRESETS, PriorConfig, check_tau, tau_preset
 from .simulate import (DESIGN_MODES, calibrate_scale, generate_dataset,
                        make_design, make_low_rank_truth)
 
@@ -151,8 +151,12 @@ def prior_preset(cfg):
     preset = cfg.get("prior", "tau_preset", "theorem1")
     if preset == "manual":
         tau = cfg.get("prior", "tau_manual", cast=float)
-        if tau is None or not tau > 0:
-            raise ConfigError("manual preset requires a positive tau_manual")
+        if tau is None:
+            raise ConfigError("manual preset requires tau_manual")
+        try:
+            check_tau(tau)
+        except ValueError as exc:
+            raise ConfigError(f"[prior] tau_manual: {exc}")
         return preset, tau
     if preset not in THEOREM_PRESETS:
         raise ConfigError(f"unknown [prior] tau_preset {preset!r}")

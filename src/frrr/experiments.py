@@ -8,14 +8,16 @@ and posterior integrals by averages over retained chain samples.
 Both studies run the replicates of a cell the same way (``_cell_chains``):
 draw each Y from the true family, start a MALA chain of the fitted model at
 the likelihood ridge fit, and average D_alpha to the true natural parameter
-over each chain (``posterior_average_divergence``).  A study makes one
-sampler call for the chains of all its cells (``_run_cells``), then
-summarises each cell from its slice of the chains.  The rate study computes
-D_alpha at its fractional power alpha and at 1/2 (for the Hellinger check);
-the misspecification study at alpha, against the KL projection B_bar of the
-true law onto the fitted class (``fit_kl_minimizer``).  Its fitted and true
-families must share a law up to the link, so the closed-form divergences of
-the fitted family apply to the pair.
+over each chain (``posterior_average_divergence``: through X^T X where the
+family has sufficient statistics, else from theta(B) of each sample, in
+blocks of cells).  A study makes one sampler call for the chains of all its
+cells (``_run_cells``), then summarises each cell from its slice of the
+chains.  The rate study computes D_alpha at its fractional power alpha and
+at 1/2 (for the Hellinger check); the misspecification study at alpha,
+against the KL projection B_bar of the true law onto the fitted class
+(``fit_kl_minimizer``).  Its fitted and true families must share a law up
+to the link, so the closed-form divergences of the fitted family apply to
+the pair.
 
 The ridge start and the KL projection minimise the sampler's own likelihood
 kernel, ``posterior.log_likelihood_and_grad``, through one damped
@@ -34,7 +36,7 @@ from .divergence import (c_alpha, hellinger_sq, kl_per_entry, lemma_rhs,
                          log_ratio_sq_per_entry, misspec_kl_per_entry,
                          rate_formulas, renyi_per_entry)
 from .families import (Dataset, FamilySpec, b_prime, family_bounds,
-                       theta_from_eta)
+                       has_sufficient_statistics, theta_from_eta)
 from .posterior import (BLOCK_CELLS, DataStack, FractionalConfig,
                         fisher_information, log_likelihood_and_grad,
                         posterior_mean, run_chains, stack_datasets)
@@ -176,10 +178,23 @@ def likelihood_ridge_fit(datasets):
 def posterior_average_divergence(spec, X, samples, theta_ref, alphas):
     """Average per-entry-averaged D_alpha between theta(B) and the natural
     parameter theta_ref over DIVERGENCE_SAMPLES evenly spaced retained chain
-    samples (all of them if fewer).  The samples are evaluated in blocks of
-    at most BLOCK_CELLS cells."""
+    samples (all of them if fewer).
+
+    Where the family has sufficient statistics, theta(B) = X B and D_alpha
+    per entry is (theta - zeta)^2 times the coefficient alpha / (2a) of the
+    closed form, so the average needs only X^T X: with theta_ref = X B_ref
+    + E, E orthogonal to the columns of X, the mean square of X B -
+    theta_ref is ``prediction_error(X, B, B_ref)`` + ||E||^2 / (nq), and no
+    n x q array is formed per sample.  Other families evaluate the samples
+    in blocks of at most BLOCK_CELLS cells."""
     idx = np.linspace(0, len(samples) - 1,
                       min(DIVERGENCE_SAMPLES, len(samples))).astype(int)
+    if has_sufficient_statistics(spec):
+        b_ref = np.linalg.lstsq(X, theta_ref, rcond=None)[0]
+        sq = (np.mean(prediction_error(X, samples[idx], b_ref))
+              + np.mean((theta_ref - X @ b_ref) ** 2))
+        return {al: float(renyi_per_entry(spec, 1.0, 0.0, al) * sq)
+                for al in alphas}
     size = max(1, BLOCK_CELLS // theta_ref.size)
     vals = {al: [] for al in alphas}
     for i in range(0, len(idx), size):

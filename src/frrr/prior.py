@@ -29,6 +29,15 @@ def tau_preset(preset, n, p, q, a, x_frob):
     raise ValueError(f"unknown preset {preset!r}")
 
 
+def check_tau(tau):
+    """ValueError unless tau is positive with a finite, nonzero square:
+    tau^2 enters the Gram diagonal and 2 / tau^2 the prior's workspace, so
+    a square that underflows to 0 or overflows gives a NaN prior at B = 0."""
+    if not (tau > 0 and 0 < tau * tau < np.inf):
+        raise ValueError(f"tau must be positive with a finite, nonzero "
+                         f"square, not {tau!r}")
+
+
 @dataclass(frozen=True)
 class PriorConfig:
     tau: float
@@ -36,8 +45,7 @@ class PriorConfig:
     q: int
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        check_tau(self.tau)
         if self.p < 1 or self.q < 1:
             raise ValueError("p and q must be positive")
 

@@ -178,12 +178,14 @@ class TestFitKLMinimizer:
 
 class TestPosteriorAverageDivergence:
     @pytest.mark.parametrize("spec", [
-        FamilySpec("gaussian"),
+        FamilySpec("gaussian", theta_lo=-3.0, theta_hi=3.0),
         FamilySpec("bernoulli_probit", theta_lo=-2.0, theta_hi=2.0),
     ], ids=["gaussian", "bernoulli_probit"])
     @pytest.mark.parametrize("n", [100, 3000])
     def test_blocks_match_one_sample_at_a_time(self, spec, n, rng):
-        """n = 100 puts many samples in a block, n = 3000 one sample."""
+        """n = 100 puts many samples in a block, n = 3000 one sample.  Both
+        families are clipped, so neither has sufficient statistics and both
+        run the blocks."""
         p, q = 5, 6
         X = make_design(n, p, "iid", rng)
         theta_ref = theta_from_eta(spec, X @ (0.3 * rng.standard_normal(
@@ -199,6 +201,54 @@ class TestPosteriorAverageDivergence:
                 spec, theta_from_eta(spec, X @ samples[i]), theta_ref, al)))
                 for i in idx]))
             assert got[al] == ref
+
+    @staticmethod
+    def gaussian_inputs(rng, p, q, off_model, n=300):
+        X = make_design(n, p, "iid", rng)
+        B0 = rng.standard_normal((p, q))
+        theta_ref = X @ B0
+        if off_model:
+            theta_ref += 0.5 * rng.standard_normal((n, q))
+        samples = B0 + 0.1 * rng.standard_normal((70, p, q))
+        return X, samples, theta_ref
+
+    @pytest.mark.parametrize("a", [1.0, 2.5])
+    @pytest.mark.parametrize("off_model", [False, True],
+                             ids=["on_model", "off_model"])
+    @pytest.mark.parametrize("p,q", [(3, 5), (6, 4)])
+    def test_sufficient_statistics_match_the_per_entry_closed_form(
+            self, p, q, off_model, a, rng):
+        """An unclipped gaussian family averages D_alpha through X^T X; a
+        reference off the column space of X enters through its residual."""
+        spec = FamilySpec("gaussian", a=a)
+        X, samples, theta_ref = self.gaussian_inputs(rng, p, q, off_model)
+        alphas = (0.25, 0.5)
+        got = posterior_average_divergence(spec, X, samples, theta_ref,
+                                           alphas)
+        idx = np.linspace(0, len(samples) - 1, 40).astype(int)
+        for al in alphas:
+            ref = np.mean([np.mean(renyi_per_entry(
+                spec, theta_from_eta(spec, X @ samples[i]), theta_ref, al))
+                for i in idx])
+            assert abs(got[al] - ref) <= 1e-12 * ref
+
+    def test_sufficient_statistics_form_no_n_by_q_array(self, rng,
+                                                        monkeypatch):
+        """The closed form is read once, at scalars, and theta(B) is never
+        formed."""
+        def no_theta(*args):
+            raise AssertionError("formed theta(B) for a sample")
+
+        def scalar_only(spec, theta, zeta, alpha):
+            assert np.ndim(theta) == np.ndim(zeta) == 0
+            return renyi_per_entry(spec, theta, zeta, alpha)
+
+        monkeypatch.setattr(experiments, "theta_from_eta", no_theta)
+        monkeypatch.setattr(experiments, "renyi_per_entry", scalar_only)
+        X, samples, theta_ref = self.gaussian_inputs(rng, 4, 3, True)
+        got = posterior_average_divergence(FamilySpec("gaussian"), X,
+                                           samples, theta_ref, (0.5,))
+        assert got[0.5] > 0
 
 
 class TestCrossDivergences:

@@ -73,6 +73,19 @@ class TestLogPrior:
         with pytest.raises(ValueError):
             log_prior(np.full((2, 2), np.nan), cfg)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, 1e-200, 1e155,
+                                     np.inf])
+    def test_config_needs_a_finite_nonzero_tau_square(self, tau):
+        """tau^2 = 0 (tau = 1e-200) or inf would give a NaN prior at B = 0."""
+        with pytest.raises(ValueError, match="tau must be positive"):
+            PriorConfig(tau=tau, p=2, q=2)
+
+    @pytest.mark.parametrize("tau", [1e-150, 1e150])
+    def test_extreme_tau_with_a_finite_square_is_finite(self, tau):
+        value, grad = log_prior_and_grad(np.zeros((3, 2)),
+                                         PriorConfig(tau=tau, p=3, q=2))
+        assert np.isfinite(value) and np.all(grad == 0)
+
 
 class TestGradLogPrior:
     def test_zero_is_stationary(self):
@@ -146,14 +159,20 @@ class TestPriorKernel:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_failed_factor_costs_only_its_own_matrix(self, shape, rng):
-        """An overflowing Gram matrix, or one that is not positive definite
-        (tau^2 underflows to 0 at B = 0), gets a NaN value; the others keep
-        their exact value and gradient."""
-        taus = [0.5, 0.5, 1e-200, 0.5]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            B, stack = self.stack(rng, shape, taus)
-            B[1] = 1e200
-            B[2] = 0.0
+        """An overflowing Gram matrix, or one that is not positive definite,
+        gets a NaN value; the others keep their exact value and gradient.
+        Two equal rows (2, 0, ..., 0) of W swamp tau^2 = 1e-18 in 4 + tau^2,
+        so the leading 2 x 2 block of M is exactly singular and its second
+        Cholesky pivot is exactly 0."""
+        p, q = shape
+        W = np.zeros((min(p, q), max(p, q)))
+        W[0, 0] = W[1, 0] = 2.0
+        B, stack = self.stack(rng, shape, [0.5, 0.5, 1e-9, 0.5])
+        B[1] = 1e200
+        B[2] = W if p <= q else W.T
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(W @ W.T + 1e-18 * np.eye(min(p, q)))
+        with np.errstate(over="ignore", invalid="ignore"):
             value, grad = log_prior_and_grad(B, stack)
         assert np.isnan(value[1]) and np.isnan(value[2])
         for r in (0, 3):
