@@ -209,6 +209,27 @@ class TestSampler:
         with pytest.raises(SamplerDivergence, match="accepted no proposal"):
             run_sampler(data, PriorConfig(tau=1.0, p=4, q=3), frac)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("gaussian"), FamilySpec("bernoulli_probit"),
+        bounded_specs()["gamma_log"], bounded_specs()["negbin_log"],
+        bounded_specs()["poisson_log"]],
+        ids=["gaussian_sufficient", "bernoulli_probit_closed",
+             "gamma_log_clipped", "negbin_log_clipped", "poisson_log_clipped"])
+    def test_proposals_with_infinite_entries_are_rejected(self, spec, rng):
+        """gamma grad U overflows at the start, and with no tuning and no
+        acceptance at every step: each proposal holds an infinite entry, is
+        rejected without a warning, and the chain ends as never
+        accepting."""
+        data, _ = make_data(spec, 200, 4, 3, rng)
+        cfg = PriorConfig(tau=1.0, p=4, q=3)
+        grad = value_and_grad(data, np.zeros((4, 3)), cfg, 0.5)[1]
+        assert np.abs(grad).max() > np.finfo(float).max / 1e307
+        frac = FractionalConfig(step_size=1e307, n_steps=100, burn_in=0,
+                                seed=1)
+        with pytest.raises(SamplerDivergence, match="accepted no proposal"):
+            run_sampler(data, cfg, frac)
+
     def test_checks_its_start_once_and_no_step(self, rng, monkeypatch):
         """alpha, B and the prior stack are checked at the start; each step
         calls the unchecked target."""
