@@ -15,9 +15,10 @@ cells (``_run_cells``), then summarises each cell from its slice of the
 chains.  The rate study computes D_alpha at its fractional power alpha and
 at 1/2 (for the Hellinger check); the misspecification study at alpha,
 against the KL projection B_bar of the true law onto the fitted class
-(``fit_kl_minimizer``).  Its fitted and true families must share a law up
-to the link, so the closed-form divergences of the fitted family apply to
-the pair.
+(``fit_kl_minimizer``, from the zero matrix and KL_RESTARTS random starts).
+That study fixes its laws: a MISSPEC_TRUE_FAMILY probit truth and a
+MISSPEC_FIT_FAMILY logit fit on [-2, 2].  They share a law up to the link,
+so the closed-form divergences of the fitted family apply to the pair.
 
 The ridge start and the KL projection minimise the sampler's own likelihood
 kernel, ``posterior.log_likelihood_and_grad``, through one damped
@@ -51,6 +52,12 @@ FIT_RTOL = 1e-14              # squared Newton decrement over the objective
 DIVERGENCE_SAMPLES = 40       # chain samples per posterior-average D_alpha
 BOX_HALF_WIDTH = 3.0          # half-width of the lemma sweeps' theta box
 LEMMA_ALPHAS = (0.25, 0.5, 0.75)   # Renyi orders of the lemma sweeps
+MISSPEC_TRUE_FAMILY = FamilySpec("bernoulli_probit")  # misspec study truth
+# the tight interval keeps the KL floor clear of the O(1/n) posterior
+# spread, so the D_alpha plateau shows at desk-scale n
+MISSPEC_FIT_FAMILY = FamilySpec("bernoulli_logit", theta_lo=-2.0,
+                                theta_hi=2.0)
+KL_RESTARTS = 10              # random starts of the misspec KL projection
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +468,6 @@ class KLFit:
     kl_value: float           # per-entry-averaged KL at the minimizer
     grad_norm: float
     restart_spread: float     # max distance between restart solutions
-    converged: bool
 
 
 def fit_kl_minimizer(true_spec, B0, fit_spec, X, restarts=0, rng=None):
@@ -511,7 +517,6 @@ def fit_kl_minimizer(true_spec, B0, fit_spec, X, restarts=0, rng=None):
         kl_value=float(np.mean(kl_per_entry(fit_spec, theta0, theta_bar))),
         grad_norm=gnorm,
         restart_spread=spread,
-        converged=gnorm < 1e-6,
     )
 
 
@@ -525,11 +530,6 @@ def _law(spec):
 
 @dataclass
 class MisspecConfig:
-    true_family: FamilySpec = FamilySpec("bernoulli_probit")
-    # the tight interval keeps the KL floor clear of the O(1/n) posterior
-    # spread, so the D_alpha plateau shows at desk-scale n
-    fit_family: FamilySpec = FamilySpec("bernoulli_logit",
-                                        theta_lo=-2.0, theta_hi=2.0)
     p: int = 6
     q: int = 4
     r: int = 2
@@ -540,7 +540,6 @@ class MisspecConfig:
     n_steps: int = 3000
     burn_in: int = 800
     thin: int = 5
-    restarts: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -566,7 +565,6 @@ class MisspecCell:
 
 @dataclass
 class MisspecStudyResult:
-    config: MisspecConfig
     cells: list
 
     def summary(self):
@@ -586,12 +584,12 @@ class MisspecStudyResult:
 def _misspec_cell(cfg, ci, X, truth):
     """The chain inputs of the misspecification cell on the design X and the
     function that turns its chains into a MisspecCell."""
-    fit_spec, al = cfg.fit_family, cfg.alpha
+    fit_spec, al = MISSPEC_FIT_FAMILY, cfg.alpha
     fb = family_bounds(fit_spec)
     n = X.shape[0]
     rng = np.random.default_rng([cfg.seed, 104729, ci])
-    fit = fit_kl_minimizer(cfg.true_family, truth.b0, fit_spec, X,
-                           restarts=cfg.restarts, rng=rng)
+    fit = fit_kl_minimizer(MISSPEC_TRUE_FAMILY, truth.b0, fit_spec, X,
+                           restarts=KL_RESTARTS, rng=rng)
     b_bar = fit.b_bar
     rank_bar = int(np.linalg.matrix_rank(b_bar))
     x_frob = float(np.linalg.norm(X))
@@ -607,7 +605,7 @@ def _misspec_cell(cfg, ci, X, truth):
                   # second Corollary term = 4a(1+alpha)/(C_L(1-alpha)) * r_n/2
                   + 4.0 * a * (1 + al) / (fb.c_l * (1 - al)) * r_n / 2.0)
 
-    theta0 = theta_from_eta(cfg.true_family, X @ truth.b0)
+    theta0 = theta_from_eta(MISSPEC_TRUE_FAMILY, X @ truth.b0)
 
     def finish(chains):
         return MisspecCell(
@@ -621,14 +619,11 @@ def _misspec_cell(cfg, ci, X, truth):
             fit=fit)
 
     return _cell_chains(cfg, [cfg.seed, 104729, ci], X, truth,
-                        cfg.true_family, fit_spec, prior_cfg), finish
+                        MISSPEC_TRUE_FAMILY, fit_spec, prior_cfg), finish
 
 
 def run_misspec_study(cfg):
     """Probit-truth / logit-fit study checking the oracle inequality."""
-    fb = family_bounds(cfg.fit_family)
-    if not np.isfinite(fb.u_1) or fb.c_l <= 0 or not np.isfinite(fb.c_u):
-        raise ValueError("fitted family needs finite U_1, C_U and positive C_L")
     # One design and one truth shared across the grid (each cell uses the
     # first n rows), so the KL floor is stable and only n varies.
     master = np.random.default_rng([cfg.seed, 104729])
@@ -637,4 +632,4 @@ def run_misspec_study(cfg):
         X_full, make_low_rank_truth(cfg.p, cfg.q, cfg.r, 1.0, master))
     cells = _run_cells([_misspec_cell(cfg, ci, X_full[:n], truth)
                         for ci, n in enumerate(cfg.n_grid)])
-    return MisspecStudyResult(config=cfg, cells=cells)
+    return MisspecStudyResult(cells=cells)

@@ -38,8 +38,10 @@ FAMILY_IDS = (
     "negbin_log",
 )
 
-# families whose natural domain is the open half-line (-inf, 0)
+# families whose natural domain is the open half-line (-inf, 0); they alone
+# read k and clip_margin
 _NEGATIVE_DOMAIN = ("gamma_log", "negbin_log")
+CLIP_MARGIN = 1e-3            # default distance kept from that boundary
 
 # below this z, erfc(|z| / sqrt 2) = 2 Phi(z) leaves the normal doubles
 LOG_NDTR_BELOW = -37.0
@@ -55,9 +57,10 @@ class FamilySpec:
     """One exponential family plus link, with a configured parameter interval.
 
     ``a`` is the known dispersion; ``k`` is the gamma shape or the negative
-    binomial failure count.  ``theta_lo``/``theta_hi`` restrict the natural
-    parameter; they are intersected with the family's natural domain, and
-    ``clip_margin`` is the distance kept from an open domain boundary.
+    binomial failure count, and 1 for the other families.  ``theta_lo``/
+    ``theta_hi`` restrict the natural parameter; they are intersected with
+    the family's natural domain, and ``clip_margin`` is the distance kept
+    from an open domain boundary, CLIP_MARGIN for a family without one.
     """
 
     family: str
@@ -65,7 +68,7 @@ class FamilySpec:
     k: float = None
     theta_lo: float = -np.inf
     theta_hi: float = np.inf
-    clip_margin: float = 1e-3
+    clip_margin: float = CLIP_MARGIN
 
     def __post_init__(self):
         if self.family not in FAMILY_IDS:
@@ -80,6 +83,12 @@ class FamilySpec:
             object.__setattr__(self, "k", float(k))
         if not self.k > 0:
             raise ValueError("k must be positive")
+        if self.family not in _NEGATIVE_DOMAIN and self.k != 1.0:
+            raise ValueError(f"{self.family} reads no k: it must be 1")
+        if self.family not in _NEGATIVE_DOMAIN \
+                and self.clip_margin != CLIP_MARGIN:
+            raise ValueError(f"{self.family} has no open boundary: "
+                             f"clip_margin must be {CLIP_MARGIN}")
         if self.family == "gamma_log" and abs(self.a * self.k - 1.0) > 1e-12:
             raise ValueError("gamma_log requires a = 1/k")
         if self.family in ("bernoulli_logit", "bernoulli_probit",

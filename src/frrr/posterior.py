@@ -21,7 +21,9 @@ study makes one sampler call for the replicates of all its cells, each
 chain with its own dataset and prior.  ``run_sampler`` is its one-chain
 call.  Each chain keeps its own random stream, step-size tuning,
 acceptance count and divergence checks, and is bit-identical to its
-one-chain run.
+one-chain run; a SamplerDivergence names a chain by its position in the
+call.  One rule rejects a proposal: a non-finite log-ratio, which a
+non-finite entry, value or gradient of the proposal makes.
 """
 
 from dataclasses import dataclass
@@ -59,8 +61,11 @@ class FractionalConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValueError("step_size must be positive")
+        # the proposal's scale is sqrt(2 gamma)
+        if self.step_size is not None \
+                and not 0.0 < 2.0 * float(self.step_size) < np.inf:
+            raise ValueError(f"step_size must be positive with 2 * step_size "
+                             f"finite, not {self.step_size!r}")
         if self.n_steps < 1 or self.thin < 1:
             raise ValueError("n_steps and thin must be positive")
         burn = self.n_steps // 5 if self.burn_in is None else self.burn_in
@@ -190,16 +195,15 @@ def grad_log_fractional_posterior(data, B, prior_cfg, alpha):
     return value_and_grad(data, B, prior_cfg, alpha)[1]
 
 
-def default_step_size(data, prior_cfg, alpha, B=None):
+def default_step_size(data, prior_cfg, alpha, B):
     """Conservative inverse of a smoothness bound on the target.
 
     Where b'' is unbounded on the interval (c_u = inf), its largest value at
-    the start point B (the zero matrix by default) stands in for c_u.
+    the start point B stands in for c_u.
     """
     spec = data.family
     c_u = family_bounds(spec).c_u
     if np.isinf(c_u):
-        B = np.zeros((prior_cfg.p, prior_cfg.q)) if B is None else B
         theta = theta_from_eta(spec, linear_predictor(data.X, B))
         c_u = float(np.max(b_second(spec, theta), initial=0.0))
     lik_curv = alpha * c_u * np.sum(data.X ** 2) / spec.a
@@ -222,10 +226,11 @@ def run_chains(datasets, prior_cfgs, frac_cfgs):
     and differ in seed, init and step_size.  During burn-in each chain's
     step size is doubled (acceptance above 0.6) or halved (below 0.4) after
     every window of min(50, burn_in) steps, the last update only halving,
-    then frozen for the retained part.  Proposals with a non-finite entry,
-    value or gradient are rejected.  Raises SamplerDivergence when a
-    chain's log-posterior falls below the floor or a chain accepts nothing
-    after burn-in.
+    then frozen for the retained part.  One rule rejects a proposal with a
+    non-finite entry, value or gradient: its Metropolis-Hastings log-ratio
+    is not finite.  Raises SamplerDivergence when a chain's log-posterior
+    falls below the floor or a chain accepts nothing after burn-in, naming
+    the chain by its position in this call.
 
     A likelihood with sufficient statistics runs as one block across
     designs.  Cell-wise likelihoods run in blocks of consecutive datasets
@@ -247,7 +252,7 @@ def run_chains(datasets, prior_cfgs, frac_cfgs):
         else _cellwise_blocks(datasets)
     return [chain for i, j in zip(blocks, blocks[1:])
             for chain in _mala(datasets[i:j], prior_cfgs[i:j],
-                               frac_cfgs[i:j])]
+                               frac_cfgs[i:j], i)]
 
 
 def _cellwise_blocks(datasets):
@@ -265,7 +270,9 @@ def _cellwise_blocks(datasets):
     return bounds
 
 
-def _mala(datasets, prior_cfgs, cfgs):
+def _mala(datasets, prior_cfgs, cfgs, first):
+    """The chains of one block, whose first chain is chain ``first`` of the
+    ``run_chains`` call."""
     cfg = cfgs[0]
     data = stack_datasets(datasets)
     prior = stack_priors(prior_cfgs)
@@ -291,7 +298,7 @@ def _mala(datasets, prior_cfgs, cfgs):
     window = min(TUNE_WINDOW, cfg.burn_in)
     window_acc = np.zeros(R, dtype=int)
 
-    _check_floor(value, None)
+    _check_floor(value, None, first)
     g = gamma[:, None, None]
     scale = np.sqrt(2.0 * g)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -301,20 +308,15 @@ def _mala(datasets, prior_cfgs, cfgs):
             fwd = scale * noise
             drift = B + g * grad
             prop = drift + fwd
-            finite = None
-            if not np.isfinite(prop).all():
-                finite = np.isfinite(prop).all(axis=(1, 2))
-                prop[~finite] = B[~finite]      # evaluated, then rejected
             prop_value, prop_grad = _target(data, prop, prior, cfg.alpha)
             bwd = B - prop - g * prop_grad
             log_ratio = prop_value - value + (
                 (fwd * fwd).sum(axis=(1, 2))
                 - (bwd * bwd).sum(axis=(1, 2))) / (4.0 * gamma)
-            # a non-finite value or gradient makes log_ratio non-finite; a
-            # uniform is drawn only for a proposal that can be accepted
+            # a non-finite entry of the proposal (through bwd), value or
+            # gradient makes log_ratio non-finite; a uniform is drawn only
+            # for a proposal that can be accepted
             ok = np.isfinite(log_ratio)
-            if finite is not None:
-                ok &= finite
             u = np.array([rng.random() if k else 1.0
                           for rng, k in zip(rngs, ok)])
             accepted = ok & (np.log(u) < log_ratio)
@@ -323,7 +325,7 @@ def _mala(datasets, prior_cfgs, cfgs):
                 np.copyto(grad, prop_grad, where=accepted[:, None, None])
                 np.copyto(value, prop_value, where=accepted)
                 n_acc += accepted
-                _check_floor(value, step)
+                _check_floor(value, step, first)
 
             # step-size tuning, burn-in only so the retained chain has fixed
             # gamma.  No later window can check the last update, and a chain
@@ -350,7 +352,7 @@ def _mala(datasets, prior_cfgs, cfgs):
     stuck = np.flatnonzero(n_acc_kept == 0)
     if stuck.size:
         raise SamplerDivergence(
-            f"chain {stuck[0]} accepted no proposal in "
+            f"chain {first + stuck[0]} accepted no proposal in "
             f"{cfg.n_steps - cfg.burn_in} steps after burn-in (step size "
             f"{gamma[stuck[0]]:.3g})")
     return [Chain(samples=samples[r], log_post=log_post[r],
@@ -360,14 +362,15 @@ def _mala(datasets, prior_cfgs, cfgs):
             for r in range(R)]
 
 
-def _check_floor(value, step):
+def _check_floor(value, step, first):
     """SamplerDivergence for the first chain whose log-posterior is below
-    LOG_POST_FLOOR or not a number, at ``step`` (None: at the start)."""
+    LOG_POST_FLOOR or not a number, at ``step`` (None: at the start), named
+    as chain ``first`` + its index in ``value``."""
     if not (value >= LOG_POST_FLOOR).all():
         r = np.flatnonzero(~(value >= LOG_POST_FLOOR))[0]
         when = "at the start" if step is None else f"at step {step}"
-        raise SamplerDivergence(f"chain {r}: log-posterior {value[r]} {when} "
-                                f"(floor {LOG_POST_FLOOR})")
+        raise SamplerDivergence(f"chain {first + r}: log-posterior {value[r]} "
+                                f"{when} (floor {LOG_POST_FLOOR})")
 
 
 def posterior_mean(chain):

@@ -235,7 +235,7 @@ class TestCriterion7Concentration:
 @pytest.fixture(scope="session")
 def misspec_study():
     cfg = MisspecConfig(p=6, q=4, r=2, n_grid=(200, 400, 800),
-                        replications=10, restarts=10, seed=707)
+                        replications=10, seed=707)
     return run_misspec_study(cfg)
 
 

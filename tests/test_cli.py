@@ -14,6 +14,8 @@ from frrr.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, ConfigReader,
                       canonical_text, family_from_config, main, read_config)
 from frrr.experiments import MisspecConfig, RateStudyConfig
 from frrr.families import FamilySpec
+from frrr.posterior import FractionalConfig, run_sampler
+from frrr.prior import PriorConfig
 
 
 def write_ini(path, text):
@@ -236,6 +238,35 @@ class TestGenerate:
         assert main(["generate", cfg]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", [
+        "gaussian\nk = 7", "poisson_log\nclip_margin = 0.5"],
+        ids=["gaussian_k", "poisson_log_clip_margin"])
+    def test_setting_the_law_never_reads_is_config_error(self, tmp_path,
+                                                         family):
+        """Only gamma_log and negbin_log read k and clip_margin; another
+        family given either exits 2 before any output."""
+        out = tmp_path / "d"
+        text = GEN.format(out=out).replace("family = gaussian",
+                                           f"family = {family}")
+        assert main(["generate", write_ini(tmp_path / "g.ini", text)]) \
+            == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["gaussian", "poisson_log",
+                                        "negbin_log"])
+    def test_meta_ini_round_trip(self, tmp_path, family):
+        """meta.ini writes k and clip_margin for every family, at their
+        defaults where the law reads neither; fit loads the dataset and
+        takes a [family] section naming the family as matching it."""
+        data, out = tmp_path / "data", tmp_path / "fit"
+        for command, template in (("generate", GEN), ("fit", FIT)):
+            text = template.format(out=out if command == "fit" else data,
+                                   data=data)
+            cfg = write_ini(tmp_path / f"{command}.ini", text.replace(
+                "family = gaussian", f"family = {family}"))
+            assert main([command, cfg]) == 0
+        assert cli.load_dataset(data).family == FamilySpec(family)
+
     def test_calibrate_false_keeps_the_scale(self, tmp_path):
         """calibrate = false leaves the drawn truth at [truth] scale; the
         default rescales it, so the two truths differ."""
@@ -266,7 +297,10 @@ class TestFitAndSummarize:
         ("thin = 3", "thin = 0"),
         ("thin = 3", "thin = 3\nalgorithm = hmc"),
         ("burn_in = 100", "burn_in = 300"),     # would retain no sample
-    ], ids=["n_steps_0", "thin_0", "hmc", "burn_in_n_steps"])
+        ("thin = 3", "thin = 3\nstep_size = inf"),
+        ("thin = 3", "thin = 3\nstep_size = 1e308"),   # 2 step_size = inf
+    ], ids=["n_steps_0", "thin_0", "hmc", "burn_in_n_steps", "step_size_inf",
+            "step_size_1e308"])
     def test_bad_sampler_is_config_error(self, tmp_path, old, new):
         data = run_generate(tmp_path)
         out = tmp_path / "fit"
@@ -320,6 +354,21 @@ class TestFitAndSummarize:
         cfg = write_ini(tmp_path / "f.ini", text.replace(old, new))
         assert main(["fit", cfg]) == EXIT_CONFIG
         assert not (out / "chain.bin").exists()
+
+    def test_manual_tau_is_the_sampled_prior(self, tmp_path):
+        """Under tau_preset = manual, fit samples the prior at tau_manual:
+        its chain is run_sampler's at that tau."""
+        data = run_generate(tmp_path)
+        out = tmp_path / "fit"
+        text = FIT.format(data=data, out=out).replace(
+            "tau_preset = theorem1", "tau_preset = manual\ntau_manual = 0.25")
+        assert main(["fit", write_ini(tmp_path / "f.ini", text)]) == 0
+        chain = run_sampler(cli.load_dataset(data),
+                            PriorConfig(tau=0.25, p=4, q=3),
+                            FractionalConfig(alpha=0.5, n_steps=300,
+                                             burn_in=100, thin=3, seed=5))
+        assert np.array_equal(cli.load_chain(out / "chain.bin").log_post,
+                              chain.log_post)
 
     def test_tau_manual_under_theorem_preset_is_config_error(self, tmp_path):
         """fit reads tau_manual only under the manual preset."""
@@ -398,19 +447,33 @@ class TestFitAndSummarize:
         assert main(["summarize", scfg]) == EXIT_DATA
         assert not (tmp_path / "sum" / "summary.json").exists()
 
-    def test_truncated_chain_header_is_data_error(self, tmp_path):
-        """A chain file cut inside its header exits 3, like any other bad
-        chain, and writes no summary."""
+    @staticmethod
+    def summarize_cut_chain(tmp_path, keep):
+        """Fit, keep the bytes ``keep`` (a slice) of chain.bin and run
+        summarize on it; returns its exit code."""
         data = run_generate(tmp_path)
         out = tmp_path / "fit"
         cfg = write_ini(tmp_path / "f.ini", FIT.format(data=data, out=out))
         assert main(["fit", cfg]) == 0
         chain_file = out / "chain.bin"
-        chain_file.write_bytes(chain_file.read_bytes()[:20])
+        chain_file.write_bytes(chain_file.read_bytes()[keep])
         scfg = write_ini(tmp_path / "s.ini", (
             f"[data]\nchain_file = {chain_file}\n"
             f"[output]\ndir = {tmp_path / 'sum'}\n"))
-        assert main(["summarize", scfg]) == EXIT_DATA
+        return main(["summarize", scfg])
+
+    def test_truncated_chain_header_is_data_error(self, tmp_path):
+        """A chain file cut inside its header exits 3, like any other bad
+        chain, and writes no summary."""
+        assert self.summarize_cut_chain(tmp_path, slice(20)) == EXIT_DATA
+        assert not (tmp_path / "sum" / "summary.json").exists()
+
+    def test_truncated_chain_samples_are_data_error(self, tmp_path,
+                                                    capsys):
+        """A chain file cut inside its sample block exits 3 and writes no
+        summary."""
+        assert self.summarize_cut_chain(tmp_path, slice(-8)) == EXIT_DATA
+        assert "fewer than" in capsys.readouterr().err
         assert not (tmp_path / "sum" / "summary.json").exists()
 
     @pytest.mark.parametrize("samples", [np.zeros((0, 2, 2)),
@@ -759,6 +822,27 @@ class TestConfigContract:
         assert err[-1].startswith("config error: ")
         assert f"{command} reads no {section} {key}" in err[-1]
         assert "Traceback (most recent call last):" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,template,line", [
+        ("generate", GEN, "dir = {out}"),
+        ("fit", FIT, "dataset_dir = {data}"),
+        ("summarize", SUMMARIZE, "chain_file = {out}.bin"),
+        ("divergence", DIVERGENCE, "theta_file = {out}.csv"),
+    ], ids=["output_dir", "dataset_dir", "chain_file", "theta_file"])
+    def test_missing_required_key_is_config_error(
+            self, tmp_path, capsys, command, template, line):
+        """A key the command cannot run without exits 2 naming it, before
+        any output or data is touched."""
+        assert line in template
+        out = tmp_path / "o"
+        text = template.replace(line + "\n", "").format(
+            out=out, data=tmp_path / "data")
+        assert main([command, write_ini(tmp_path / "c.ini", text)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("config error: ")
+        assert line.split()[0] in err[-1]
         assert not out.exists()
 
     @pytest.mark.parametrize("command,runner,text,expected", [

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from frrr.divergence import (LemmaBounds, c_alpha, divergence_report,
-                             expected_log_ratio_sq, kl_bruteforce,
-                             kl_per_entry, lemma_bounds, misspec_kl_lhs,
-                             rate_formulas, renyi_bruteforce, renyi_per_entry,
-                             tv_bruteforce)
+                             expected_log_ratio_sq, hellinger_sq,
+                             kl_bruteforce, kl_per_entry, lemma_bounds,
+                             misspec_kl_lhs, rate_formulas, renyi_bruteforce,
+                             renyi_per_entry, tv_bruteforce)
 from frrr.families import FamilyBounds, FamilySpec, family_bounds
 
 from conftest import bounded_specs
@@ -146,6 +146,17 @@ class TestDivergenceReport:
             + (np.sqrt(1 - p) - np.sqrt(1 - q)) ** 2
         assert abs(rep.hellinger_sq - direct) < 1e-12
         assert abs(rep.hellinger_sq - 0.057416) < 1e-5
+
+    def test_hellinger_without_half_among_alphas(self, rng):
+        """Alphas that lack 0.5 still give H^2 from D_{1/2}, and report
+        only the orders asked for."""
+        spec = FamilySpec("poisson_log")
+        T, Z = rng.uniform(-1, 1, (2, 3, 4))
+        rep = divergence_report(spec, T, Z, alphas=(0.25, 0.75))
+        assert set(rep.renyi_total) == {0.25, 0.75}
+        assert rep.hellinger_sq == divergence_report(spec, T, Z).hellinger_sq
+        assert rep.hellinger_sq == hellinger_sq(
+            float(np.sum(renyi_per_entry(spec, T, Z, 0.5))))
 
     def test_gaussian_totals(self, rng):
         spec = FamilySpec("gaussian")

@@ -165,7 +165,7 @@ class TestFitKLMinimizer:
         B0 = make_low_rank_truth(3, 2, 1, 0.5, rng).b0
         fit = fit_kl_minimizer(true_spec, B0, fit_spec, X, restarts=5, rng=rng)
         assert fit.restart_spread < 1e-4
-        assert fit.converged
+        assert fit.grad_norm < 1e-6
 
     def test_restarts_without_rng_rejected(self, rng):
         """Restarts draw their starts from rng, so asking for them without
@@ -381,7 +381,7 @@ class TestSmallStudies:
 
     def test_misspec_smoke(self):
         cfg = MisspecConfig(p=3, q=2, r=1, n_grid=(60,), replications=2,
-                            n_steps=300, burn_in=100, restarts=2, seed=4)
+                            n_steps=300, burn_in=100, seed=4)
         res = run_misspec_study(cfg)
         cell = res.cells[0]
         assert cell.kl_floor > 0
@@ -390,9 +390,3 @@ class TestSmallStudies:
         assert len(cell.lhs_pred) == 2
         summary = res.summary()
         assert summary["cells"][0]["n"] == 60
-
-    def test_misspec_requires_finite_bounds(self):
-        cfg = MisspecConfig(fit_family=FamilySpec("bernoulli_logit"))
-        # unbounded logit interval has C_L = 0
-        with pytest.raises(ValueError):
-            run_misspec_study(cfg)

@@ -299,3 +299,30 @@ class TestLinearPredictorAndDataset:
             FamilySpec("gaussian", a=-1.0)
         with pytest.raises(ValueError):
             FamilySpec("gamma_log", a=0.5, k=3.0)  # needs a = 1/k
+
+    @pytest.mark.parametrize("family,settings,message", [
+        ("poisson_log", dict(a=2.0), "fixed dispersion"),
+        ("bernoulli_logit", dict(a=0.5), "fixed dispersion"),
+        ("negbin_log", dict(a=2.0), "fixed dispersion"),
+        ("gaussian", dict(theta_lo=1.0, theta_hi=-1.0), "empty"),
+        ("gamma_log", dict(theta_lo=-0.5, theta_hi=-1.0), "empty"),
+        ("negbin_log", dict(theta_lo=-0.01, clip_margin=0.1), "empty"),
+        ("negbin_log", dict(k=0.0), "k must be positive"),
+        ("gamma_log", dict(k=-2.0), "k must be positive"),
+        ("gamma_log", dict(clip_margin=0.0), "clip_margin must be positive"),
+        ("negbin_log", dict(clip_margin=-1e-3), "clip_margin must be positive"),
+        ("gaussian", dict(k=7.0), "reads no k"),
+        ("bernoulli_probit", dict(k=2.0), "reads no k"),
+        ("poisson_log", dict(k=0.5), "reads no k"),
+        ("gaussian", dict(clip_margin=0.5), "no open boundary"),
+        ("bernoulli_logit", dict(clip_margin=1e-2), "no open boundary"),
+        ("poisson_log", dict(clip_margin=0.5), "no open boundary"),
+    ], ids=["poisson_a", "bernoulli_a", "negbin_a", "gaussian_empty",
+            "gamma_empty", "negbin_empty_by_margin", "negbin_k_0",
+            "gamma_k_negative", "gamma_clip_margin_0",
+            "negbin_clip_margin_negative", "gaussian_k", "probit_k",
+            "poisson_k", "gaussian_clip_margin", "logit_clip_margin",
+            "poisson_clip_margin"])
+    def test_spec_rejects(self, family, settings, message):
+        with pytest.raises(ValueError, match=message):
+            FamilySpec(family, **settings)

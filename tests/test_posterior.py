@@ -176,7 +176,8 @@ class TestSampler:
         data, _ = make_data(spec, 10, 2, 1, rng)
         cfg = PriorConfig(tau=0.5, p=2, q=1)
         expected = 0.5 / (0.5 * 1.0 * np.sum(data.X ** 2) + 5 / 0.25)
-        assert abs(default_step_size(data, cfg, 0.5) - expected) < 1e-15
+        assert abs(default_step_size(data, cfg, 0.5, np.zeros((2, 1)))
+                   - expected) < 1e-15
 
     def test_unbounded_curvature_chain_moves(self, rng):
         """poisson_log on the whole line has c_u = inf; the step size falls
@@ -185,7 +186,8 @@ class TestSampler:
         data, _ = make_data(spec, 50, 3, 2, rng, b_scale=0.2)
         cfg = PriorConfig(tau=1.0, p=3, q=2)
         expected = 0.5 / (0.5 * np.sum(data.X ** 2) + 7.0)
-        assert abs(default_step_size(data, cfg, 0.5) - expected) < 1e-15
+        assert abs(default_step_size(data, cfg, 0.5, np.zeros((3, 2)))
+                   - expected) < 1e-15
         frac = FractionalConfig(n_steps=300, burn_in=100, thin=1, seed=4)
         chain = run_sampler(data, cfg, frac)
         assert len(np.unique(chain.samples, axis=0)) > 1
@@ -312,6 +314,22 @@ class TestBatchedSampler:
         assert len(chains) == 4
         for chain, d, c, f in zip(chains, datasets, priors, fracs):
             assert_same_chain(chain, run_sampler(d, c, f))
+
+    @pytest.mark.parametrize("bad,message", [
+        (dict(step_size=1e200), "chain 1 accepted no proposal"),
+        (dict(init=np.full((4, 3), 1e12)), "chain 1: log-posterior"),
+    ], ids=["no_acceptance", "floor"])
+    def test_divergence_names_the_chain_by_its_call_position(
+            self, bad, message, rng):
+        """Cell-wise chains on two designs run as two blocks; the failing
+        chain, the first of the second block, is chain 1 of the call."""
+        spec = FamilySpec("bernoulli_logit")
+        datasets = [make_data(spec, n, 4, 3, rng)[0] for n in (60, 80)]
+        fracs = [FractionalConfig(n_steps=200, seed=1),
+                 FractionalConfig(n_steps=200, seed=2, **bad)]
+        with pytest.raises(SamplerDivergence, match=message):
+            run_chains(datasets, [PriorConfig(tau=0.5, p=4, q=3)] * 2,
+                       fracs)
 
     def test_rejects_incompatible_chains(self, rng):
         spec = FamilySpec("gaussian")
@@ -639,5 +657,6 @@ class TestChainPersistence:
             FractionalConfig(alpha=1.0)
         with pytest.raises(ValueError):
             FractionalConfig(burn_in=11, n_steps=10)
-        with pytest.raises(ValueError):
-            FractionalConfig(step_size=-1.0)
+        for step_size in (-1.0, 0.0, np.nan, np.inf, 1e308):
+            with pytest.raises(ValueError, match="step_size"):
+                FractionalConfig(step_size=step_size)
