@@ -399,7 +399,8 @@ def cmd_divergence(cfg):
         raise ConfigError("[divergence] alphas must be values in (0, 1)")
     seed = cfg.get("run", "seed", 0, int)
     out = _outdir(cfg)
-    try:  # the report rejects unequal shapes and values outside the domain
+    try:  # the report rejects unequal shapes, empty or non-finite matrices
+        # and values outside the domain
         Theta, Zeta = (np.loadtxt(path, delimiter=",", ndmin=2)
                        for path in (theta_file, zeta_file))
         rep = divergence_report(spec, Theta, Zeta, alphas)

@@ -70,11 +70,16 @@ class DivergenceReport:
 
 
 def divergence_report(spec, Theta, Zeta, alphas=(0.25, 0.5, 0.75)):
-    """Divergences between the product laws at parameter matrices Theta, Zeta."""
+    """Divergences between the product laws at parameter matrices Theta, Zeta,
+    which must have the same shape, at least one entry and finite entries."""
     Theta = np.asarray(Theta, dtype=float)
     Zeta = np.asarray(Zeta, dtype=float)
     if Theta.shape != Zeta.shape:
         raise ValueError("Theta and Zeta shapes differ")
+    if Theta.size == 0:
+        raise ValueError("Theta and Zeta have no entries")
+    if not (np.isfinite(Theta).all() and np.isfinite(Zeta).all()):
+        raise ValueError("Theta and Zeta must have finite entries")
     m = Theta.size
     kl_tot = float(np.sum(kl_per_entry(spec, Theta, Zeta)))
     renyi_tot = {a: float(np.sum(renyi_per_entry(spec, Theta, Zeta, a)))

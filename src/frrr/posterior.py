@@ -13,8 +13,11 @@ costs the same at every n.  Otherwise it makes one eta = X @ B per matrix,
 one call of ``families.log_likelihood_terms`` for each cell's
 log-likelihood and its eta-derivative S, and one X^T S for the gradient.
 The prior takes one batched Cholesky factor and no solve.  The sampler
-checks its start once and then calls the unchecked target ``_target``; the
-separate value and gradient functions below are views of the same kernel.
+checks its start once and then calls the unchecked target ``_target`` on
+its own stack, which applies the weight alpha / a once: G and C are scaled
+by it once per block, and cell-wise sums are multiplied by it once per
+call.  The separate value and gradient functions below are views of the
+unweighted kernel and return fresh arrays.
 
 ``run_chains`` advances many chains together over an (R, p, q) state: a
 study makes one sampler call for the replicates of all its cells, each
@@ -23,10 +26,13 @@ call.  Each chain keeps its own random stream, step-size tuning,
 acceptance count and divergence checks, and is bit-identical to its
 one-chain run; a SamplerDivergence names a chain by its position in the
 call.  One rule rejects a proposal: a non-finite log-ratio, which a
-non-finite entry, value or gradient of the proposal makes.
+non-finite entry, value or gradient of the proposal makes.  A step fills
+buffers allocated once per block, in place, and draws each chain's
+uniform as a raw word of its PCG64 stream, the value ``Generator.random()``
+would return.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,13 +106,16 @@ class DataStack:
     family, unchecked against its support (the KL projection passes means).
     Cell-wise, the datasets share the design X.  Where the family has
     sufficient statistics, G_r = X_r^T X_r and C_r = X_r^T Y_r stand in for
-    X and Y, so the designs may differ."""
+    X and Y, so the designs may differ.  The sampler's stack
+    (``_sampler_stack``) carries the weight alpha / a of its target: G and
+    C are scaled by it, or else ``weight`` holds it."""
 
     X: np.ndarray                 # (n, p); None with gram and cross
     Y: np.ndarray                 # (R, n, q) or (n, q); None with gram
     family: FamilySpec
     gram: np.ndarray = None       # (R, p, p)
     cross: np.ndarray = None      # (R, p, q)
+    weight: float = None          # cell-wise alpha / a on the sampler's stack
 
 
 def stack_datasets(datasets):
@@ -121,6 +130,16 @@ def stack_datasets(datasets):
     return DataStack(datasets[0].X, np.stack([d.Y for d in datasets]), spec)
 
 
+def _sampler_stack(datasets, alpha):
+    """``stack_datasets`` weighted once by alpha / a: with sufficient
+    statistics in G and C, else in ``weight``."""
+    data = stack_datasets(datasets)
+    weight = alpha / data.family.a
+    if data.gram is None:
+        return replace(data, weight=weight)
+    return replace(data, gram=data.gram * weight, cross=data.cross * weight)
+
+
 def log_likelihood_and_grad(data, B):
     """Sum of (y theta - b(theta)) / a over all cells, dropping c(y, a), and
     its gradient X^T [(Y - b'(theta)) * dtheta/deta] / a.
@@ -131,14 +150,21 @@ def log_likelihood_and_grad(data, B):
     from ``families.log_likelihood_terms``, and each sum is divided by a
     once.
     """
-    spec = data.family
+    value, grad = _sums(data, B)
+    grad /= data.family.a
+    return value / data.family.a, grad
+
+
+def _sums(data, B):
+    """a times ``log_likelihood_and_grad`` as fresh arrays, from the stack's
+    G and C as stored where it has them."""
     if getattr(data, "gram", None) is not None:
         GB = data.gram @ B
-        value = (B * (data.cross - 0.5 * GB)).sum(axis=(-2, -1)) / spec.a
-        return value, (data.cross - GB) / spec.a
-    cell, slope = log_likelihood_terms(spec, data.Y,
+        value = (B * (data.cross - 0.5 * GB)).sum(axis=(-2, -1))
+        return value, np.subtract(data.cross, GB, out=GB)
+    cell, slope = log_likelihood_terms(data.family, data.Y,
                                        linear_predictor(data.X, B))
-    return cell.sum(axis=(-2, -1)) / spec.a, data.X.T @ slope / spec.a
+    return cell.sum(axis=(-2, -1)), data.X.T @ slope
 
 
 def fisher_information(data, B):
@@ -165,14 +191,24 @@ def value_and_grad(data, B, prior_cfg, alpha):
     ``log_likelihood_and_grad``."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    return _target(data, *checked_stack(B, prior_cfg), alpha)
-
-
-def _target(data, B, prior, alpha):
-    """``value_and_grad`` without its checks, on a PriorStack for B."""
+    B, prior = checked_stack(B, prior_cfg)
     lik, lik_grad = log_likelihood_and_grad(data, B)
     value, grad = stack_log_prior_and_grad(B, prior)
     return alpha * lik + value, alpha * lik_grad + grad
+
+
+def _target(data, B, prior):
+    """``value_and_grad`` without its checks, on the sampler's stack and a
+    PriorStack for B: the weighted likelihood's fresh sums, with the prior
+    added in place."""
+    value, grad = _sums(data, B)
+    if data.weight is not None:
+        value *= data.weight
+        grad *= data.weight
+    prior_value, prior_grad = stack_log_prior_and_grad(B, prior)
+    value += prior_value
+    grad += prior_grad
+    return value, grad
 
 
 def log_likelihood(data, B):
@@ -234,7 +270,10 @@ def run_chains(datasets, prior_cfgs, frac_cfgs):
 
     A likelihood with sufficient statistics runs as one block across
     designs.  Cell-wise likelihoods run in blocks of consecutive datasets
-    with equal X, each of at most BLOCK_CELLS cells.  Chain r is
+    with equal X, each of at most BLOCK_CELLS cells.  Each block allocates
+    its step buffers once, weights the likelihood by alpha / a once, and
+    draws a chain's uniform from the raw words of its stream, only for a
+    proposal whose log-ratio is finite, in chain order.  Chain r is
     bit-identical to its one-chain run.
     """
     if not len(datasets) == len(prior_cfgs) == len(frac_cfgs) \
@@ -272,27 +311,32 @@ def _cellwise_blocks(datasets):
 
 def _mala(datasets, prior_cfgs, cfgs, first):
     """The chains of one block, whose first chain is chain ``first`` of the
-    ``run_chains`` call."""
+    ``run_chains`` call.  A step fills the buffers allocated here.  For
+    PCG64, the bit generator of ``np.random.default_rng``,
+    ``Generator.random()`` is the next raw word's top 53 bits times 2^-53,
+    so a uniform is drawn as a raw word."""
     cfg = cfgs[0]
-    data = stack_datasets(datasets)
-    prior = stack_priors(prior_cfgs)
-    R, p, q = len(cfgs), prior.p, prior.q
+    data = _sampler_stack(datasets, cfg.alpha)
+    R, p, q = len(cfgs), datasets[0].p, datasets[0].q
     B = np.array([np.zeros((p, q)) if c.init is None else c.init
                   for c in cfgs], dtype=float)
     if B.shape != (R, p, q):
         raise ValueError("init matrix has the wrong shape")
+    B, prior = checked_stack(B, stack_priors(prior_cfgs))
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    draws = [rng.bit_generator.random_raw for rng in rngs]
     gamma = np.array([
         c.step_size if c.step_size is not None else
         default_step_size(d, pc, cfg.alpha, b)
         for c, d, pc, b in zip(cfgs, datasets, prior_cfgs, B)])
-    value, grad = value_and_grad(data, B, prior, cfg.alpha)
+    value, grad = _target(data, B, prior)
 
     kept = range(cfg.burn_in, cfg.n_steps, cfg.thin)
     samples = np.empty((R, len(kept), p, q))
     log_post = np.empty((R, len(kept)))
     flags = np.empty((R, len(kept)), dtype=bool)
-    noise = np.empty((R, p, q))
+    fwd, prop, bwd, drift = (np.empty((R, p, q)) for _ in range(4))
+    noise = list(fwd)             # each chain's view, made once
     n_acc = np.zeros(R, dtype=int)
     n_acc_kept = np.zeros(R, dtype=int)
     window = min(TUNE_WINDOW, cfg.burn_in)
@@ -305,20 +349,27 @@ def _mala(datasets, prior_cfgs, cfgs, first):
         for step in range(cfg.n_steps):
             for rng, z in zip(rngs, noise):
                 rng.standard_normal(out=z)
-            fwd = scale * noise
-            drift = B + g * grad
-            prop = drift + fwd
-            prop_value, prop_grad = _target(data, prop, prior, cfg.alpha)
-            bwd = B - prop - g * prop_grad
+            fwd *= scale
+            np.multiply(g, grad, out=drift)
+            np.add(B, drift, out=prop)
+            prop += fwd
+            prop_value, prop_grad = _target(data, prop, prior)
+            np.subtract(B, prop, out=bwd)
+            np.multiply(g, prop_grad, out=drift)
+            bwd -= drift
+            # one sum of fwd^2 - bwd^2 per chain, divided by 4 gamma: the
+            # reciprocal of a denormal gamma would be inf
+            np.square(fwd, out=fwd)
+            np.square(bwd, out=bwd)
+            fwd -= bwd
             log_ratio = prop_value - value + (
-                (fwd * fwd).sum(axis=(1, 2))
-                - (bwd * bwd).sum(axis=(1, 2))) / (4.0 * gamma)
+                fwd.sum(axis=(1, 2)) / (4.0 * gamma))
             # a non-finite entry of the proposal (through bwd), value or
             # gradient makes log_ratio non-finite; a uniform is drawn only
             # for a proposal that can be accepted
             ok = np.isfinite(log_ratio)
-            u = np.array([rng.random() if k else 1.0
-                          for rng, k in zip(rngs, ok)])
+            u = np.array([(draw() >> 11) * 2.0 ** -53 if k else 1.0
+                          for draw, k in zip(draws, ok.tolist())])
             accepted = ok & (np.log(u) < log_ratio)
             if accepted.any():
                 np.copyto(B, prop, where=accepted[:, None, None])

@@ -53,14 +53,17 @@ class PriorConfig:
 @dataclass(frozen=True)
 class PriorStack:
     """The priors of R matrices on one (p, q), one tau each, and what a run
-    computes once: tau^2, the p > q log-determinant term 2 (p - q) log tau
-    and the workspace that each ``stack_log_prior_and_grad`` overwrites."""
+    computes once: tau^2, half the p > q log-determinant term, (p - q) log
+    tau, and the workspace that each ``stack_log_prior_and_grad``
+    overwrites, with views of its Gram block M and of M's diagonal."""
 
     p: int
     q: int
     tau_sq: np.ndarray            # (R,)
-    logdet_shift: np.ndarray      # (R,)
+    half_logdet_shift: np.ndarray  # (R,)
     work: np.ndarray              # (R, 2k, 2k), k = min(p, q)
+    gram: np.ndarray              # (R, k, k) view of work
+    gram_diag: np.ndarray         # (R, k) view of work
 
 
 def stack_priors(cfgs):
@@ -70,8 +73,15 @@ def stack_priors(cfgs):
     work = np.zeros((len(cfgs), 2 * k, 2 * k))
     work[:, :k, k:] = work[:, k:, :k] = np.eye(k)
     work[:, k:, k:] = np.eye(k) * (2.0 / tau_sq[:, None, None])
-    return PriorStack(p, q, tau_sq, np.array(
-        [(p - q) * 2.0 * np.log(c.tau) for c in cfgs]), work)
+    return PriorStack(p, q, tau_sq,
+                      np.array([(p - q) * np.log(c.tau) for c in cfgs]), work,
+                      work[:, :k, :k], _diagonal(work, k))
+
+
+def _diagonal(F, k):
+    """View of the diagonal of the top-left k x k block of each matrix of a
+    C-contiguous stack F (R, 2k, 2k)."""
+    return F.reshape(len(F), -1)[:, :2 * k * k:2 * k + 1]
 
 
 def checked_stack(B, cfg):
@@ -109,19 +119,20 @@ def stack_log_prior_and_grad(B, prior):
     that overflows or is not numerically positive definite, far out in the
     tails, gets a NaN value rather than stopping the other matrices."""
     p, q, k = prior.p, prior.q, min(prior.p, prior.q)
-    diag = np.s_[:, :2 * k * k:2 * k + 1]       # M's diagonal, flattened
     W = B.reshape(-1, p, q)
     if p > q:
         W = W.transpose(0, 2, 1)
-    np.matmul(W, W.transpose(0, 2, 1), out=prior.work[:, :k, :k])
-    prior.work.reshape(len(W), -1)[diag] += prior.tau_sq[:, None]
+    np.matmul(W, W.transpose(0, 2, 1), out=prior.gram)
+    np.add(prior.gram_diag, prior.tau_sq[:, None], out=prior.gram_diag)
     F = _cholesky(prior.work)
-    logdet = 2.0 * np.log(F.reshape(len(W), -1)[diag]).sum(axis=1)
+    half_logdet = np.log(_diagonal(F, k)).sum(axis=1)
     if p > q:
-        logdet += prior.logdet_shift
-    value = np.where(np.isfinite(logdet), -0.5 * (p + q + 2) * logdet, np.nan)
+        half_logdet += prior.half_logdet_shift
+    value = np.where(np.isfinite(half_logdet), -(p + q + 2) * half_logdet,
+                     np.nan)
     C = F[:, k:, :k]
-    grad = -(p + q + 2) * (C @ (C.transpose(0, 2, 1) @ W))
+    grad = C @ (C.transpose(0, 2, 1) @ W)
+    grad *= -(p + q + 2)
     if p > q:
         grad = grad.transpose(0, 2, 1)
     return value.reshape(B.shape[:-2])[()], grad.reshape(B.shape)

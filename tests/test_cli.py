@@ -536,7 +536,9 @@ class TestDivergenceCommand:
     @pytest.mark.parametrize("family,theta,zeta", [
         ("gaussian", [[0.3, 0.1]], [[0.3]]),
         ("gamma_log", [[-0.5, 0.0]], [[-0.5, -1.0]]),
-    ], ids=["shapes_differ", "outside_domain"])
+        ("gaussian", np.empty((0, 2)), np.empty((0, 2))),
+        ("gaussian", [[np.nan, 0.1]], [[0.3, 0.1]]),
+    ], ids=["shapes_differ", "outside_domain", "empty_files", "nan_entry"])
     def test_bad_matrices_are_data_error(self, tmp_path, family, theta,
                                          zeta):
         th, ze = tmp_path / "th.csv", tmp_path / "ze.csv"

@@ -249,6 +249,20 @@ class TestSampler:
                     FractionalConfig(n_steps=100, seed=1))
         assert calls == [(1, 3, 2)]
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 987654321])
+    def test_raw_word_uniform_is_generator_random(self, seed):
+        """The sampler draws a uniform as a raw word of the chain's PCG64
+        stream, (word >> 11) 2^-53, between standard_normal(out=) fills of
+        that stream: it must be what Generator.random() gives there."""
+        ref, raw = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = raw.bit_generator.random_raw
+        z_ref, z_raw = np.empty((8, 6)), np.empty((8, 6))
+        for _ in range(200):
+            ref.standard_normal(out=z_ref)
+            raw.standard_normal(out=z_raw)
+            assert np.array_equal(z_ref, z_raw)
+            assert (draw() >> 11) * 2.0 ** -53 == ref.random()
+
     def test_nonfinite_proposals_do_not_stop_other_chains(self, rng):
         """Chain 0 starts with a step so large that its proposals overflow
         until tuning shrinks it; neither chain is changed by the other."""
@@ -275,20 +289,23 @@ def assert_same_chain(c1, c2):
 
 
 class TestBatchedSampler:
-    @pytest.mark.parametrize("spec", [
-        FamilySpec("gaussian"),
-        FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0),
-        FamilySpec("bernoulli_probit"),
+    @pytest.mark.parametrize("spec,alpha", [
+        (FamilySpec("gaussian"), 0.5),
+        (FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0), 0.5),
+        (FamilySpec("bernoulli_probit"), 0.5),
+        (FamilySpec("gaussian", a=2.5), 0.3),
+        (FamilySpec("bernoulli_probit"), 0.3),
     ], ids=["gaussian_sufficient", "bernoulli_logit_clipped",
-            "bernoulli_probit_closed"])
-    def test_chain_matches_its_one_chain_run(self, spec, rng):
+            "bernoulli_probit_closed", "gaussian_sufficient_a2.5_alpha0.3",
+            "bernoulli_probit_closed_alpha0.3"])
+    def test_chain_matches_its_one_chain_run(self, spec, alpha, rng):
         data, B0 = make_data(spec, 300, 4, 3, rng, b_scale=1.0)
         datasets = [data] + [make_data(spec, 300, 4, 3, rng, b_scale=1.0)[0]
                              for _ in range(2)]
         datasets = [Dataset(X=data.X, Y=d.Y, family=spec) for d in datasets]
         cfg = PriorConfig(tau=0.5, p=4, q=3)
-        fracs = [FractionalConfig(n_steps=400, burn_in=100, thin=3, seed=s,
-                                  init=B0 if s == 2 else None)
+        fracs = [FractionalConfig(alpha=alpha, n_steps=400, burn_in=100,
+                                  thin=3, seed=s, init=B0 if s == 2 else None)
                  for s in (1, 2, 3)]
         chains = run_chains(datasets, [cfg] * 3, fracs)
         for chain, d, f in zip(chains, datasets, fracs):
@@ -330,6 +347,25 @@ class TestBatchedSampler:
         with pytest.raises(SamplerDivergence, match=message):
             run_chains(datasets, [PriorConfig(tau=0.5, p=4, q=3)] * 2,
                        fracs)
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("gaussian", a=2.5), FamilySpec("bernoulli_probit")],
+        ids=["gaussian_sufficient_a2.5", "bernoulli_probit_closed"])
+    def test_weighted_target_is_the_fractional_posterior(self, spec, rng):
+        """The sampler's stack applies alpha / a once, in G and C or in its
+        weight; its target is alpha * log-likelihood + log-prior."""
+        data, _ = make_data(spec, 200, 4, 3, rng)
+        datasets = [data, Dataset(X=data.X, Y=data.Y[::-1], family=spec)]
+        prior = frrr.prior.stack_priors(
+            [PriorConfig(tau=t, p=4, q=3) for t in (0.5, 0.2)])
+        B = rng.standard_normal((2, 4, 3))
+        value, grad = frrr.posterior._target(
+            frrr.posterior._sampler_stack(datasets, 0.3), B, prior)
+        ref_value, ref_grad = value_and_grad(stack_datasets(datasets), B,
+                                             prior, 0.3)
+        assert np.all(np.abs(value - ref_value) <= 1e-14 * np.abs(ref_value))
+        for g, ref in zip(grad, ref_grad):
+            assert np.linalg.norm(g - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_rejects_incompatible_chains(self, rng):
         spec = FamilySpec("gaussian")
