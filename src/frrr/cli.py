@@ -13,6 +13,7 @@ holds the INI config, the dataset directory (``X.csv``, ``Y.csv`` and
 ``meta.ini``), the chain binary and its sidecar CSV, and one writer for each
 output kind: ``_write_table`` for every text table (the ``%.17g`` matrix
 CSVs of ``write_matrix`` included) and ``_write_json`` for every JSON file.
+``read_matrix`` reads every CSV of numbers.
 
 ``main`` alone decides the exit code, and writes the manifest on success:
 
@@ -42,6 +43,7 @@ import json
 import os
 import struct
 import sys
+import warnings
 
 import numpy as np
 
@@ -215,6 +217,19 @@ def write_matrix(path, M):
     _write_table(path, None, ",".join(["%.17g"] * M.shape[1]), map(tuple, M))
 
 
+def read_matrix(path, header=False):
+    """The rows of a CSV file of numbers, after its header line if
+    ``header``, as a 2-d array.  A file with no data row raises ValueError
+    naming it, in place of NumPy's warning and an empty array."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        M = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=int(header))
+    if M.size == 0:
+        raise ValueError(f"{path} holds no data row")
+    return M
+
+
 def save_dataset(dirpath, data, seed):
     """X.csv and Y.csv, and meta.ini with the family and the seed."""
     os.makedirs(dirpath, exist_ok=True)
@@ -236,7 +251,7 @@ def load_dataset(dirpath):
     fam = meta["family"]
     spec = FamilySpec(family=fam["family"],
                       **{key: float(fam[key]) for key in FAMILY_KEYS})
-    X, Y = (np.loadtxt(os.path.join(dirpath, name), delimiter=",", ndmin=2)
+    X, Y = (read_matrix(os.path.join(dirpath, name))
             for name in ("X.csv", "Y.csv"))
     return Dataset(X=X, Y=Y, family=spec)
 
@@ -272,8 +287,7 @@ def load_chain(path):
         raw = fh.read(8 * m * p * q)
     if len(raw) < 8 * m * p * q:
         raise ValueError(f"chain file holds fewer than {m} samples")
-    side = np.loadtxt(str(path) + ".csv", delimiter=",",
-                      skiprows=1).reshape(-1, 3)
+    side = read_matrix(str(path) + ".csv", header=True).reshape(-1, 3)
     if side.shape[0] != m:
         raise ValueError(f"chain sidecar has {side.shape[0]} rows, "
                          f"expected {m}")
@@ -401,8 +415,7 @@ def cmd_divergence(cfg):
     out = _outdir(cfg)
     try:  # the report rejects unequal shapes, empty or non-finite matrices
         # and values outside the domain
-        Theta, Zeta = (np.loadtxt(path, delimiter=",", ndmin=2)
-                       for path in (theta_file, zeta_file))
+        Theta, Zeta = (read_matrix(path) for path in (theta_file, zeta_file))
         rep = divergence_report(spec, Theta, Zeta, alphas)
     except (OSError, ValueError) as exc:
         raise DataError(f"bad parameter file: {exc}")

@@ -274,7 +274,8 @@ def misspec_kl_lhs(spec, Theta0, ThetaBar, Zeta):
 
 
 def _log_term(r, p, q, scale, denom_sq):
-    """r (q+p+2) log(1 + scale / sqrt(denom_sq * r)), 0 at r = 0 by convention."""
+    """2r (q+p+2) log(1 + scale / sqrt(denom_sq * r)), 0 at r = 0 by
+    convention."""
     if r == 0:
         return 0.0
     return 2.0 * r * (q + p + 2) * np.log1p(scale / np.sqrt(denom_sq * r))

@@ -12,12 +12,17 @@ likelihood needs only X^T X and X^T Y, computed once per dataset, so a step
 costs the same at every n.  Otherwise it makes one eta = X @ B per matrix,
 one call of ``families.log_likelihood_terms`` for each cell's
 log-likelihood and its eta-derivative S, and one X^T S for the gradient.
-The prior takes one batched Cholesky factor and no solve.  The sampler
-checks its start once and then calls the unchecked target ``_target`` on
-its own stack, which applies the weight alpha / a once: G and C are scaled
-by it once per block, and cell-wise sums are multiplied by it once per
-call.  The separate value and gradient functions below are views of the
-unweighted kernel and return fresh arrays.
+The prior takes one batched Cholesky factor and no solve.
+
+A stack holds the dispersion its likelihood is taken at.  For an
+exponential family with known dispersion a, alpha times the log-likelihood
+at a is the log-likelihood at a / alpha, up to terms free of B; so the
+sampler's target is the same kernel on a stack at dispersion a / alpha,
+plus the prior, and no separate weight is applied.  With sufficient
+statistics G and C are divided by the dispersion once, when the stack is
+built; cell-wise, the sum and X^T S are divided by it once per call.  The
+sampler checks its start once and then calls the unchecked target
+``_target``.  The value and gradient functions below return fresh arrays.
 
 ``run_chains`` advances many chains together over an (R, p, q) state: a
 study makes one sampler call for the replicates of all its cells, each
@@ -32,7 +37,7 @@ uniform as a raw word of its PCG64 stream, the value ``Generator.random()``
 would return.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,84 +108,78 @@ class Chain:
 @dataclass(frozen=True)
 class DataStack:
     """What the likelihood kernel reads: the responses of R datasets of one
-    family, unchecked against its support (the KL projection passes means).
-    Cell-wise, the datasets share the design X.  Where the family has
-    sufficient statistics, G_r = X_r^T X_r and C_r = X_r^T Y_r stand in for
-    X and Y, so the designs may differ.  The sampler's stack
-    (``_sampler_stack``) carries the weight alpha / a of its target: G and
-    C are scaled by it, or else ``weight`` holds it."""
+    family, unchecked against its support (the KL projection passes means),
+    and the dispersion the likelihood is taken at, the family's a unless
+    given.  Cell-wise, the datasets share the design X.  Where the family
+    has sufficient statistics, G_r / d and C_r / d, with G_r = X_r^T X_r,
+    C_r = X_r^T Y_r and d the dispersion, stand in for X and Y, so the
+    designs may differ."""
 
     X: np.ndarray                 # (n, p); None with gram and cross
     Y: np.ndarray                 # (R, n, q) or (n, q); None with gram
     family: FamilySpec
-    gram: np.ndarray = None       # (R, p, p)
-    cross: np.ndarray = None      # (R, p, q)
-    weight: float = None          # cell-wise alpha / a on the sampler's stack
+    gram: np.ndarray = None       # (R, p, p), divided by the dispersion
+    cross: np.ndarray = None      # (R, p, q), divided by the dispersion
+    dispersion: float = None      # None -> family.a
+
+    def __post_init__(self):
+        if self.dispersion is None:
+            object.__setattr__(self, "dispersion", self.family.a)
 
 
-def stack_datasets(datasets):
-    """The kernel's view of datasets that share the family: the sufficient
-    statistics of each where the family has them, else the shared X of the
-    first and the stacked responses."""
+def stack_datasets(datasets, dispersion=None):
+    """The kernel's view of datasets that share the family, at
+    ``dispersion`` (None: the family's a; the sampler passes a / alpha):
+    the sufficient statistics of each, divided by the dispersion once,
+    where the family has them, else the shared X of the first and the
+    stacked responses."""
     spec = datasets[0].family
-    if has_sufficient_statistics(spec):
-        return DataStack(None, None, spec,
-                         np.stack([d.X.T @ d.X for d in datasets]),
-                         np.stack([d.X.T @ d.Y for d in datasets]))
-    return DataStack(datasets[0].X, np.stack([d.Y for d in datasets]), spec)
-
-
-def _sampler_stack(datasets, alpha):
-    """``stack_datasets`` weighted once by alpha / a: with sufficient
-    statistics in G and C, else in ``weight``."""
-    data = stack_datasets(datasets)
-    weight = alpha / data.family.a
-    if data.gram is None:
-        return replace(data, weight=weight)
-    return replace(data, gram=data.gram * weight, cross=data.cross * weight)
+    if not has_sufficient_statistics(spec):
+        return DataStack(datasets[0].X, np.stack([d.Y for d in datasets]),
+                         spec, dispersion=dispersion)
+    scale = spec.a if dispersion is None else dispersion
+    return DataStack(None, None, spec,
+                     np.stack([d.X.T @ d.X for d in datasets]) / scale,
+                     np.stack([d.X.T @ d.Y for d in datasets]) / scale, scale)
 
 
 def log_likelihood_and_grad(data, B):
-    """Sum of (y theta - b(theta)) / a over all cells, dropping c(y, a), and
-    its gradient X^T [(Y - b'(theta)) * dtheta/deta] / a.
+    """Sum of (y theta - b(theta)) / d over all cells, dropping c(y, d), and
+    its gradient X^T [(Y - b'(theta)) * dtheta/deta] / d, as fresh arrays,
+    at the stack's dispersion d (a bare ``Dataset``: the family's a).
 
     B is one (p, q) matrix or a stack (R, p, q); the value then has shape
-    (R,).  With sufficient statistics the value is [<B, C> - <B, G B> / 2]
-    / a and the gradient (C - G B) / a.  Cell-wise, the per-cell forms come
-    from ``families.log_likelihood_terms``, and each sum is divided by a
-    once.
+    (R,).  With sufficient statistics the value is <B, C/d> - <B, G/d B> / 2
+    and the gradient C/d - G/d B, from the stack's G/d and C/d.  Cell-wise,
+    the per-cell forms come from ``families.log_likelihood_terms``, and each
+    sum is divided by d once.
     """
-    value, grad = _sums(data, B)
-    grad /= data.family.a
-    return value / data.family.a, grad
-
-
-def _sums(data, B):
-    """a times ``log_likelihood_and_grad`` as fresh arrays, from the stack's
-    G and C as stored where it has them."""
     if getattr(data, "gram", None) is not None:
         GB = data.gram @ B
         value = (B * (data.cross - 0.5 * GB)).sum(axis=(-2, -1))
         return value, np.subtract(data.cross, GB, out=GB)
+    d = getattr(data, "dispersion", data.family.a)
     cell, slope = log_likelihood_terms(data.family, data.Y,
                                        linear_predictor(data.X, B))
-    return cell.sum(axis=(-2, -1)), data.X.T @ slope
+    grad = data.X.T @ slope
+    grad /= d
+    return cell.sum(axis=(-2, -1)) / d, grad
 
 
 def fisher_information(data, B):
     """Expected information of ``log_likelihood_and_grad`` per column of B,
-    X^T diag(b''(theta) (d theta / d eta)^2) X / a over the cells of column
-    j, of shape (..., q, p, p) for B of shape (..., p, q).  Clipped cells
-    add nothing.  With sufficient statistics it is G / a for every column.
-    For a canonical link on unclipped cells it is minus the Hessian of the
-    log-likelihood."""
+    X^T diag(b''(theta) (d theta / d eta)^2) X / d over the cells of column
+    j, of shape (..., q, p, p) for B of shape (..., p, q), at the same
+    dispersion d.  Clipped cells add nothing.  With sufficient statistics
+    it is the stack's G / d for every column.  For a canonical link on
+    unclipped cells it is minus the Hessian of the log-likelihood."""
     spec = data.family
     if getattr(data, "gram", None) is not None:
         R, p = data.gram.shape[:2]
-        return np.broadcast_to(data.gram[:, None] / spec.a,
-                               (R, B.shape[-1], p, p))
+        return np.broadcast_to(data.gram[:, None], (R, B.shape[-1], p, p))
     theta, dtheta = link_terms(spec, linear_predictor(data.X, B))
-    weight = b_second(spec, theta) * dtheta ** 2 / spec.a
+    d = getattr(data, "dispersion", spec.a)
+    weight = b_second(spec, theta) * dtheta ** 2 / d
     weighted = np.swapaxes(weight, -1, -2)[..., None] * data.X
     return np.swapaxes(weighted, -1, -2) @ data.X
 
@@ -188,7 +187,8 @@ def fisher_information(data, B):
 def value_and_grad(data, B, prior_cfg, alpha):
     """alpha * log-likelihood + log-prior and its gradient (alpha = 1 allowed
     for diagnostics), for one matrix or a stack as in
-    ``log_likelihood_and_grad``."""
+    ``log_likelihood_and_grad``, on a stack at the family's dispersion a:
+    the checked reference for ``_target``."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     B, prior = checked_stack(B, prior_cfg)
@@ -198,13 +198,10 @@ def value_and_grad(data, B, prior_cfg, alpha):
 
 
 def _target(data, B, prior):
-    """``value_and_grad`` without its checks, on the sampler's stack and a
-    PriorStack for B: the weighted likelihood's fresh sums, with the prior
-    added in place."""
-    value, grad = _sums(data, B)
-    if data.weight is not None:
-        value *= data.weight
-        grad *= data.weight
+    """``value_and_grad`` without its checks, on a stack at dispersion
+    a / alpha and a PriorStack for B: the likelihood's fresh arrays, with
+    the prior added in place."""
+    value, grad = log_likelihood_and_grad(data, B)
     prior_value, prior_grad = stack_log_prior_and_grad(B, prior)
     value += prior_value
     grad += prior_grad
@@ -270,8 +267,8 @@ def run_chains(datasets, prior_cfgs, frac_cfgs):
 
     A likelihood with sufficient statistics runs as one block across
     designs.  Cell-wise likelihoods run in blocks of consecutive datasets
-    with equal X, each of at most BLOCK_CELLS cells.  Each block allocates
-    its step buffers once, weights the likelihood by alpha / a once, and
+    with equal X, each of at most BLOCK_CELLS cells.  Each block stacks its
+    datasets at dispersion a / alpha, allocates its step buffers once, and
     draws a chain's uniform from the raw words of its stream, only for a
     proposal whose log-ratio is finite, in chain order.  Chain r is
     bit-identical to its one-chain run.
@@ -316,7 +313,7 @@ def _mala(datasets, prior_cfgs, cfgs, first):
     ``Generator.random()`` is the next raw word's top 53 bits times 2^-53,
     so a uniform is drawn as a raw word."""
     cfg = cfgs[0]
-    data = _sampler_stack(datasets, cfg.alpha)
+    data = stack_datasets(datasets, datasets[0].family.a / cfg.alpha)
     R, p, q = len(cfgs), datasets[0].p, datasets[0].q
     B = np.array([np.zeros((p, q)) if c.init is None else c.init
                   for c in cfgs], dtype=float)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -964,6 +965,62 @@ class TestStartUp:
         loaded = self.scipy_modules_after(
             f"from frrr.cli import main\nassert main({argv!r}) == 0\n")
         assert not [m for m in loaded if m.startswith("scipy.optimize")]
+
+
+class TestEmptyInputs:
+    """A CSV input with no data row exits 3, naming the file, and lets no
+    NumPy warning through."""
+
+    @staticmethod
+    def run_quietly(argv, capsys):
+        """Exit code, stderr and the UserWarnings raised by ``main``."""
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        return code, capsys.readouterr().err, [
+            w for w in caught if issubclass(w.category, UserWarning)]
+
+    def test_empty_design_for_fit(self, tmp_path, capsys):
+        data = run_generate(tmp_path)
+        (data / "X.csv").write_text("")
+        cfg = write_ini(tmp_path / "f.ini",
+                        FIT.format(data=data, out=tmp_path / "fit"))
+        code, err, caught = self.run_quietly(["fit", cfg], capsys)
+        assert code == EXIT_DATA and caught == []
+        assert "X.csv holds no data row" in err
+        assert "UserWarning" not in err
+
+    def test_header_only_sidecar_for_summarize(self, tmp_path, capsys):
+        data = run_generate(tmp_path)
+        out = tmp_path / "fit"
+        cfg = write_ini(tmp_path / "f.ini", FIT.format(data=data, out=out))
+        assert main(["fit", cfg]) == 0
+        (out / "chain.bin.csv").write_text("step,log_post,accepted\n")
+        scfg = write_ini(tmp_path / "s.ini", (
+            f"[data]\nchain_file = {out / 'chain.bin'}\n"
+            f"[output]\ndir = {tmp_path / 'sum'}\n"))
+        code, err, caught = self.run_quietly(["summarize", scfg], capsys)
+        assert code == EXIT_DATA and caught == []
+        assert "chain.bin.csv holds no data row" in err
+        assert "UserWarning" not in err
+        assert not (tmp_path / "sum" / "summary.json").exists()
+
+    def test_one_empty_parameter_file_for_divergence(self, tmp_path,
+                                                     capsys):
+        """An empty theta file next to a non-empty zeta file is reported
+        as empty, not as a shape mismatch."""
+        th, ze = tmp_path / "th.csv", tmp_path / "ze.csv"
+        th.write_text("")
+        np.savetxt(ze, [[0.3, 0.1]], delimiter=",")
+        cfg = write_ini(tmp_path / "d.ini", (
+            "[family]\nfamily = gaussian\n"
+            f"[divergence]\ntheta_file = {th}\nzeta_file = {ze}\n"
+            f"[output]\ndir = {tmp_path / 'div'}\n"))
+        code, err, caught = self.run_quietly(["divergence", cfg], capsys)
+        assert code == EXIT_DATA and caught == []
+        assert "th.csv holds no data row" in err
+        assert "UserWarning" not in err and "differ" not in err
 
 
 class TestFileBoundary:

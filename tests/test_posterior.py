@@ -18,7 +18,9 @@ from frrr.posterior import (Chain, DataStack, FractionalConfig,
                             posterior_mean, run_chains, run_sampler,
                             stack_datasets, value_and_grad)
 from frrr.cli import load_chain, save_chain
+from frrr.experiments import likelihood_ridge_fit
 from frrr.prior import PriorConfig
+from frrr.simulate import SyntheticTruth, generate_dataset
 
 from conftest import bounded_specs, central_diff, default_specs
 
@@ -352,20 +354,75 @@ class TestBatchedSampler:
         FamilySpec("gaussian", a=2.5), FamilySpec("bernoulli_probit")],
         ids=["gaussian_sufficient_a2.5", "bernoulli_probit_closed"])
     def test_weighted_target_is_the_fractional_posterior(self, spec, rng):
-        """The sampler's stack applies alpha / a once, in G and C or in its
-        weight; its target is alpha * log-likelihood + log-prior."""
+        """The sampler's stack is the likelihood at dispersion a / alpha;
+        its target is alpha * log-likelihood + log-prior at a."""
         data, _ = make_data(spec, 200, 4, 3, rng)
         datasets = [data, Dataset(X=data.X, Y=data.Y[::-1], family=spec)]
         prior = frrr.prior.stack_priors(
             [PriorConfig(tau=t, p=4, q=3) for t in (0.5, 0.2)])
         B = rng.standard_normal((2, 4, 3))
         value, grad = frrr.posterior._target(
-            frrr.posterior._sampler_stack(datasets, 0.3), B, prior)
+            stack_datasets(datasets, spec.a / 0.3), B, prior)
         ref_value, ref_grad = value_and_grad(stack_datasets(datasets), B,
                                              prior, 0.3)
         assert np.all(np.abs(value - ref_value) <= 1e-14 * np.abs(ref_value))
         for g, ref in zip(grad, ref_grad):
             assert np.linalg.norm(g - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("gaussian"), FamilySpec("bernoulli_probit")],
+        ids=["gaussian_sufficient", "bernoulli_probit_unclipped"])
+    def test_stack_at_a_power_of_two_dispersion_is_exact(self, spec, rng):
+        """At alpha = 0.5 and a = 1, a / alpha = 2 is a power of two, so the
+        stack at a / alpha gives exactly alpha times the value and the
+        gradient of the stack at a."""
+        data, _ = make_data(spec, 200, 4, 3, rng)
+        datasets = [data, Dataset(X=data.X, Y=data.Y[::-1], family=spec)]
+        B = rng.standard_normal((2, 4, 3))
+        value, grad = log_likelihood_and_grad(
+            stack_datasets(datasets, 2.0), B)
+        ref_value, ref_grad = log_likelihood_and_grad(
+            stack_datasets(datasets), B)
+        assert np.array_equal(value, 0.5 * ref_value)
+        assert np.array_equal(grad, 0.5 * ref_grad)
+
+    def test_sampler_matches_a_grid_reference_at_dispersion_three(self):
+        """Gaussian, (p, q) = (2, 1), n = 200, tau = 0.01, alpha = 0.5 and
+        a = 1.5, so the sampler runs at dispersion a / alpha = 3, not a
+        power of two.  The reference posterior mean sums the closed-form
+        density (alpha / a)(b^T X^T y - b^T X^T X b / 2) - (5/2) log(tau^2
+        + |b|^2) over a grid of spacing tau / 4 that holds b = 0; the mean
+        of 8 chains from the ridge fit must lie within 4 between-chain
+        standard errors of it, per entry.  The rank-1 truth is large enough
+        that the likelihood, whose dispersion is under test, sets the
+        posterior: the prior's spike at 0 holds no mass."""
+        n, tau, alpha, chains = 200, 0.01, 0.5, 8
+        spec = FamilySpec("gaussian", a=1.5)
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((n, 2))
+        b0 = np.array([[1.25], [0.0]])
+        data = generate_dataset(X, SyntheticTruth(b0, 1, 1.25), spec, rng)
+        G, c = X.T @ X, X.T @ data.Y[:, 0]
+        h = tau / 4
+        b1, b2 = np.meshgrid(np.arange(-0.5, 2.5 + h / 2, h),
+                             np.arange(-1.0, 1.0 + h / 2, h), indexing="ij")
+        log_density = alpha / spec.a * (
+            b1 * c[0] + b2 * c[1] - 0.5 * (G[0, 0] * b1 ** 2
+                                           + 2.0 * G[0, 1] * b1 * b2
+                                           + G[1, 1] * b2 ** 2)) \
+            - 2.5 * np.log(tau ** 2 + b1 ** 2 + b2 ** 2)
+        w = np.exp(log_density - log_density.max())
+        w /= w.sum()
+        assert w[b1 ** 2 + b2 ** 2 < 0.1 ** 2].sum() < 1e-6
+        reference = np.array([(w * b1).sum(), (w * b2).sum()])
+
+        start = likelihood_ridge_fit([data])[0]
+        means = np.array([posterior_mean(chain)[:, 0] for chain in run_chains(
+            [data] * chains, [PriorConfig(tau=tau, p=2, q=1)] * chains,
+            [FractionalConfig(alpha=alpha, n_steps=20000, seed=s, init=start)
+             for s in range(chains)])])
+        se = means.std(axis=0, ddof=1) / np.sqrt(chains)
+        assert np.all(np.abs(means.mean(axis=0) - reference) <= 4.0 * se)
 
     def test_rejects_incompatible_chains(self, rng):
         spec = FamilySpec("gaussian")
