@@ -44,7 +44,8 @@ import numpy as np
 from .families import (FamilySpec, b_second, family_bounds,
                        has_sufficient_statistics, linear_predictor,
                        link_terms, log_likelihood_terms, theta_from_eta)
-from .prior import checked_stack, stack_log_prior_and_grad, stack_priors
+from .prior import (checked_stack, log_prior_and_grad,
+                    stack_log_prior_and_grad, stack_priors)
 
 LOG_POST_FLOOR = -1e12        # a lower log-posterior is a diverged chain
 # Largest n * q * chains that one block of the cell-wise kernel holds: a
@@ -191,9 +192,8 @@ def value_and_grad(data, B, prior_cfg, alpha):
     the checked reference for ``_target``."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    B, prior = checked_stack(B, prior_cfg)
-    lik, lik_grad = log_likelihood_and_grad(data, B)
-    value, grad = stack_log_prior_and_grad(B, prior)
+    value, grad = log_prior_and_grad(B, prior_cfg)
+    lik, lik_grad = log_likelihood_and_grad(data, np.asarray(B, dtype=float))
     return alpha * lik + value, alpha * lik_grad + grad
 
 
@@ -326,7 +326,6 @@ def _mala(datasets, prior_cfgs, cfgs, first):
         c.step_size if c.step_size is not None else
         default_step_size(d, pc, cfg.alpha, b)
         for c, d, pc, b in zip(cfgs, datasets, prior_cfgs, B)])
-    value, grad = _target(data, B, prior)
 
     kept = range(cfg.burn_in, cfg.n_steps, cfg.thin)
     samples = np.empty((R, len(kept), p, q))
@@ -334,15 +333,19 @@ def _mala(datasets, prior_cfgs, cfgs, first):
     flags = np.empty((R, len(kept)), dtype=bool)
     fwd, prop, bwd, drift = (np.empty((R, p, q)) for _ in range(4))
     noise = list(fwd)             # each chain's view, made once
+    fwd_flat = fwd.reshape(R, p * q)
+    log_ratio = np.empty(R)
     n_acc = np.zeros(R, dtype=int)
     n_acc_kept = np.zeros(R, dtype=int)
     window = min(TUNE_WINDOW, cfg.burn_in)
     window_acc = np.zeros(R, dtype=int)
 
-    _check_floor(value, None, first)
     g = gamma[:, None, None]
     scale = np.sqrt(2.0 * g)
+    four_gamma = 4.0 * gamma
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value, grad = _target(data, B, prior)
+        _check_floor(value, None, first)
         for step in range(cfg.n_steps):
             for rng, z in zip(rngs, noise):
                 rng.standard_normal(out=z)
@@ -359,8 +362,10 @@ def _mala(datasets, prior_cfgs, cfgs, first):
             np.square(fwd, out=fwd)
             np.square(bwd, out=bwd)
             fwd -= bwd
-            log_ratio = prop_value - value + (
-                fwd.sum(axis=(1, 2)) / (4.0 * gamma))
+            np.subtract(prop_value, value, out=log_ratio)
+            sums = fwd_flat.sum(axis=1)
+            sums /= four_gamma
+            log_ratio += sums
             # a non-finite entry of the proposal (through bwd), value or
             # gradient makes log_ratio non-finite; a uniform is drawn only
             # for a proposal that can be accepted
@@ -388,6 +393,7 @@ def _mala(datasets, prior_cfgs, cfgs, first):
                                      np.where(rate < 0.4, 0.5 * gamma, gamma))
                     g = gamma[:, None, None]
                     scale = np.sqrt(2.0 * g)
+                    four_gamma = 4.0 * gamma
                     window_acc[:] = 0
             else:
                 n_acc_kept += accepted

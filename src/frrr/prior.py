@@ -2,13 +2,24 @@
 
 The unnormalized log-density is -((p+q+2)/2) log det(tau^2 I_p + B B^T),
 which is a scaled Student density on each singular value and therefore
-shrinks most singular values toward zero.  Its value and gradient come
-from one batched Cholesky factor per evaluation, with no solve.
+shrinks most singular values toward zero.
+
+Its value and gradient come from one batched Cholesky factor per
+evaluation, with no solve.  A run allocates the factor once, in its
+``PriorStack``, and the kernel writes it with one call of the LAPACK gufunc
+``numpy.linalg._umath_linalg.cholesky_lo``, the one ``np.linalg.cholesky``
+wraps, skipping that wrapper's per-call checks and fresh output.  The
+gufunc sets a matrix it cannot factor to NaN, raises the floating-point
+invalid flag and leaves the other matrices of the stack alone, so a failed
+factor costs only its own matrix.  The unchecked kernel returns its
+non-finite value as it is; the checked ``log_prior_and_grad`` ignores the
+invalid and overflow flags and maps a non-finite value to NaN.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # the presets that tau_preset computes from a theorem's prescription
 THEOREM_PRESETS = ("theorem1", "theorem3", "misspecified")
@@ -30,12 +41,14 @@ def tau_preset(preset, n, p, q, a, x_frob):
 
 
 def check_tau(tau):
-    """ValueError unless tau is positive with a finite, nonzero square:
-    tau^2 enters the Gram diagonal and 2 / tau^2 the prior's workspace, so
-    a square that underflows to 0 or overflows gives a NaN prior at B = 0."""
-    if not (tau > 0 and 0 < tau * tau < np.inf):
+    """ValueError unless tau is positive with a finite, nonzero square and
+    2 / tau^2 finite: tau^2 enters the Gram diagonal and 2 / tau^2 the
+    prior's workspace, so a square that underflows to 0 or overflows, or
+    one so small that 2 / tau^2 overflows, gives a NaN prior at B = 0."""
+    t = float(tau)            # a Python float overflows without a warning
+    if not (t > 0 and 0 < t * t < np.inf and 2.0 / (t * t) < np.inf):
         raise ValueError(f"tau must be positive with a finite, nonzero "
-                         f"square, not {tau!r}")
+                         f"square and 2 / tau^2 finite, not {tau!r}")
 
 
 @dataclass(frozen=True)
@@ -54,28 +67,42 @@ class PriorConfig:
 class PriorStack:
     """The priors of R matrices on one (p, q), one tau each, and what a run
     computes once: tau^2, half the p > q log-determinant term, (p - q) log
-    tau, and the workspace that each ``stack_log_prior_and_grad``
-    overwrites, with views of its Gram block M and of M's diagonal."""
+    tau, and the buffers that each ``stack_log_prior_and_grad`` overwrites.
+    With k = min(p, q) and m = max(p, q) these are the matrix it factors,
+    with views of its Gram block M and of M's diagonal; the factor, with
+    views of its top-left diagonal and of its lower-left block C =
+    chol(M)^{-T}; and the log of that diagonal, half the log-determinant
+    and C^T W."""
 
     p: int
     q: int
     tau_sq: np.ndarray            # (R,)
     half_logdet_shift: np.ndarray  # (R,)
-    work: np.ndarray              # (R, 2k, 2k), k = min(p, q)
+    work: np.ndarray              # (R, 2k, 2k)
     gram: np.ndarray              # (R, k, k) view of work
     gram_diag: np.ndarray         # (R, k) view of work
+    factor: np.ndarray            # (R, 2k, 2k)
+    factor_diag: np.ndarray       # (R, k) view of factor
+    lower: np.ndarray             # (R, k, k) view of factor, C
+    log_diag: np.ndarray          # (R, k)
+    half_logdet: np.ndarray       # (R,)
+    ctw: np.ndarray               # (R, k, m), C^T W
 
 
 def stack_priors(cfgs):
     """The PriorStack of a list of PriorConfig that share p and q."""
     p, q = cfgs[0].p, cfgs[0].q
-    k, tau_sq = min(p, q), np.array([c.tau ** 2 for c in cfgs])
-    work = np.zeros((len(cfgs), 2 * k, 2 * k))
+    R, k, tau_sq = len(cfgs), min(p, q), np.array([c.tau ** 2 for c in cfgs])
+    work = np.zeros((R, 2 * k, 2 * k))
     work[:, :k, k:] = work[:, k:, :k] = np.eye(k)
     work[:, k:, k:] = np.eye(k) * (2.0 / tau_sq[:, None, None])
+    factor = np.zeros_like(work)
     return PriorStack(p, q, tau_sq,
-                      np.array([(p - q) * np.log(c.tau) for c in cfgs]), work,
-                      work[:, :k, :k], _diagonal(work, k))
+                      np.array([(p - q) * np.log(c.tau) for c in cfgs]),
+                      work, work[:, :k, :k], _diagonal(work, k), factor,
+                      _diagonal(factor, k), factor[:, k:, :k],
+                      np.empty((R, k)), np.empty(R),
+                      np.empty((R, k, max(p, q))))
 
 
 def _diagonal(F, k):
@@ -105,48 +132,43 @@ def log_prior_and_grad(B, cfg):
     """Unnormalized log-density of the spectral scaled Student prior and its
     gradient -(p+q+2) (tau^2 I_p + B B^T)^{-1} B, for one (p, q) matrix or a
     stack (..., p, q) of them.  ``cfg`` is one PriorConfig for every matrix,
-    or a PriorStack with one tau per matrix of an (R, p, q) stack."""
-    return stack_log_prior_and_grad(*checked_stack(B, cfg))
+    or a PriorStack with one tau per matrix of an (R, p, q) stack.  A matrix
+    whose factor fails, far out in the tails, gets a NaN value, without a
+    warning."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        value, grad = stack_log_prior_and_grad(*checked_stack(B, cfg))
+    return np.where(np.isfinite(value), value, np.nan)[()], grad
 
 
 def stack_log_prior_and_grad(B, prior):
-    """``log_prior_and_grad`` unchecked, for B and its PriorStack.  With W
-    = B on the smaller Gram side and M = tau^2 I + W W^T, one Cholesky
-    factor of [[M, I], [I, (2 / tau^2) I]] gives both pieces: its top-left
-    block is chol(M), and its lower-left block C = chol(M)^{-T} makes M^{-1}
-    W = C (C^T W).  The factor exists whenever chol(M) does, as the Schur
-    complement (2 / tau^2) I - M^{-1} is at least I / tau^2.  A Gram matrix
-    that overflows or is not numerically positive definite, far out in the
-    tails, gets a NaN value rather than stopping the other matrices."""
-    p, q, k = prior.p, prior.q, min(prior.p, prior.q)
+    """``log_prior_and_grad`` unchecked, for B and its PriorStack, as fresh
+    arrays.  With W = B on the smaller Gram side and M = tau^2 I + W W^T,
+    one Cholesky factor of [[M, I], [I, (2 / tau^2) I]] gives both pieces:
+    its top-left block is chol(M), and its lower-left block C = chol(M)^{-T}
+    makes M^{-1} W = C (C^T W).  The factor exists whenever chol(M) does, as
+    the Schur complement (2 / tau^2) I - M^{-1} is at least I / tau^2.  The
+    factor is written into the stack's buffer by one gufunc call, and the
+    log-determinant and C^T W fill theirs.  A Gram matrix that overflows or
+    is not numerically positive definite gets a non-finite value, and raises
+    the invalid or overflow flag, without touching the other matrices."""
+    p, q = prior.p, prior.q
     W = B.reshape(-1, p, q)
     if p > q:
         W = W.transpose(0, 2, 1)
     np.matmul(W, W.transpose(0, 2, 1), out=prior.gram)
     np.add(prior.gram_diag, prior.tau_sq[:, None], out=prior.gram_diag)
-    F = _cholesky(prior.work)
-    half_logdet = np.log(_diagonal(F, k)).sum(axis=1)
+    _umath_linalg.cholesky_lo(prior.work, out=prior.factor)
+    np.log(prior.factor_diag, out=prior.log_diag)
+    half_logdet = np.sum(prior.log_diag, axis=1, out=prior.half_logdet)
     if p > q:
         half_logdet += prior.half_logdet_shift
-    value = np.where(np.isfinite(half_logdet), -(p + q + 2) * half_logdet,
-                     np.nan)
-    C = F[:, k:, :k]
-    grad = C @ (C.transpose(0, 2, 1) @ W)
+    value = -(p + q + 2) * half_logdet
+    C = prior.lower
+    grad = C @ np.matmul(C.transpose(0, 2, 1), W, out=prior.ctw)
     grad *= -(p + q + 2)
     if p > q:
         grad = grad.transpose(0, 2, 1)
     return value.reshape(B.shape[:-2])[()], grad.reshape(B.shape)
-
-
-def _cholesky(M):
-    """Lower Cholesky factors of a stack of matrices, NaN for one that is
-    not numerically positive definite.  NumPy factors a matrix with
-    infinite entries into non-finite entries, without raising."""
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return np.array([_cholesky(m) for m in M]) if M.ndim > 2 \
-            else np.full_like(M, np.nan)
 
 
 def log_prior(B, cfg):

@@ -33,6 +33,45 @@ def make_data(fam_spec, n, p, q, rng, b_scale=0.5):
     return generate_dataset(X, truth, fam_spec, rng), B0
 
 
+def assert_sampler_matches_a_grid_mean(b0, seed):
+    """The mean of 8 chains of 20k steps from the ridge fit lies within 4
+    between-chain standard errors of the grid posterior mean, per entry, for
+    a gaussian fit with a = 1.5 at alpha = 0.5, tau = 0.01 and n = 200 on
+    the rank-1 truth b0 with two entries, (2, 1) or (1, 2).  With B = b1
+    E1 + b2 E2, the closed-form density is summed over a grid of spacing
+    tau / 4 that holds b = 0, and its mass near b = 0 must be negligible."""
+    n, tau, alpha, chains = 200, 0.01, 0.5, 8
+    p, q = b0.shape
+    spec = FamilySpec("gaussian", a=1.5)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    data = generate_dataset(X, SyntheticTruth(b0, 1, 1.25), spec, rng)
+    E = np.eye(2).reshape(2, p, q)
+    G, C = X.T @ X, X.T @ data.Y
+    c = np.array([(e * C).sum() for e in E])
+    Q = np.array([[(e * (G @ f)).sum() for f in E] for e in E])
+    h = tau / 4
+    b1, b2 = np.meshgrid(np.arange(-0.5, 2.5 + h / 2, h),
+                         np.arange(-1.0, 1.0 + h / 2, h), indexing="ij")
+    log_density = alpha / spec.a * (
+        b1 * c[0] + b2 * c[1] - 0.5 * (Q[0, 0] * b1 ** 2
+                                       + 2.0 * Q[0, 1] * b1 * b2
+                                       + Q[1, 1] * b2 ** 2)) \
+        - 2.5 * np.log(tau ** 2 + b1 ** 2 + b2 ** 2)
+    w = np.exp(log_density - log_density.max())
+    w /= w.sum()
+    assert w[b1 ** 2 + b2 ** 2 < 0.1 ** 2].sum() < 1e-6
+    reference = np.array([(w * b1).sum(), (w * b2).sum()])
+
+    start = likelihood_ridge_fit([data])[0]
+    means = np.array([posterior_mean(chain).ravel() for chain in run_chains(
+        [data] * chains, [PriorConfig(tau=tau, p=p, q=q)] * chains,
+        [FractionalConfig(alpha=alpha, n_steps=20000, seed=s, init=start)
+         for s in range(chains)])])
+    se = means.std(axis=0, ddof=1) / np.sqrt(chains)
+    assert np.all(np.abs(means.mean(axis=0) - reference) <= 4.0 * se)
+
+
 class TestLogLikelihood:
     def test_empty_dataset(self):
         spec = FamilySpec("gaussian")
@@ -396,33 +435,14 @@ class TestBatchedSampler:
         standard errors of it, per entry.  The rank-1 truth is large enough
         that the likelihood, whose dispersion is under test, sets the
         posterior: the prior's spike at 0 holds no mass."""
-        n, tau, alpha, chains = 200, 0.01, 0.5, 8
-        spec = FamilySpec("gaussian", a=1.5)
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((n, 2))
-        b0 = np.array([[1.25], [0.0]])
-        data = generate_dataset(X, SyntheticTruth(b0, 1, 1.25), spec, rng)
-        G, c = X.T @ X, X.T @ data.Y[:, 0]
-        h = tau / 4
-        b1, b2 = np.meshgrid(np.arange(-0.5, 2.5 + h / 2, h),
-                             np.arange(-1.0, 1.0 + h / 2, h), indexing="ij")
-        log_density = alpha / spec.a * (
-            b1 * c[0] + b2 * c[1] - 0.5 * (G[0, 0] * b1 ** 2
-                                           + 2.0 * G[0, 1] * b1 * b2
-                                           + G[1, 1] * b2 ** 2)) \
-            - 2.5 * np.log(tau ** 2 + b1 ** 2 + b2 ** 2)
-        w = np.exp(log_density - log_density.max())
-        w /= w.sum()
-        assert w[b1 ** 2 + b2 ** 2 < 0.1 ** 2].sum() < 1e-6
-        reference = np.array([(w * b1).sum(), (w * b2).sum()])
+        assert_sampler_matches_a_grid_mean(np.array([[1.25], [0.0]]), 11)
 
-        start = likelihood_ridge_fit([data])[0]
-        means = np.array([posterior_mean(chain)[:, 0] for chain in run_chains(
-            [data] * chains, [PriorConfig(tau=tau, p=2, q=1)] * chains,
-            [FractionalConfig(alpha=alpha, n_steps=20000, seed=s, init=start)
-             for s in range(chains)])])
-        se = means.std(axis=0, ddof=1) / np.sqrt(chains)
-        assert np.all(np.abs(means.mean(axis=0) - reference) <= 4.0 * se)
+    def test_sampler_matches_a_grid_reference_with_p_below_q(self):
+        """The same reference at (p, q) = (1, 2), where the prior's Gram
+        matrix is taken on the row side, B B^T: the density is again
+        (alpha / a)(<B, X^T Y> - <B, X^T X B> / 2) - (5/2) log(tau^2 +
+        |B|^2)."""
+        assert_sampler_matches_a_grid_mean(np.array([[1.25, 0.0]]), 11)
 
     def test_rejects_incompatible_chains(self, rng):
         spec = FamilySpec("gaussian")

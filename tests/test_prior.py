@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
+import frrr.prior
 from frrr.prior import (PriorConfig, grad_log_prior, log_prior,
-                        log_prior_and_grad, sample_prior, stack_priors,
-                        tau_preset)
+                        log_prior_and_grad, sample_prior,
+                        stack_log_prior_and_grad, stack_priors, tau_preset)
 
 from conftest import central_diff
 
@@ -73,10 +75,12 @@ class TestLogPrior:
         with pytest.raises(ValueError):
             log_prior(np.full((2, 2), np.nan), cfg)
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, 1e-200, 1e155,
-                                     np.inf])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, 1e-200, 1e-155,
+                                     1e-154, 1e155, np.inf])
     def test_config_needs_a_finite_nonzero_tau_square(self, tau):
-        """tau^2 = 0 (tau = 1e-200) or inf would give a NaN prior at B = 0."""
+        """tau^2 = 0 (tau = 1e-200) or inf would give a NaN prior at B = 0,
+        and so would a nonzero tau^2 whose 2 / tau^2 overflows (tau = 1e-155,
+        a subnormal square, or 1e-154)."""
         with pytest.raises(ValueError, match="tau must be positive"):
             PriorConfig(tau=tau, p=2, q=2)
 
@@ -179,18 +183,34 @@ class TestPriorKernel:
             v, g = log_prior_and_grad(B[r], PriorConfig(0.5, *shape))
             assert value[r] == v and np.array_equal(grad[r], g)
 
-    def test_one_cholesky_and_no_solve(self, rng, monkeypatch):
-        calls = []
-        cholesky = np.linalg.cholesky
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_outputs_are_fresh(self, shape, rng):
+        """A second call of the unchecked kernel on the same PriorStack
+        leaves the value and the gradient of the first as they were: only
+        the buffers are shared.  The sampler keeps the current value while
+        it evaluates a proposal."""
+        B1, stack = self.stack(rng, shape, [0.05, 0.3, 1.0])
+        value, grad = stack_log_prior_and_grad(B1, stack)
+        kept = value.copy(), grad.copy()
+        stack_log_prior_and_grad(3.0 * rng.standard_normal(B1.shape), stack)
+        assert np.array_equal(value, kept[0])
+        assert np.array_equal(grad, kept[1])
 
-        def counted(M):
+    def test_one_cholesky_and_no_solve(self, rng, monkeypatch):
+        """One call of the factor gufunc per evaluation, which
+        np.linalg.cholesky would also go through, and no solve or
+        inverse."""
+        calls = []
+        cholesky_lo = _umath_linalg.cholesky_lo
+
+        def counted(M, **kwargs):
             calls.append(M.shape)
-            return cholesky(M)
+            return cholesky_lo(M, **kwargs)
 
         def forbidden(*args):
             raise AssertionError("the prior solved a system")
 
-        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        monkeypatch.setattr(frrr.prior._umath_linalg, "cholesky_lo", counted)
         monkeypatch.setattr(np.linalg, "solve", forbidden)
         monkeypatch.setattr(np.linalg, "inv", forbidden)
         B, stack = self.stack(rng, (8, 6), np.linspace(0.1, 1.0, 30))
@@ -203,6 +223,38 @@ class TestPriorKernel:
             log_prior_and_grad(B[:1], stack)
         with pytest.raises(ValueError, match="0 matrices for 1 priors"):
             log_prior_and_grad(B[:0], PriorConfig(0.5, 3, 2))
+
+
+class TestCholeskyGufunc:
+    """The contract of numpy.linalg._umath_linalg.cholesky_lo that the
+    kernel relies on; a NumPy that changes it fails here."""
+
+    @staticmethod
+    def spd_stack(rng):
+        A = rng.standard_normal((30, 12, 12))
+        return A @ A.transpose(0, 2, 1) + 0.1 * np.eye(12)
+
+    def test_out_matches_np_linalg_cholesky(self, rng):
+        M = self.spd_stack(rng)
+        out = np.full_like(M, 7.0)
+        assert _umath_linalg.cholesky_lo(M, out=out) is out
+        assert np.array_equal(out, np.linalg.cholesky(M))
+
+    def test_failed_matrix_is_nan_and_the_others_are_kept(self, rng):
+        M = self.spd_stack(rng)
+        M[4] = -np.eye(12)
+        out = np.empty_like(M)
+        with np.errstate(invalid="ignore"):
+            _umath_linalg.cholesky_lo(M, out=out)
+        assert np.isnan(out[4]).all()
+        keep = np.arange(30) != 4
+        assert np.array_equal(out[keep], np.linalg.cholesky(M[keep]))
+
+    def test_failed_matrix_raises_the_invalid_flag(self, rng):
+        M = self.spd_stack(rng)
+        M[4] = -np.eye(12)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            _umath_linalg.cholesky_lo(M, out=np.empty_like(M))
 
 
 class TestTauPresets:
