@@ -165,13 +165,6 @@ def prior_preset(cfg):
     return preset, None
 
 
-def resolve_prior(preset, tau, n, p, q, a, x_frob):
-    """The prior of a dataset: tau as given, or from a theorem preset."""
-    if tau is None:
-        tau = tau_preset(preset, n, p, q, a, x_frob)
-    return _config(PriorConfig, tau=tau, p=p, q=q)
-
-
 def _config(config_class, **fields):
     """The config object from the fields that are set, so that the class
     holds every default; a ConfigError where the class rejects a value."""
@@ -375,10 +368,13 @@ def cmd_fit(cfg):
     out = _outdir(cfg)
     try:  # a theorem preset also needs a design that is not all zeros
         data = load_dataset(dataset_dir)
-        prior_cfg = resolve_prior(preset, tau, data.n, data.p, data.q,
-                                  data.family.a, float(np.linalg.norm(data.X)))
+        if tau is None:
+            tau = tau_preset(preset, data.n, data.p, data.q, data.family.a,
+                             float(np.linalg.norm(data.X)))
     except (OSError, KeyError, ValueError, configparser.Error) as exc:
         raise DataError(f"dataset invalid: {type(exc).__name__}: {exc}")
+    # a tau too small for the dataset's (p, q) is a config error
+    prior_cfg = _config(PriorConfig, tau=tau, p=data.p, q=data.q)
     if spec is not None and spec != data.family:
         raise ConfigError(f"[family] {spec} differs from {data.family}")
     chain = run_sampler(data, prior_cfg, frac)

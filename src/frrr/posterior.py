@@ -22,7 +22,10 @@ plus the prior, and no separate weight is applied.  With sufficient
 statistics G and C are divided by the dispersion once, when the stack is
 built; cell-wise, the sum and X^T S are divided by it once per call.  The
 sampler checks its start once and then calls the unchecked target
-``_target``.  The value and gradient functions below return fresh arrays.
+``_target``.  The public value and gradient functions below return fresh
+arrays.  Cell-wise, ``_mala`` allocates a ``Workspace`` once per block and
+each ``_target`` call overwrites it: eta, X^T S, which holds the returned
+gradient, and the family's buffers of ``families.cell_buffers``.
 
 ``run_chains`` advances many chains together over an (R, p, q) state: a
 study makes one sampler call for the replicates of all its cells, each
@@ -41,16 +44,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import (FamilySpec, b_second, family_bounds,
+from .families import (FamilySpec, b_second, cell_buffers, family_bounds,
                        has_sufficient_statistics, linear_predictor,
                        link_terms, log_likelihood_terms, theta_from_eta)
 from .prior import (checked_stack, log_prior_and_grad,
                     stack_log_prior_and_grad, stack_priors)
 
 LOG_POST_FLOOR = -1e12        # a lower log-posterior is a diverged chain
-# Largest n * q * chains that one block of the cell-wise kernel holds: a
-# temporary above 128 KiB is mapped afresh on every allocation, and the page
-# faults make a wider block slower per chain than a narrower one.
+# Largest n * q * chains that one block of the cell-wise kernel holds, so
+# each n x q array of a block is at most 128 KiB.  The sampler's workspace
+# is allocated once per block, but the link pass still makes fresh arrays
+# of that size per call, and one above 128 KiB is mapped afresh on every
+# allocation; the threshold stays until a workload runs cell-wise batches.
 BLOCK_CELLS = 16384
 TUNE_WINDOW = 50              # burn-in steps between step-size updates
 
@@ -144,6 +149,33 @@ def stack_datasets(datasets, dispersion=None):
                      np.stack([d.X.T @ d.Y for d in datasets]) / scale, scale)
 
 
+@dataclass(frozen=True)
+class Workspace:
+    """The buffers of the cell-wise kernel on one stack and one shape of B,
+    overwritten by each call that is given them: eta = X B, X^T S, and the
+    family's own from ``families.cell_buffers`` (None for the link pass)."""
+
+    eta: np.ndarray               # (R, n, q)
+    xts: np.ndarray               # (R, p, q)
+    cells: tuple
+
+
+def _workspace(data, eta):
+    """The Workspace of a cell-wise stack around eta, an array of the shape
+    of X B."""
+    shape = np.broadcast_shapes(np.shape(data.Y), eta.shape)
+    return Workspace(eta, np.empty(shape[:-2] + (data.X.shape[1], shape[-1])),
+                     cell_buffers(data.family, data.Y, eta.shape))
+
+
+def _block_workspace(data, R):
+    """The Workspace of a sampler block of R chains on the stack, None with
+    sufficient statistics."""
+    if data.gram is not None:
+        return None
+    return _workspace(data, np.empty((R, data.X.shape[0], data.Y.shape[-1])))
+
+
 def log_likelihood_and_grad(data, B):
     """Sum of (y theta - b(theta)) / d over all cells, dropping c(y, d), and
     its gradient X^T [(Y - b'(theta)) * dtheta/deta] / d, as fresh arrays,
@@ -159,10 +191,17 @@ def log_likelihood_and_grad(data, B):
         GB = data.gram @ B
         value = (B * (data.cross - 0.5 * GB)).sum(axis=(-2, -1))
         return value, np.subtract(data.cross, GB, out=GB)
+    return _cellwise(data, _workspace(data, linear_predictor(data.X, B)))
+
+
+def _cellwise(data, work):
+    """The cell-wise value and gradient of ``log_likelihood_and_grad`` at
+    the eta held in ``work``, whose buffers every pass fills: the gradient
+    returned is its X^T S."""
     d = getattr(data, "dispersion", data.family.a)
-    cell, slope = log_likelihood_terms(data.family, data.Y,
-                                       linear_predictor(data.X, B))
-    grad = data.X.T @ slope
+    cell, slope = log_likelihood_terms(data.family, data.Y, work.eta,
+                                       work.cells)
+    grad = np.matmul(data.X.T, slope, out=work.xts)
     grad /= d
     return cell.sum(axis=(-2, -1)) / d, grad
 
@@ -197,11 +236,16 @@ def value_and_grad(data, B, prior_cfg, alpha):
     return alpha * lik + value, alpha * lik_grad + grad
 
 
-def _target(data, B, prior):
+def _target(data, B, prior, work):
     """``value_and_grad`` without its checks, on a stack at dispersion
-    a / alpha and a PriorStack for B: the likelihood's fresh arrays, with
-    the prior added in place."""
-    value, grad = log_likelihood_and_grad(data, B)
+    a / alpha, a PriorStack for B and the stack's Workspace (None with
+    sufficient statistics): a fresh value and, as the gradient, fresh
+    arrays or the workspace's X^T S, with the prior added in place."""
+    if work is None:
+        value, grad = log_likelihood_and_grad(data, B)
+    else:
+        np.matmul(data.X, B, out=work.eta)
+        value, grad = _cellwise(data, work)
     prior_value, prior_grad = stack_log_prior_and_grad(B, prior)
     value += prior_value
     grad += prior_grad
@@ -268,10 +312,10 @@ def run_chains(datasets, prior_cfgs, frac_cfgs):
     A likelihood with sufficient statistics runs as one block across
     designs.  Cell-wise likelihoods run in blocks of consecutive datasets
     with equal X, each of at most BLOCK_CELLS cells.  Each block stacks its
-    datasets at dispersion a / alpha, allocates its step buffers once, and
-    draws a chain's uniform from the raw words of its stream, only for a
-    proposal whose log-ratio is finite, in chain order.  Chain r is
-    bit-identical to its one-chain run.
+    datasets at dispersion a / alpha, allocates its step buffers and, cell-
+    wise, its kernel Workspace once, and draws a chain's uniform from the
+    raw words of its stream, only for a proposal whose log-ratio is finite,
+    in chain order.  Chain r is bit-identical to its one-chain run.
     """
     if not len(datasets) == len(prior_cfgs) == len(frac_cfgs) \
             or not datasets:
@@ -308,8 +352,9 @@ def _cellwise_blocks(datasets):
 
 def _mala(datasets, prior_cfgs, cfgs, first):
     """The chains of one block, whose first chain is chain ``first`` of the
-    ``run_chains`` call.  A step fills the buffers allocated here.  For
-    PCG64, the bit generator of ``np.random.default_rng``,
+    ``run_chains`` call.  A step fills the buffers allocated here; the
+    kept value and gradient are copies, so no ``_target`` call overwrites
+    them.  For PCG64, the bit generator of ``np.random.default_rng``,
     ``Generator.random()`` is the next raw word's top 53 bits times 2^-53,
     so a uniform is drawn as a raw word."""
     cfg = cfgs[0]
@@ -320,6 +365,7 @@ def _mala(datasets, prior_cfgs, cfgs, first):
     if B.shape != (R, p, q):
         raise ValueError("init matrix has the wrong shape")
     B, prior = checked_stack(B, stack_priors(prior_cfgs))
+    work = _block_workspace(data, R)
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     draws = [rng.bit_generator.random_raw for rng in rngs]
     gamma = np.array([
@@ -344,7 +390,7 @@ def _mala(datasets, prior_cfgs, cfgs, first):
     scale = np.sqrt(2.0 * g)
     four_gamma = 4.0 * gamma
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value, grad = _target(data, B, prior)
+        value, grad = (a.copy() for a in _target(data, B, prior, work))
         _check_floor(value, None, first)
         for step in range(cfg.n_steps):
             for rng, z in zip(rngs, noise):
@@ -353,7 +399,7 @@ def _mala(datasets, prior_cfgs, cfgs, first):
             np.multiply(g, grad, out=drift)
             np.add(B, drift, out=prop)
             prop += fwd
-            prop_value, prop_grad = _target(data, prop, prior)
+            prop_value, prop_grad = _target(data, prop, prior, work)
             np.subtract(B, prop, out=bwd)
             np.multiply(g, prop_grad, out=drift)
             bwd -= drift

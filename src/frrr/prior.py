@@ -61,6 +61,14 @@ class PriorConfig:
         check_tau(self.tau)
         if self.p < 1 or self.q < 1:
             raise ValueError("p and q must be positive")
+        # the prior's curvature bound in default_step_size; past it the step
+        # size 0.5 / curvature is 0 or subnormal and no proposal moves
+        curvature = (self.p + self.q + 2) / float(self.tau) ** 2
+        if not 0.5 / curvature >= np.finfo(float).tiny:
+            raise ValueError(
+                f"tau = {self.tau!r} is too small for p + q + 2 = "
+                f"{self.p + self.q + 2}: (p + q + 2) / tau^2 must be finite "
+                f"and 0.5 tau^2 / (p + q + 2) a normal double")
 
 
 @dataclass(frozen=True)

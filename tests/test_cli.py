@@ -342,16 +342,20 @@ class TestFitAndSummarize:
         ("tau_preset = theorem1",
          "tau_preset = manual\ntau_manual = 1e-155"),
         ("tau_preset = theorem1", "tau_preset = manual\ntau_manual = inf"),
+        ("tau_preset = theorem1",
+         "tau_preset = manual\ntau_manual = 2.1e-154"),
         ("family = gaussian", "family = poisson_log"),
         ("family = gaussian", "family = gaussian\na = 2"),
     ], ids=["unknown_preset", "manual_tau_0", "manual_tau_1e-200",
-            "manual_tau_1e-155", "manual_tau_inf", "family", "dispersion"])
+            "manual_tau_1e-155", "manual_tau_inf", "manual_tau_2.1e-154",
+            "family", "dispersion"])
     def test_bad_prior_or_family_is_config_error(self, tmp_path, old, new):
         """fit reads [family] and exits 2 where it differs from the
         dataset's meta.ini; a matching section (test_fit_pipeline) runs.
         A manual tau whose square underflows to 0 or overflows, or whose
         2 / tau^2 overflows (1e-155), would give a NaN prior at B = 0, so it
-        is a config error too."""
+        is a config error too, and so is one whose default step size
+        0.5 tau^2 / (p + q + 2) is subnormal (2.1e-154 at p + q + 2 = 9)."""
         data = run_generate(tmp_path)
         out = tmp_path / "fit"
         text = FIT.format(data=data, out=out)

@@ -220,6 +220,15 @@ class TestSampler:
         assert abs(default_step_size(data, cfg, 0.5, np.zeros((2, 1)))
                    - expected) < 1e-15
 
+    def test_default_step_size_is_normal_at_the_smallest_tau(self, rng):
+        """PriorConfig rejects a tau whose prior curvature bound leaves a
+        zero or subnormal step; just above that threshold the step is a
+        normal double."""
+        data, _ = make_data(FamilySpec("gaussian"), 30, 3, 2, rng)
+        step = default_step_size(data, PriorConfig(tau=5.6e-154, p=3, q=2),
+                                 0.5, np.zeros((3, 2)))
+        assert np.finfo(float).tiny <= step < 2.3e-308
+
     def test_unbounded_curvature_chain_moves(self, rng):
         """poisson_log on the whole line has c_u = inf; the step size falls
         back to b'' at the start point and the chain still moves."""
@@ -400,8 +409,9 @@ class TestBatchedSampler:
         prior = frrr.prior.stack_priors(
             [PriorConfig(tau=t, p=4, q=3) for t in (0.5, 0.2)])
         B = rng.standard_normal((2, 4, 3))
+        stack = stack_datasets(datasets, spec.a / 0.3)
         value, grad = frrr.posterior._target(
-            stack_datasets(datasets, spec.a / 0.3), B, prior)
+            stack, B, prior, frrr.posterior._block_workspace(stack, 2))
         ref_value, ref_grad = value_and_grad(stack_datasets(datasets), B,
                                              prior, 0.3)
         assert np.all(np.abs(value - ref_value) <= 1e-14 * np.abs(ref_value))
@@ -691,6 +701,117 @@ class TestCellwiseKernel:
                  for node in ast.walk(tree) if isinstance(node, ast.Constant)
                  and node.value in FAMILY_IDS]
         assert found == []
+
+
+def reference_mala(data, prior_cfg, alpha, gamma, n_steps, seed, init):
+    """One MALA chain with a fixed step, no burn-in and thin 1, on the
+    public kernel ``value_and_grad``, whose arrays are fresh, drawing from
+    its stream as ``_mala`` does: the noise, then a raw-word uniform only
+    for a finite log-ratio.  Returns the samples and their log-posterior."""
+    draws = np.random.default_rng(seed)
+    B = init
+    value, grad = value_and_grad(data, B, prior_cfg, alpha)
+    samples, log_post = [], []
+    for _ in range(n_steps):
+        fwd = draws.standard_normal(B.shape) * np.sqrt(2.0 * gamma)
+        prop = B + gamma * grad + fwd
+        prop_value, prop_grad = value_and_grad(data, prop, prior_cfg, alpha)
+        bwd = B - prop - gamma * prop_grad
+        log_ratio = prop_value - value \
+            + np.sum(fwd ** 2 - bwd ** 2) / (4.0 * gamma)
+        if np.isfinite(log_ratio) and np.log(
+                (draws.bit_generator.random_raw() >> 11) * 2.0 ** -53) \
+                < log_ratio:
+            B, value, grad = prop, prop_value, prop_grad
+        samples.append(B)
+        log_post.append(value)
+    return np.array(samples), np.array(log_post)
+
+
+class TestSamplerWorkspace:
+    """Cell-wise, ``_mala`` allocates one Workspace per block and every
+    ``_target`` call overwrites it: eta, X^T S and, for unclipped probit,
+    the held sign and the log Phi pass's buffers."""
+
+    @staticmethod
+    def far_stack(spec, R, rng, n=120, p=4, q=3):
+        """A stack on one design whose first rows are 40 times the rest, so
+        that a B of unit scale puts some probit cells below LOG_NDTR_BELOW."""
+        X = rng.standard_normal((n, p))
+        X[:12] *= 40.0
+        theta = theta_from_eta(spec, 0.1 * X @ rng.standard_normal((p, q)))
+        return stack_datasets([
+            Dataset(X=X, Y=sample_response(spec, theta, rng), family=spec)
+            for _ in range(R)], spec.a / 0.5)
+
+    @pytest.mark.parametrize("spec,R", [
+        (FamilySpec("bernoulli_probit"), 1),
+        (FamilySpec("bernoulli_probit"), 3),
+        (FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0), 3),
+        (FamilySpec("bernoulli_probit", theta_lo=-2.0, theta_hi=2.0), 3)],
+        ids=["probit_R1", "probit_R3", "clipped_logit_R3",
+             "clipped_probit_R3"])
+    def test_matches_the_fresh_kernel_call_after_call(self, spec, R, rng):
+        """One workspace through calls with and without far-tail cells
+        gives, at every call, the bits of the fresh kernel plus the prior,
+        with the gradient in the workspace's X^T S."""
+        stack = self.far_stack(spec, R, rng)
+        prior = frrr.prior.stack_priors([PriorConfig(tau=0.3, p=4, q=3)] * R)
+        work = frrr.posterior._block_workspace(stack, R)
+        assert (work.cells is None) == (spec.theta_lo > -np.inf)
+        far = rng.standard_normal((R, 4, 3))
+        sign = 2.0 * stack.Y - 1.0
+        for B in (far, 0.01 * far, -far, far):
+            value, grad = frrr.posterior._target(stack, B, prior, work)
+            assert np.shares_memory(grad, work.xts)
+            want, want_grad = log_likelihood_and_grad(stack, B)
+            prior_value, prior_grad = frrr.prior.log_prior_and_grad(B, prior)
+            want += prior_value
+            want_grad += prior_grad
+            assert np.array_equal(value, want)
+            assert np.array_equal(grad, want_grad)
+        z = sign * linear_predictor(stack.X, far)
+        assert np.any(z < LOG_NDTR_BELOW) and np.any(z > -LOG_NDTR_BELOW)
+        assert np.all(sign * linear_predictor(stack.X, 0.01 * far)
+                      > LOG_NDTR_BELOW)
+
+    def test_a_second_call_leaves_the_kept_arrays(self, rng):
+        """``_target``'s value is fresh, so a second call leaves it, while
+        its gradient is the workspace's X^T S, which the second call
+        overwrites: so ``_mala`` keeps copies."""
+        stack = self.far_stack(FamilySpec("bernoulli_probit"), 3, rng)
+        prior = frrr.prior.stack_priors([PriorConfig(tau=0.3, p=4, q=3)] * 3)
+        work = frrr.posterior._block_workspace(stack, 3)
+        B = rng.standard_normal((3, 4, 3))
+        value, grad = frrr.posterior._target(stack, B, prior, work)
+        kept_value, kept_grad = value.copy(), grad.copy()
+        frrr.posterior._target(stack, 0.5 * B, prior, work)
+        assert np.array_equal(value, kept_value)
+        assert not np.array_equal(grad, kept_grad)
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("bernoulli_probit"),
+        FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0)],
+        ids=["probit", "clipped_logit"])
+    def test_chains_of_a_block_are_the_fresh_kernel_chains(self, spec, rng):
+        """Two chains of one block, at alpha = 0.5 and a = 1 where the
+        stack at a / alpha = 2 is exact, are the reference MALA chains on
+        the fresh kernel, bit for bit: had the sampler kept an array that
+        the next ``_target`` call overwrites, a rejected proposal's
+        gradient would steer the next one."""
+        data, B0 = make_data(spec, 150, 4, 3, rng)
+        prior_cfg = PriorConfig(tau=0.3, p=4, q=3)
+        gamma, n_steps = 1e-2, 200
+        fracs = [FractionalConfig(step_size=gamma, n_steps=n_steps,
+                                  burn_in=0, thin=1, seed=seed, init=B0)
+                 for seed in (5, 6)]
+        chains = run_chains([data] * 2, [prior_cfg] * 2, fracs)
+        for chain, frac in zip(chains, fracs):
+            assert 0.2 < chain.acceptance_rate < 0.9
+            samples, log_post = reference_mala(data, prior_cfg, 0.5, gamma,
+                                               n_steps, frac.seed, B0)
+            assert np.array_equal(chain.samples, samples)
+            assert np.array_equal(chain.log_post, log_post)
 
 
 class TestPosteriorMeanAndRank:

@@ -84,6 +84,23 @@ class TestLogPrior:
         with pytest.raises(ValueError, match="tau must be positive"):
             PriorConfig(tau=tau, p=2, q=2)
 
+    @pytest.mark.parametrize("tau", [1.5e-154, 1.9e-154, 2.1e-154, 5.5e-154])
+    def test_config_needs_a_normal_default_step(self, tau):
+        """At p = 3, q = 2 the prior's curvature bound 7 / tau^2 overflows
+        below about 1.9e-154, and 0.5 tau^2 / 7 is subnormal below
+        sqrt(14 * 2.2e-308) = 5.58e-154: the default step size would be 0
+        or subnormal, and no proposal would move."""
+        with pytest.raises(ValueError, match=r"too small for p \+ q \+ 2 = 7"):
+            PriorConfig(tau=tau, p=3, q=2)
+
+    def test_smallest_taus_of_a_normal_default_step(self):
+        """Just above the threshold 0.5 tau^2 / (p + q + 2) is normal; a
+        larger p + q moves the threshold up."""
+        PriorConfig(tau=5.6e-154, p=3, q=2)
+        PriorConfig(tau=1.6e-153, p=30, q=20)
+        with pytest.raises(ValueError, match="too small"):
+            PriorConfig(tau=5.6e-154, p=30, q=20)
+
     @pytest.mark.parametrize("tau", [1e-150, 1e150])
     def test_extreme_tau_with_a_finite_square_is_finite(self, tau):
         value, grad = log_prior_and_grad(np.zeros((3, 2)),
