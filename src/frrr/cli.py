@@ -266,8 +266,8 @@ def save_chain(path, chain):
 def load_chain(path):
     """The Chain that ``save_chain`` wrote, with its acceptance rate over the
     retained steps.  A short header or sample block, a chain with no sample,
-    or a sidecar whose row count differs from the sample count, raises
-    ValueError; a missing sidecar OSError."""
+    or a sidecar that is not a table of step, log_post and accepted with
+    one row per sample, raises ValueError; a missing sidecar OSError."""
     with open(path, "rb") as fh:
         if fh.read(8) != CHAIN_MAGIC:
             raise ValueError("not a chain file")
@@ -280,7 +280,10 @@ def load_chain(path):
         raw = fh.read(8 * m * p * q)
     if len(raw) < 8 * m * p * q:
         raise ValueError(f"chain file holds fewer than {m} samples")
-    side = read_matrix(str(path) + ".csv", header=True).reshape(-1, 3)
+    side = read_matrix(str(path) + ".csv", header=True)
+    if side.shape[1] != 3:
+        raise ValueError(f"chain sidecar rows hold {side.shape[1]} values, "
+                         f"expected 3 (step, log_post, accepted)")
     if side.shape[0] != m:
         raise ValueError(f"chain sidecar has {side.shape[0]} rows, "
                          f"expected {m}")

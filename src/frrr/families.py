@@ -11,9 +11,9 @@ function, ``log_likelihood_terms``: a times each cell's log-likelihood,
 y theta - b(theta), and its eta-derivative, in one of two forms.  On the
 whole real line probit has log Phi(z) with z = (2y - 1) eta, a form that
 holds only for binary y; every other case takes the link pass
-``link_terms``.  The log Phi form writes into buffers made once by
-``cell_buffers``, which also hold the sign 2y - 1, when the caller passes
-them as ``out``; the sampler does so once per block.
+``link_terms``.  The log Phi form reads the sign 2y - 1 from
+``cell_constants``, which a caller that evaluates the same responses many
+times makes once and passes in.
 
 Both probit forms rest on one routine for the standard normal CDF Phi,
 ``log_norm_cdf_and_ratio``: one erfc pass gives h = Phi(-|z|), then
@@ -197,7 +197,7 @@ def b_second(spec, theta):
     return spec.k * e / (1.0 - e) ** 2
 
 
-def log_norm_cdf_and_ratio(z, out=None):
+def log_norm_cdf_and_ratio(z):
     """log Phi(z) and phi(z) / Phi(z) of the standard normal, from one erfc
     pass; z may be 0-d.
 
@@ -205,31 +205,24 @@ def log_norm_cdf_and_ratio(z, out=None):
     (1 - 2h): its log is accurate to 1e-14 relative for z < 0, and off by
     at most about 1.1e-16 absolute for z >= 0.  The ratio takes one exp and
     one divide.  Cells below LOG_NDTR_BELOW, where Phi and phi underflow,
-    take ``log_ndtr`` and the ratio exp(log phi(z) - log Phi(z)).
-
-    ``out``, four arrays of z's shape for h, Phi(z), the ratio and the bool
-    mask, takes every pass: log Phi overwrites h, and the first and third
-    are returned.  Without it the arrays are fresh.
+    take ``log_ndtr`` and the ratio exp(log phi(z) - log Phi(z)); one
+    ``z.min()`` tells whether there are any.
     """
-    if out is None:
-        z = np.asarray(z, dtype=float)
-        shape, z = z.shape, np.atleast_1d(z)   # in-place passes need arrays
-        log_cdf, ratio = log_norm_cdf_and_ratio(z, _norm_cdf_buffers(z.shape))
-        return log_cdf.reshape(shape), ratio.reshape(shape)
     from scipy.special import erfc
 
-    h, cdf, ratio, mask = out
-    np.abs(z, out=h)
+    z = np.asarray(z, dtype=float)
+    shape, z = z.shape, np.atleast_1d(z)   # in-place passes need arrays
+    h = np.abs(z)
     h *= np.sqrt(0.5)
     erfc(h, out=h)
     h *= 0.5
-    np.multiply(h, -2.0, out=cdf)
+    cdf = h * -2.0
     cdf += 1.0
-    cdf *= np.greater_equal(z, 0.0, out=mask)
+    cdf *= z >= 0.0
     cdf += h
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_cdf = np.log(cdf, out=h)
-        np.square(z, out=ratio)
+        log_cdf = np.log(cdf)
+        ratio = np.square(z)
         ratio *= -0.5
         ratio -= LOG_SQRT_2PI
         np.exp(ratio, out=ratio)
@@ -237,17 +230,10 @@ def log_norm_cdf_and_ratio(z, out=None):
     if z.min(initial=0.0) < LOG_NDTR_BELOW:
         from scipy.special import log_ndtr
 
-        far = np.less(z, LOG_NDTR_BELOW, out=mask)
+        far = z < LOG_NDTR_BELOW
         log_cdf[far] = log_ndtr(z[far])
         ratio[far] = np.exp(-0.5 * z[far] ** 2 - LOG_SQRT_2PI - log_cdf[far])
-    return log_cdf, ratio
-
-
-def _norm_cdf_buffers(shape):
-    """The four ``out`` arrays of ``log_norm_cdf_and_ratio`` for z of
-    ``shape``."""
-    return (np.empty(shape), np.empty(shape), np.empty(shape),
-            np.empty(shape, dtype=bool))
+    return log_cdf.reshape(shape), ratio.reshape(shape)
 
 
 def _raw_link(spec, eta):
@@ -299,35 +285,25 @@ def _probit_closed_form(spec):
     return spec.family == "bernoulli_probit" and _unclipped(spec)
 
 
-def cell_buffers(spec, Y, shape):
-    """The buffers ``log_likelihood_terms`` fills for responses Y and eta of
-    ``shape``, allocated once: for unclipped probit, the held sign 2Y - 1,
-    z and the four ``out`` arrays of ``log_norm_cdf_and_ratio``; None for
-    the link pass, which makes fresh arrays."""
-    if not _probit_closed_form(spec):
-        return None
-    sign = Y * 2.0
-    sign -= 1.0
-    shape = np.broadcast_shapes(sign.shape, shape)
-    return (sign, np.empty(shape)) + _norm_cdf_buffers(shape)
+def cell_constants(spec, Y):
+    """What ``log_likelihood_terms`` reads of responses Y on every call: for
+    unclipped probit, the sign 2Y - 1; None for the link pass."""
+    return 2.0 * Y - 1.0 if _probit_closed_form(spec) else None
 
 
-def log_likelihood_terms(spec, Y, eta, out=None):
+def log_likelihood_terms(spec, Y, eta, constants=None):
     """a times each cell's log-likelihood, y theta - b(theta) with c(y, a)
-    dropped, and its eta-derivative (y - b'(theta)) d theta / d eta.
+    dropped, and its eta-derivative (y - b'(theta)) d theta / d eta, as
+    fresh arrays.
 
     Unclipped probit has log Phi(z), z = (2y - 1) eta, with derivative
     (2y - 1) phi(z) / Phi(z), from one ``log_norm_cdf_and_ratio`` pass; that
     form holds only for binary y.  Every other case takes the link pass.
-    ``out``, from ``cell_buffers(spec, Y, eta.shape)``, takes every pass of
-    the probit form, and the two results are two of its buffers; without
-    it they are fresh.  The link pass always returns fresh arrays.
+    ``constants`` is ``cell_constants(spec, Y)``, made here when None.
     """
     if _probit_closed_form(spec):
-        sign, z, *cdf_out = cell_buffers(spec, Y, eta.shape) \
-            if out is None else out
-        log_cdf, ratio = log_norm_cdf_and_ratio(
-            np.multiply(sign, eta, out=z), cdf_out)
+        sign = cell_constants(spec, Y) if constants is None else constants
+        log_cdf, ratio = log_norm_cdf_and_ratio(sign * eta)
         ratio *= sign
         return log_cdf, ratio
     theta, dtheta = link_terms(spec, eta)

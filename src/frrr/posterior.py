@@ -22,10 +22,10 @@ plus the prior, and no separate weight is applied.  With sufficient
 statistics G and C are divided by the dispersion once, when the stack is
 built; cell-wise, the sum and X^T S are divided by it once per call.  The
 sampler checks its start once and then calls the unchecked target
-``_target``.  The public value and gradient functions below return fresh
-arrays.  Cell-wise, ``_mala`` allocates a ``Workspace`` once per block and
-each ``_target`` call overwrites it: eta, X^T S, which holds the returned
-gradient, and the family's buffers of ``families.cell_buffers``.
+``_target``.  The value and gradient functions below return fresh arrays.
+A cell-wise stack holds what the family reads of its responses on every
+call, ``families.cell_constants`` (for unclipped probit the sign 2Y - 1),
+made once when the stack is built.
 
 ``run_chains`` advances many chains together over an (R, p, q) state: a
 study makes one sampler call for the replicates of all its cells, each
@@ -40,22 +40,20 @@ uniform as a raw word of its PCG64 stream, the value ``Generator.random()``
 would return.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import (FamilySpec, b_second, cell_buffers, family_bounds,
+from .families import (FamilySpec, b_second, cell_constants, family_bounds,
                        has_sufficient_statistics, linear_predictor,
                        link_terms, log_likelihood_terms, theta_from_eta)
 from .prior import (checked_stack, log_prior_and_grad,
                     stack_log_prior_and_grad, stack_priors)
 
 LOG_POST_FLOOR = -1e12        # a lower log-posterior is a diverged chain
-# Largest n * q * chains that one block of the cell-wise kernel holds, so
-# each n x q array of a block is at most 128 KiB.  The sampler's workspace
-# is allocated once per block, but the link pass still makes fresh arrays
-# of that size per call, and one above 128 KiB is mapped afresh on every
-# allocation; the threshold stays until a workload runs cell-wise batches.
+# Largest n * q * chains that one block of the cell-wise kernel holds: a
+# temporary above 128 KiB is mapped afresh on every allocation, and the page
+# faults make a wider block slower per chain than a narrower one.
 BLOCK_CELLS = 16384
 TUNE_WINDOW = 50              # burn-in steps between step-size updates
 
@@ -119,7 +117,8 @@ class DataStack:
     given.  Cell-wise, the datasets share the design X.  Where the family
     has sufficient statistics, G_r / d and C_r / d, with G_r = X_r^T X_r,
     C_r = X_r^T Y_r and d the dispersion, stand in for X and Y, so the
-    designs may differ."""
+    designs may differ; otherwise the stack also holds the family's
+    ``cell_constants`` of Y, made at build."""
 
     X: np.ndarray                 # (n, p); None with gram and cross
     Y: np.ndarray                 # (R, n, q) or (n, q); None with gram
@@ -127,10 +126,14 @@ class DataStack:
     gram: np.ndarray = None       # (R, p, p), divided by the dispersion
     cross: np.ndarray = None      # (R, p, q), divided by the dispersion
     dispersion: float = None      # None -> family.a
+    cells: object = field(init=False, default=None)  # cell_constants(Y)
 
     def __post_init__(self):
         if self.dispersion is None:
             object.__setattr__(self, "dispersion", self.family.a)
+        if self.X is not None:
+            object.__setattr__(self, "cells",
+                               cell_constants(self.family, self.Y))
 
 
 def stack_datasets(datasets, dispersion=None):
@@ -149,33 +152,6 @@ def stack_datasets(datasets, dispersion=None):
                      np.stack([d.X.T @ d.Y for d in datasets]) / scale, scale)
 
 
-@dataclass(frozen=True)
-class Workspace:
-    """The buffers of the cell-wise kernel on one stack and one shape of B,
-    overwritten by each call that is given them: eta = X B, X^T S, and the
-    family's own from ``families.cell_buffers`` (None for the link pass)."""
-
-    eta: np.ndarray               # (R, n, q)
-    xts: np.ndarray               # (R, p, q)
-    cells: tuple
-
-
-def _workspace(data, eta):
-    """The Workspace of a cell-wise stack around eta, an array of the shape
-    of X B."""
-    shape = np.broadcast_shapes(np.shape(data.Y), eta.shape)
-    return Workspace(eta, np.empty(shape[:-2] + (data.X.shape[1], shape[-1])),
-                     cell_buffers(data.family, data.Y, eta.shape))
-
-
-def _block_workspace(data, R):
-    """The Workspace of a sampler block of R chains on the stack, None with
-    sufficient statistics."""
-    if data.gram is not None:
-        return None
-    return _workspace(data, np.empty((R, data.X.shape[0], data.Y.shape[-1])))
-
-
 def log_likelihood_and_grad(data, B):
     """Sum of (y theta - b(theta)) / d over all cells, dropping c(y, d), and
     its gradient X^T [(Y - b'(theta)) * dtheta/deta] / d, as fresh arrays,
@@ -191,17 +167,11 @@ def log_likelihood_and_grad(data, B):
         GB = data.gram @ B
         value = (B * (data.cross - 0.5 * GB)).sum(axis=(-2, -1))
         return value, np.subtract(data.cross, GB, out=GB)
-    return _cellwise(data, _workspace(data, linear_predictor(data.X, B)))
-
-
-def _cellwise(data, work):
-    """The cell-wise value and gradient of ``log_likelihood_and_grad`` at
-    the eta held in ``work``, whose buffers every pass fills: the gradient
-    returned is its X^T S."""
     d = getattr(data, "dispersion", data.family.a)
-    cell, slope = log_likelihood_terms(data.family, data.Y, work.eta,
-                                       work.cells)
-    grad = np.matmul(data.X.T, slope, out=work.xts)
+    cell, slope = log_likelihood_terms(data.family, data.Y,
+                                       linear_predictor(data.X, B),
+                                       getattr(data, "cells", None))
+    grad = data.X.T @ slope
     grad /= d
     return cell.sum(axis=(-2, -1)) / d, grad
 
@@ -236,16 +206,11 @@ def value_and_grad(data, B, prior_cfg, alpha):
     return alpha * lik + value, alpha * lik_grad + grad
 
 
-def _target(data, B, prior, work):
+def _target(data, B, prior):
     """``value_and_grad`` without its checks, on a stack at dispersion
-    a / alpha, a PriorStack for B and the stack's Workspace (None with
-    sufficient statistics): a fresh value and, as the gradient, fresh
-    arrays or the workspace's X^T S, with the prior added in place."""
-    if work is None:
-        value, grad = log_likelihood_and_grad(data, B)
-    else:
-        np.matmul(data.X, B, out=work.eta)
-        value, grad = _cellwise(data, work)
+    a / alpha and a PriorStack for B: the likelihood's fresh arrays, with
+    the prior added in place."""
+    value, grad = log_likelihood_and_grad(data, B)
     prior_value, prior_grad = stack_log_prior_and_grad(B, prior)
     value += prior_value
     grad += prior_grad
@@ -284,8 +249,7 @@ def default_step_size(data, prior_cfg, alpha, B):
         theta = theta_from_eta(spec, linear_predictor(data.X, B))
         c_u = float(np.max(b_second(spec, theta), initial=0.0))
     lik_curv = alpha * c_u * np.sum(data.X ** 2) / spec.a
-    prior_curv = (prior_cfg.p + prior_cfg.q + 2) / prior_cfg.tau ** 2
-    return 0.5 / (lik_curv + prior_curv)
+    return 0.5 / (lik_curv + prior_cfg.curvature)
 
 
 def run_sampler(data, prior_cfg, frac_cfg):
@@ -312,10 +276,10 @@ def run_chains(datasets, prior_cfgs, frac_cfgs):
     A likelihood with sufficient statistics runs as one block across
     designs.  Cell-wise likelihoods run in blocks of consecutive datasets
     with equal X, each of at most BLOCK_CELLS cells.  Each block stacks its
-    datasets at dispersion a / alpha, allocates its step buffers and, cell-
-    wise, its kernel Workspace once, and draws a chain's uniform from the
-    raw words of its stream, only for a proposal whose log-ratio is finite,
-    in chain order.  Chain r is bit-identical to its one-chain run.
+    datasets at dispersion a / alpha, allocates its step buffers once, and
+    draws a chain's uniform from the raw words of its stream, only for a
+    proposal whose log-ratio is finite, in chain order.  Chain r is
+    bit-identical to its one-chain run.
     """
     if not len(datasets) == len(prior_cfgs) == len(frac_cfgs) \
             or not datasets:
@@ -352,9 +316,8 @@ def _cellwise_blocks(datasets):
 
 def _mala(datasets, prior_cfgs, cfgs, first):
     """The chains of one block, whose first chain is chain ``first`` of the
-    ``run_chains`` call.  A step fills the buffers allocated here; the
-    kept value and gradient are copies, so no ``_target`` call overwrites
-    them.  For PCG64, the bit generator of ``np.random.default_rng``,
+    ``run_chains`` call.  A step fills the buffers allocated here.  For
+    PCG64, the bit generator of ``np.random.default_rng``,
     ``Generator.random()`` is the next raw word's top 53 bits times 2^-53,
     so a uniform is drawn as a raw word."""
     cfg = cfgs[0]
@@ -365,7 +328,6 @@ def _mala(datasets, prior_cfgs, cfgs, first):
     if B.shape != (R, p, q):
         raise ValueError("init matrix has the wrong shape")
     B, prior = checked_stack(B, stack_priors(prior_cfgs))
-    work = _block_workspace(data, R)
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     draws = [rng.bit_generator.random_raw for rng in rngs]
     gamma = np.array([
@@ -390,7 +352,7 @@ def _mala(datasets, prior_cfgs, cfgs, first):
     scale = np.sqrt(2.0 * g)
     four_gamma = 4.0 * gamma
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value, grad = (a.copy() for a in _target(data, B, prior, work))
+        value, grad = _target(data, B, prior)
         _check_floor(value, None, first)
         for step in range(cfg.n_steps):
             for rng, z in zip(rngs, noise):
@@ -399,7 +361,7 @@ def _mala(datasets, prior_cfgs, cfgs, first):
             np.multiply(g, grad, out=drift)
             np.add(B, drift, out=prop)
             prop += fwd
-            prop_value, prop_grad = _target(data, prop, prior, work)
+            prop_value, prop_grad = _target(data, prop, prior)
             np.subtract(B, prop, out=bwd)
             np.multiply(g, prop_grad, out=drift)
             bwd -= drift

@@ -9,9 +9,10 @@ evaluation, with no solve.  A run allocates the factor once, in its
 ``PriorStack``, and the kernel writes it with one call of the LAPACK gufunc
 ``numpy.linalg._umath_linalg.cholesky_lo``, the one ``np.linalg.cholesky``
 wraps, skipping that wrapper's per-call checks and fresh output.  The
-gufunc sets a matrix it cannot factor to NaN, raises the floating-point
-invalid flag and leaves the other matrices of the stack alone, so a failed
-factor costs only its own matrix.  The unchecked kernel returns its
+log-determinant and the gradient computed from the factor are small fresh
+arrays.  The gufunc sets a matrix it cannot factor to NaN, raises the
+floating-point invalid flag and leaves the other matrices of the stack
+alone, so a failed factor costs only its own matrix.  The unchecked kernel returns its
 non-finite value as it is; the checked ``log_prior_and_grad`` ignores the
 invalid and overflow flags and maps a non-finite value to NaN.
 """
@@ -61,26 +62,30 @@ class PriorConfig:
         check_tau(self.tau)
         if self.p < 1 or self.q < 1:
             raise ValueError("p and q must be positive")
-        # the prior's curvature bound in default_step_size; past it the step
-        # size 0.5 / curvature is 0 or subnormal and no proposal moves
-        curvature = (self.p + self.q + 2) / float(self.tau) ** 2
-        if not 0.5 / curvature >= np.finfo(float).tiny:
+        # the default step size is at most 0.5 / curvature; where that is 0
+        # or subnormal no proposal moves
+        if not 0.5 / self.curvature >= np.finfo(float).tiny:
             raise ValueError(
                 f"tau = {self.tau!r} is too small for p + q + 2 = "
                 f"{self.p + self.q + 2}: (p + q + 2) / tau^2 must be finite "
                 f"and 0.5 tau^2 / (p + q + 2) a normal double")
+
+    @property
+    def curvature(self):
+        """The prior's curvature at B = 0, (p + q + 2) / tau^2: the bound
+        that ``posterior.default_step_size`` takes for it."""
+        return (self.p + self.q + 2) / float(self.tau) ** 2
 
 
 @dataclass(frozen=True)
 class PriorStack:
     """The priors of R matrices on one (p, q), one tau each, and what a run
     computes once: tau^2, half the p > q log-determinant term, (p - q) log
-    tau, and the buffers that each ``stack_log_prior_and_grad`` overwrites.
-    With k = min(p, q) and m = max(p, q) these are the matrix it factors,
-    with views of its Gram block M and of M's diagonal; the factor, with
+    tau, and the two matrices that each ``stack_log_prior_and_grad``
+    overwrites.  With k = min(p, q) these are the matrix it factors, with
+    views of its Gram block M and of M's diagonal, and the factor, with
     views of its top-left diagonal and of its lower-left block C =
-    chol(M)^{-T}; and the log of that diagonal, half the log-determinant
-    and C^T W."""
+    chol(M)^{-T}."""
 
     p: int
     q: int
@@ -92,9 +97,6 @@ class PriorStack:
     factor: np.ndarray            # (R, 2k, 2k)
     factor_diag: np.ndarray       # (R, k) view of factor
     lower: np.ndarray             # (R, k, k) view of factor, C
-    log_diag: np.ndarray          # (R, k)
-    half_logdet: np.ndarray       # (R,)
-    ctw: np.ndarray               # (R, k, m), C^T W
 
 
 def stack_priors(cfgs):
@@ -108,9 +110,7 @@ def stack_priors(cfgs):
     return PriorStack(p, q, tau_sq,
                       np.array([(p - q) * np.log(c.tau) for c in cfgs]),
                       work, work[:, :k, :k], _diagonal(work, k), factor,
-                      _diagonal(factor, k), factor[:, k:, :k],
-                      np.empty((R, k)), np.empty(R),
-                      np.empty((R, k, max(p, q))))
+                      _diagonal(factor, k), factor[:, k:, :k])
 
 
 def _diagonal(F, k):
@@ -155,10 +155,10 @@ def stack_log_prior_and_grad(B, prior):
     its top-left block is chol(M), and its lower-left block C = chol(M)^{-T}
     makes M^{-1} W = C (C^T W).  The factor exists whenever chol(M) does, as
     the Schur complement (2 / tau^2) I - M^{-1} is at least I / tau^2.  The
-    factor is written into the stack's buffer by one gufunc call, and the
-    log-determinant and C^T W fill theirs.  A Gram matrix that overflows or
-    is not numerically positive definite gets a non-finite value, and raises
-    the invalid or overflow flag, without touching the other matrices."""
+    factor is written into the stack's buffer by one gufunc call.  A Gram
+    matrix that overflows or is not numerically positive definite gets a
+    non-finite value, and raises the invalid or overflow flag, without
+    touching the other matrices."""
     p, q = prior.p, prior.q
     W = B.reshape(-1, p, q)
     if p > q:
@@ -166,13 +166,12 @@ def stack_log_prior_and_grad(B, prior):
     np.matmul(W, W.transpose(0, 2, 1), out=prior.gram)
     np.add(prior.gram_diag, prior.tau_sq[:, None], out=prior.gram_diag)
     _umath_linalg.cholesky_lo(prior.work, out=prior.factor)
-    np.log(prior.factor_diag, out=prior.log_diag)
-    half_logdet = np.sum(prior.log_diag, axis=1, out=prior.half_logdet)
+    half_logdet = np.log(prior.factor_diag).sum(axis=1)
     if p > q:
         half_logdet += prior.half_logdet_shift
     value = -(p + q + 2) * half_logdet
     C = prior.lower
-    grad = C @ np.matmul(C.transpose(0, 2, 1), W, out=prior.ctw)
+    grad = C @ (C.transpose(0, 2, 1) @ W)
     grad *= -(p + q + 2)
     if p > q:
         grad = grad.transpose(0, 2, 1)

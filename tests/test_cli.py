@@ -443,15 +443,22 @@ class TestFitAndSummarize:
         assert (out / "bhat.csv").read_bytes() == \
             (sum_out / "bhat.csv").read_bytes()
 
-    def test_missing_sidecar_is_data_error(self, tmp_path):
+    def test_missing_sidecar_is_data_error(self, tmp_path, capsys):
+        """A sidecar that is missing, or one value wide though its 3m values
+        would fill m rows of three, exits 3."""
         data = run_generate(tmp_path)
         out = tmp_path / "fit"
         cfg = write_ini(tmp_path / "f.ini", FIT.format(data=data, out=out))
         assert main(["fit", cfg]) == 0
-        (out / "chain.bin.csv").unlink()
+        side = out / "chain.bin.csv"
+        values = np.loadtxt(side, delimiter=",", skiprows=1).ravel()
+        side.write_text("value\n" + "".join(f"{v:.17g}\n" for v in values))
         scfg = write_ini(tmp_path / "s.ini", (
             f"[data]\nchain_file = {out / 'chain.bin'}\n"
             f"[output]\ndir = {tmp_path / 'sum'}\n"))
+        assert main(["summarize", scfg]) == EXIT_DATA
+        assert "rows hold 1 values, expected 3" in capsys.readouterr().err
+        side.unlink()
         assert main(["summarize", scfg]) == EXIT_DATA
         assert not (tmp_path / "sum" / "summary.json").exists()
 

@@ -410,8 +410,7 @@ class TestBatchedSampler:
             [PriorConfig(tau=t, p=4, q=3) for t in (0.5, 0.2)])
         B = rng.standard_normal((2, 4, 3))
         stack = stack_datasets(datasets, spec.a / 0.3)
-        value, grad = frrr.posterior._target(
-            stack, B, prior, frrr.posterior._block_workspace(stack, 2))
+        value, grad = frrr.posterior._target(stack, B, prior)
         ref_value, ref_grad = value_and_grad(stack_datasets(datasets), B,
                                              prior, 0.3)
         assert np.all(np.abs(value - ref_value) <= 1e-14 * np.abs(ref_value))
@@ -729,9 +728,9 @@ def reference_mala(data, prior_cfg, alpha, gamma, n_steps, seed, init):
 
 
 class TestSamplerWorkspace:
-    """Cell-wise, ``_mala`` allocates one Workspace per block and every
-    ``_target`` call overwrites it: eta, X^T S and, for unclipped probit,
-    the held sign and the log Phi pass's buffers."""
+    """What a sampler block holds across ``_target`` calls: the stack's
+    ``families.cell_constants``, for unclipped probit the sign 2Y - 1, made
+    once when the stack is built, and the step buffers of ``_mala``."""
 
     @staticmethod
     def far_stack(spec, R, rng, n=120, p=4, q=3):
@@ -751,43 +750,33 @@ class TestSamplerWorkspace:
         (FamilySpec("bernoulli_probit", theta_lo=-2.0, theta_hi=2.0), 3)],
         ids=["probit_R1", "probit_R3", "clipped_logit_R3",
              "clipped_probit_R3"])
-    def test_matches_the_fresh_kernel_call_after_call(self, spec, R, rng):
-        """One workspace through calls with and without far-tail cells
-        gives, at every call, the bits of the fresh kernel plus the prior,
-        with the gradient in the workspace's X^T S."""
+    def test_matches_the_fresh_kernel_call_after_call(self, spec, R, rng,
+                                                      monkeypatch):
+        """The sign held on the stack gives, at every call, through calls
+        with and without far-tail cells, the bits of the kernel on a stack
+        that holds none, whose sign is computed on each call."""
         stack = self.far_stack(spec, R, rng)
-        prior = frrr.prior.stack_priors([PriorConfig(tau=0.3, p=4, q=3)] * R)
-        work = frrr.posterior._block_workspace(stack, R)
-        assert (work.cells is None) == (spec.theta_lo > -np.inf)
-        far = rng.standard_normal((R, 4, 3))
+        with monkeypatch.context() as m:
+            m.setattr(frrr.posterior, "cell_constants", lambda spec, Y: None)
+            fresh = DataStack(stack.X, stack.Y, spec,
+                              dispersion=stack.dispersion)
+        assert fresh.cells is None
         sign = 2.0 * stack.Y - 1.0
+        if spec.theta_lo > -np.inf:
+            assert stack.cells is None
+        else:
+            assert np.array_equal(stack.cells, sign)
+        prior = frrr.prior.stack_priors([PriorConfig(tau=0.3, p=4, q=3)] * R)
+        far = rng.standard_normal((R, 4, 3))
         for B in (far, 0.01 * far, -far, far):
-            value, grad = frrr.posterior._target(stack, B, prior, work)
-            assert np.shares_memory(grad, work.xts)
-            want, want_grad = log_likelihood_and_grad(stack, B)
-            prior_value, prior_grad = frrr.prior.log_prior_and_grad(B, prior)
-            want += prior_value
-            want_grad += prior_grad
+            value, grad = frrr.posterior._target(stack, B, prior)
+            want, want_grad = frrr.posterior._target(fresh, B, prior)
             assert np.array_equal(value, want)
             assert np.array_equal(grad, want_grad)
         z = sign * linear_predictor(stack.X, far)
         assert np.any(z < LOG_NDTR_BELOW) and np.any(z > -LOG_NDTR_BELOW)
         assert np.all(sign * linear_predictor(stack.X, 0.01 * far)
                       > LOG_NDTR_BELOW)
-
-    def test_a_second_call_leaves_the_kept_arrays(self, rng):
-        """``_target``'s value is fresh, so a second call leaves it, while
-        its gradient is the workspace's X^T S, which the second call
-        overwrites: so ``_mala`` keeps copies."""
-        stack = self.far_stack(FamilySpec("bernoulli_probit"), 3, rng)
-        prior = frrr.prior.stack_priors([PriorConfig(tau=0.3, p=4, q=3)] * 3)
-        work = frrr.posterior._block_workspace(stack, 3)
-        B = rng.standard_normal((3, 4, 3))
-        value, grad = frrr.posterior._target(stack, B, prior, work)
-        kept_value, kept_grad = value.copy(), grad.copy()
-        frrr.posterior._target(stack, 0.5 * B, prior, work)
-        assert np.array_equal(value, kept_value)
-        assert not np.array_equal(grad, kept_grad)
 
     @pytest.mark.parametrize("spec", [
         FamilySpec("bernoulli_probit"),
