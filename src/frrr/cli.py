@@ -266,8 +266,8 @@ def save_chain(path, chain):
 def load_chain(path):
     """The Chain that ``save_chain`` wrote, with its acceptance rate over the
     retained steps.  A short header or sample block, a chain with no sample,
-    or a sidecar that is not a table of step, log_post and accepted with
-    one row per sample, raises ValueError; a missing sidecar OSError."""
+    or a sidecar that is not one row per sample of step, log_post and
+    accepted (0 or 1), raises ValueError; a missing sidecar OSError."""
     with open(path, "rb") as fh:
         if fh.read(8) != CHAIN_MAGIC:
             raise ValueError("not a chain file")
@@ -287,7 +287,9 @@ def load_chain(path):
     if side.shape[0] != m:
         raise ValueError(f"chain sidecar has {side.shape[0]} rows, "
                          f"expected {m}")
-    flags = side[:, 2].astype(bool)
+    flags = side[:, 2] == 1.0
+    if not (flags | (side[:, 2] == 0.0)).all():
+        raise ValueError("chain sidecar's accepted values are not all 0 or 1")
     return Chain(samples=np.frombuffer(raw, "<f8").reshape(m, p, q).copy(),
                  log_post=side[:, 1], accept_flags=flags, alpha=alpha,
                  step_size=gamma, acceptance_rate=float(np.mean(flags)))

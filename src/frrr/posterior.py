@@ -1,9 +1,10 @@
 """Fractional log-posterior, the batched MALA sampler and the posterior mean.
 
 The target is U(B) = alpha * log-likelihood(B) + log-prior(B) for a
-fractional power alpha in (0, 1).  MALA proposes
-B' = B + gamma grad U(B) + sqrt(2 gamma) xi and accepts it with the
-Metropolis-Hastings ratio of the asymmetric Gaussian proposal density.
+fractional power alpha in (0, 1).  MALA proposes B' = B + gamma grad U(B)
++ xi, xi = sqrt(2 gamma) z, and accepts it with the Metropolis-Hastings
+ratio of the Gaussian proposal density q, in closed form: with a = grad U(B)
++ grad U(B'), log q(B | B') - log q(B' | B) = -<xi + (gamma / 2) a, a> / 2.
 
 One kernel, ``value_and_grad``, evaluates U and grad U together, for one
 (p, q) matrix or a stack (R, p, q) of them, and names no family.  Where
@@ -35,9 +36,10 @@ acceptance count and divergence checks, and is bit-identical to its
 one-chain run; a SamplerDivergence names a chain by its position in the
 call.  One rule rejects a proposal: a non-finite log-ratio, which a
 non-finite entry, value or gradient of the proposal makes.  A step fills
-buffers allocated once per block, in place, and draws each chain's
-uniform as a raw word of its PCG64 stream, the value ``Generator.random()``
-would return.
+buffers allocated once per block, in place; one pass over the chains
+draws each uniform, for a finite log-ratio only, as a raw word of its
+PCG64 stream, the value ``Generator.random()`` would return.  A step on
+which every chain accepts rebinds the state to the proposal.
 """
 
 from dataclasses import dataclass, field
@@ -51,9 +53,9 @@ from .prior import (checked_stack, log_prior_and_grad,
                     stack_log_prior_and_grad, stack_priors)
 
 LOG_POST_FLOOR = -1e12        # a lower log-posterior is a diverged chain
-# Largest n * q * chains that one block of the cell-wise kernel holds: a
-# temporary above 128 KiB is mapped afresh on every allocation, and the page
-# faults make a wider block slower per chain than a narrower one.
+# Largest n * q * chains in one block of the cell-wise kernel.  Without the
+# split, unclipped probit stepped faster at n = 1600, R = 10 and slower at
+# n = 6400, R = 4 (ROADMAP, measured dead ends), so the value stays.
 BLOCK_CELLS = 16384
 TUNE_WINDOW = 50              # burn-in steps between step-size updates
 
@@ -277,9 +279,10 @@ def run_chains(datasets, prior_cfgs, frac_cfgs):
     designs.  Cell-wise likelihoods run in blocks of consecutive datasets
     with equal X, each of at most BLOCK_CELLS cells.  Each block stacks its
     datasets at dispersion a / alpha, allocates its step buffers once, and
-    draws a chain's uniform from the raw words of its stream, only for a
-    proposal whose log-ratio is finite, in chain order.  Chain r is
-    bit-identical to its one-chain run.
+    per step takes the closed-form log-ratio, draws in one pass a chain's
+    uniform from its stream's raw words, only for a finite log-ratio and
+    in chain order, and rebinds the state when every chain accepts.  Chain
+    r is bit-identical to its one-chain run.
     """
     if not len(datasets) == len(prior_cfgs) == len(frac_cfgs) \
             or not datasets:
@@ -319,7 +322,10 @@ def _mala(datasets, prior_cfgs, cfgs, first):
     ``run_chains`` call.  A step fills the buffers allocated here.  For
     PCG64, the bit generator of ``np.random.default_rng``,
     ``Generator.random()`` is the next raw word's top 53 bits times 2^-53,
-    so a uniform is drawn as a raw word."""
+    so a uniform is drawn as a raw word.  When every chain accepts, B
+    swaps buffers with the proposal and takes its fresh value and gradient;
+    tuning and the check after burn-in read differences of snapshots of
+    the one per-step count, ``n_acc``."""
     cfg = cfgs[0]
     data = stack_datasets(datasets, datasets[0].family.a / cfg.alpha)
     R, p, q = len(cfgs), datasets[0].p, datasets[0].q
@@ -339,18 +345,17 @@ def _mala(datasets, prior_cfgs, cfgs, first):
     samples = np.empty((R, len(kept), p, q))
     log_post = np.empty((R, len(kept)))
     flags = np.empty((R, len(kept)), dtype=bool)
-    fwd, prop, bwd, drift = (np.empty((R, p, q)) for _ in range(4))
+    fwd, prop, terms, drift = (np.empty((R, p, q)) for _ in range(4))
     noise = list(fwd)             # each chain's view, made once
-    fwd_flat = fwd.reshape(R, p * q)
+    terms_flat = terms.reshape(R, p * q)
     log_ratio = np.empty(R)
     n_acc = np.zeros(R, dtype=int)
-    n_acc_kept = np.zeros(R, dtype=int)
+    n_acc_then = n_acc.copy()     # at the last window end, then at burn_in
     window = min(TUNE_WINDOW, cfg.burn_in)
-    window_acc = np.zeros(R, dtype=int)
+    inf = np.inf
 
     g = gamma[:, None, None]
     scale = np.sqrt(2.0 * g)
-    four_gamma = 4.0 * gamma
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value, grad = _target(data, B, prior)
         _check_floor(value, None, first)
@@ -362,56 +367,56 @@ def _mala(datasets, prior_cfgs, cfgs, first):
             np.add(B, drift, out=prop)
             prop += fwd
             prop_value, prop_grad = _target(data, prop, prior)
-            np.subtract(B, prop, out=bwd)
-            np.multiply(g, prop_grad, out=drift)
-            bwd -= drift
-            # one sum of fwd^2 - bwd^2 per chain, divided by 4 gamma: the
-            # reciprocal of a denormal gamma would be inf
-            np.square(fwd, out=fwd)
-            np.square(bwd, out=bwd)
-            fwd -= bwd
+            # log q(B | B') - log q(B' | B) = -<fwd + gamma h, h> with h =
+            # (grad + prop_grad) / 2, non-finite where the proposal's value
+            # or gradient is, and so where an entry is (its prior is NaN); a
+            # uniform is drawn only for a finite log-ratio, +inf elsewhere
+            np.add(grad, prop_grad, out=drift)
+            drift *= 0.5
+            np.multiply(g, drift, out=terms)
+            terms += fwd
+            terms *= drift
             np.subtract(prop_value, value, out=log_ratio)
-            sums = fwd_flat.sum(axis=1)
-            sums /= four_gamma
-            log_ratio += sums
-            # a non-finite entry of the proposal (through bwd), value or
-            # gradient makes log_ratio non-finite; a uniform is drawn only
-            # for a proposal that can be accepted
-            ok = np.isfinite(log_ratio)
-            u = np.array([(draw() >> 11) * 2.0 ** -53 if k else 1.0
-                          for draw, k in zip(draws, ok.tolist())])
-            accepted = ok & (np.log(u) < log_ratio)
-            if accepted.any():
-                np.copyto(B, prop, where=accepted[:, None, None])
-                np.copyto(grad, prop_grad, where=accepted[:, None, None])
-                np.copyto(value, prop_value, where=accepted)
+            log_ratio -= terms_flat.sum(axis=1)
+            u = np.array([(draw() >> 11) * 2.0 ** -53 if -inf < x < inf
+                          else inf
+                          for draw, x in zip(draws, log_ratio.tolist())])
+            accepted = np.log(u) < log_ratio
+            n = np.count_nonzero(accepted)
+            if n:
+                if n == R:
+                    B, prop = prop, B
+                    value, grad = prop_value, prop_grad
+                else:
+                    np.copyto(B, prop, where=accepted[:, None, None])
+                    np.copyto(grad, prop_grad, where=accepted[:, None, None])
+                    np.copyto(value, prop_value, where=accepted)
                 n_acc += accepted
-                _check_floor(value, step, first)
+                if value.min() < LOG_POST_FLOOR:
+                    _check_floor(value, step, first)
 
             # step-size tuning, burn-in only so the retained chain has fixed
             # gamma.  No later window can check the last update, and a chain
             # frozen on an untried larger step may never accept again, so the
             # last update only shrinks gamma.
             if step < cfg.burn_in:
-                window_acc += accepted
                 if (step + 1) % window == 0:
                     up = 2.0 if step + 1 + window <= cfg.burn_in else 1.0
-                    rate = window_acc / window
+                    rate = (n_acc - n_acc_then) / window
                     gamma = np.where(rate > 0.6, up * gamma,
                                      np.where(rate < 0.4, 0.5 * gamma, gamma))
                     g = gamma[:, None, None]
                     scale = np.sqrt(2.0 * g)
-                    four_gamma = 4.0 * gamma
-                    window_acc[:] = 0
+                if (step + 1) % window == 0 or step + 1 == cfg.burn_in:
+                    n_acc_then = n_acc.copy()
             else:
-                n_acc_kept += accepted
                 k, off = divmod(step - cfg.burn_in, cfg.thin)
                 if off == 0:
                     samples[:, k] = B
                     log_post[:, k] = value
                     flags[:, k] = accepted
 
-    stuck = np.flatnonzero(n_acc_kept == 0)
+    stuck = np.flatnonzero(n_acc == n_acc_then)
     if stuck.size:
         raise SamplerDivergence(
             f"chain {first + stuck[0]} accepted no proposal in "

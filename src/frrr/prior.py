@@ -143,39 +143,39 @@ def log_prior_and_grad(B, cfg):
     or a PriorStack with one tau per matrix of an (R, p, q) stack.  A matrix
     whose factor fails, far out in the tails, gets a NaN value, without a
     warning."""
+    B, cfg = checked_stack(B, cfg)
     with np.errstate(invalid="ignore", over="ignore"):
-        value, grad = stack_log_prior_and_grad(*checked_stack(B, cfg))
-    return np.where(np.isfinite(value), value, np.nan)[()], grad
+        value, grad = stack_log_prior_and_grad(B.reshape(-1, cfg.p, cfg.q),
+                                               cfg)
+    value = np.where(np.isfinite(value), value, np.nan)
+    return value.reshape(B.shape[:-2])[()], grad.reshape(B.shape)
 
 
 def stack_log_prior_and_grad(B, prior):
-    """``log_prior_and_grad`` unchecked, for B and its PriorStack, as fresh
-    arrays.  With W = B on the smaller Gram side and M = tau^2 I + W W^T,
-    one Cholesky factor of [[M, I], [I, (2 / tau^2) I]] gives both pieces:
-    its top-left block is chol(M), and its lower-left block C = chol(M)^{-T}
-    makes M^{-1} W = C (C^T W).  The factor exists whenever chol(M) does, as
-    the Schur complement (2 / tau^2) I - M^{-1} is at least I / tau^2.  The
-    factor is written into the stack's buffer by one gufunc call.  A Gram
-    matrix that overflows or is not numerically positive definite gets a
-    non-finite value, and raises the invalid or overflow flag, without
-    touching the other matrices."""
+    """``log_prior_and_grad`` unchecked, for a stack B (R, p, q) and its
+    PriorStack, as fresh arrays of shapes (R,) and (R, p, q).  With W = B
+    on the smaller Gram side and M = tau^2 I + W W^T, one Cholesky factor
+    of [[M, I], [I, (2 / tau^2) I]] gives both pieces: its top-left block is
+    chol(M), and its lower-left block C = chol(M)^{-T} makes M^{-1} W = C
+    (C^T W).  The factor exists whenever chol(M) does, as the Schur
+    complement (2 / tau^2) I - M^{-1} is at least I / tau^2.  The factor is
+    written into the stack's buffer by one gufunc call.  A Gram matrix that
+    overflows or is not numerically positive definite gets a non-finite
+    value, and raises the invalid or overflow flag, without touching the
+    other matrices."""
     p, q = prior.p, prior.q
-    W = B.reshape(-1, p, q)
-    if p > q:
-        W = W.transpose(0, 2, 1)
+    W = B.transpose(0, 2, 1) if p > q else B
     np.matmul(W, W.transpose(0, 2, 1), out=prior.gram)
     np.add(prior.gram_diag, prior.tau_sq[:, None], out=prior.gram_diag)
     _umath_linalg.cholesky_lo(prior.work, out=prior.factor)
-    half_logdet = np.log(prior.factor_diag).sum(axis=1)
+    value = np.log(prior.factor_diag).sum(axis=1)
     if p > q:
-        half_logdet += prior.half_logdet_shift
-    value = -(p + q + 2) * half_logdet
+        value += prior.half_logdet_shift
+    value *= -(p + q + 2)
     C = prior.lower
     grad = C @ (C.transpose(0, 2, 1) @ W)
     grad *= -(p + q + 2)
-    if p > q:
-        grad = grad.transpose(0, 2, 1)
-    return value.reshape(B.shape[:-2])[()], grad.reshape(B.shape)
+    return value, grad.transpose(0, 2, 1) if p > q else grad
 
 
 def log_prior(B, cfg):

@@ -444,18 +444,32 @@ class TestFitAndSummarize:
             (sum_out / "bhat.csv").read_bytes()
 
     def test_missing_sidecar_is_data_error(self, tmp_path, capsys):
-        """A sidecar that is missing, or one value wide though its 3m values
-        would fill m rows of three, exits 3."""
+        """A sidecar that is missing, one value wide though its 3m values
+        would fill m rows of three, or with an accepted value other than 0
+        or 1 (2 and 0.5, or NaN, which a cast to bool would count as
+        accepted), exits 3."""
         data = run_generate(tmp_path)
         out = tmp_path / "fit"
         cfg = write_ini(tmp_path / "f.ini", FIT.format(data=data, out=out))
         assert main(["fit", cfg]) == 0
         side = out / "chain.bin.csv"
-        values = np.loadtxt(side, delimiter=",", skiprows=1).ravel()
-        side.write_text("value\n" + "".join(f"{v:.17g}\n" for v in values))
+        text = side.read_text()
         scfg = write_ini(tmp_path / "s.ini", (
             f"[data]\nchain_file = {out / 'chain.bin'}\n"
             f"[output]\ndir = {tmp_path / 'sum'}\n"))
+        header, *rows = text.splitlines()
+        for bad in (["2", "0.5"], ["nan"]):
+            edited = [row.rsplit(",", 1)[0] + "," + flag
+                      for row, flag in zip(rows, bad)] + rows[len(bad):]
+            side.write_text("\n".join([header] + edited) + "\n")
+            assert main(["summarize", scfg]) == EXIT_DATA
+            assert "accepted values are not all 0 or 1" \
+                in capsys.readouterr().err
+        side.write_text(text)
+        assert main(["summarize", scfg]) == 0
+        (tmp_path / "sum" / "summary.json").unlink()
+        values = np.loadtxt(side, delimiter=",", skiprows=1).ravel()
+        side.write_text("value\n" + "".join(f"{v:.17g}\n" for v in values))
         assert main(["summarize", scfg]) == EXIT_DATA
         assert "rows hold 1 values, expected 3" in capsys.readouterr().err
         side.unlink()

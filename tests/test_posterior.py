@@ -7,8 +7,9 @@ import frrr.families
 import frrr.posterior
 import frrr.prior
 from frrr.families import (FAMILY_IDS, LOG_NDTR_BELOW, Dataset, FamilySpec,
-                           b_and_prime, b_prime, linear_predictor, link_terms,
-                           sample_response, theta_from_eta)
+                           b_and_prime, b_prime, has_sufficient_statistics,
+                           linear_predictor, link_terms, sample_response,
+                           theta_from_eta)
 from frrr.posterior import (Chain, DataStack, FractionalConfig,
                             SamplerDivergence, default_step_size,
                             effective_rank, fisher_information,
@@ -251,6 +252,26 @@ class TestSampler:
                                 seed=1)
         with pytest.raises(SamplerDivergence, match="accepted no proposal"):
             run_sampler(data, PriorConfig(tau=1.0, p=4, q=3), frac)
+
+    def test_acceptance_after_burn_in_is_counted_from_burn_in(
+            self, rng, monkeypatch):
+        """A chain that accepts every proposal up to a burn-in of 60 steps,
+        not a multiple of the 50-step window, and none after it, raises:
+        the steps between the last window and burn-in are not counted as
+        retained."""
+        calls = []
+
+        def target(data, B, prior):
+            calls.append(None)        # the start, then one per step
+            value = 0.0 if len(calls) <= 61 else np.nan
+            return np.full(len(B), value), np.zeros_like(B)
+
+        monkeypatch.setattr(frrr.posterior, "_target", target)
+        data, _ = make_data(FamilySpec("gaussian"), 30, 3, 2, rng)
+        frac = FractionalConfig(n_steps=100, burn_in=60, seed=1)
+        with pytest.raises(SamplerDivergence,
+                           match="accepted no proposal in 40 steps"):
+            run_sampler(data, PriorConfig(tau=0.5, p=3, q=2), frac)
 
     def test_nonfinite_proposals_are_rejected(self, rng):
         """exp overflows at every proposal: each is a rejection, not the
@@ -778,29 +799,41 @@ class TestSamplerWorkspace:
         assert np.all(sign * linear_predictor(stack.X, 0.01 * far)
                       > LOG_NDTR_BELOW)
 
-    @pytest.mark.parametrize("spec", [
-        FamilySpec("bernoulli_probit"),
-        FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0)],
-        ids=["probit", "clipped_logit"])
-    def test_chains_of_a_block_are_the_fresh_kernel_chains(self, spec, rng):
-        """Two chains of one block, at alpha = 0.5 and a = 1 where the
+    @pytest.mark.parametrize("spec,seeds", [
+        (spec, seeds) for seeds in ((5, 6), (5,)) for spec in (
+            FamilySpec("bernoulli_probit"),
+            FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0),
+            FamilySpec("gaussian"))],
+        ids=[name + suffix for suffix in ("", "_one_chain")
+             for name in ("probit", "clipped_logit", "gaussian")])
+    def test_chains_of_a_block_are_the_fresh_kernel_chains(self, spec, seeds,
+                                                            rng):
+        """The chains of one block, at alpha = 0.5 and a = 1 where the
         stack at a / alpha = 2 is exact, are the reference MALA chains on
         the fresh kernel, bit for bit: had the sampler kept an array that
         the next ``_target`` call overwrites, a rejected proposal's
-        gradient would steer the next one."""
+        gradient would steer the next one.  In a one-chain block every
+        accepting step takes the proposal's arrays by rebinding, and the
+        reference takes the log-ratio as fwd^2 - bwd^2 over 4 gamma."""
         data, B0 = make_data(spec, 150, 4, 3, rng)
         prior_cfg = PriorConfig(tau=0.3, p=4, q=3)
-        gamma, n_steps = 1e-2, 200
+        # the gaussian reference runs on a one-matrix stack of X^T X, X^T Y,
+        # at a step that accepts about as often as the others
+        ref, init, gamma = (stack_datasets([data]), B0[None], 5e-3) \
+            if has_sufficient_statistics(spec) else (data, B0, 1e-2)
+        n_steps = 200
         fracs = [FractionalConfig(step_size=gamma, n_steps=n_steps,
                                   burn_in=0, thin=1, seed=seed, init=B0)
-                 for seed in (5, 6)]
-        chains = run_chains([data] * 2, [prior_cfg] * 2, fracs)
+                 for seed in seeds]
+        chains = run_chains([data] * len(seeds), [prior_cfg] * len(seeds),
+                            fracs)
         for chain, frac in zip(chains, fracs):
             assert 0.2 < chain.acceptance_rate < 0.9
-            samples, log_post = reference_mala(data, prior_cfg, 0.5, gamma,
-                                               n_steps, frac.seed, B0)
-            assert np.array_equal(chain.samples, samples)
-            assert np.array_equal(chain.log_post, log_post)
+            samples, log_post = reference_mala(ref, prior_cfg, 0.5, gamma,
+                                               n_steps, frac.seed, init)
+            assert np.array_equal(chain.samples,
+                                  samples.reshape(chain.samples.shape))
+            assert np.array_equal(chain.log_post, log_post.ravel())
 
 
 class TestPosteriorMeanAndRank:
