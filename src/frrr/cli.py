@@ -5,8 +5,9 @@ divergence | verify-bounds | rate-study | misspec.  All inputs come from an
 INI-style config file, and a command accepts exactly the sections and keys
 it reads: any other is a config error.  A key left out takes the default of
 the config class it fills.  Next to the outputs, ``manifest.json`` holds the
-config as read, the sha256 of its canonical text, the seed and the version;
-reruns of an equal config produce byte-identical CSVs.
+config as read, the sha256 of its canonical text, the seed (null for
+``summarize`` and ``divergence``, which draw no random number) and the
+version; reruns of an equal config produce byte-identical CSVs.
 
 This module alone reads and writes files; the library modules compute.  It
 holds the INI config, the dataset directory (``X.csv``, ``Y.csv`` and
@@ -277,9 +278,10 @@ def load_chain(path):
         p, q, m, alpha, gamma = CHAIN_HEADER.unpack(header)
         if min(p, q, m) < 1:
             raise ValueError(f"chain header gives an empty size {(m, p, q)}")
+        # checked before the read, which header sizes could overflow
+        if os.fstat(fh.fileno()).st_size - fh.tell() < 8 * m * p * q:
+            raise ValueError(f"chain file holds fewer than {m} samples")
         raw = fh.read(8 * m * p * q)
-    if len(raw) < 8 * m * p * q:
-        raise ValueError(f"chain file holds fewer than {m} samples")
     side = read_matrix(str(path) + ".csv", header=True)
     if side.shape[1] != 3:
         raise ValueError(f"chain sidecar rows hold {side.shape[1]} values, "
@@ -334,10 +336,14 @@ def cmd_generate(cfg):
     if min(n, p, q) < 1 or not 0 <= r <= min(p, q):
         raise ConfigError("generate requires n, p and q of at least 1 and "
                           "0 <= r <= min(p, q)")
-    scale = cfg.get("truth", "scale", 1.0, float)
     calibrate = cfg.get("truth", "calibrate", "true")
     if calibrate not in ("true", "false"):
         raise ConfigError("[truth] calibrate must be true or false")
+    scale = 1.0  # calibration resets the scale: only calibrate = false reads it
+    if calibrate == "false":
+        scale = cfg.get("truth", "scale", 1.0, float)
+        if not np.isfinite(scale) or scale == 0:
+            raise ConfigError("[truth] scale must be finite and nonzero")
     mode = cfg.get("design", "mode", "iid")
     if mode not in DESIGN_MODES:
         raise ConfigError(f"unknown [design] mode {mode!r}")
@@ -393,14 +399,12 @@ def cmd_summarize(cfg):
     chain_file = cfg.get("data", "chain_file")
     if chain_file is None:
         raise ConfigError("missing [data] chain_file")
-    seed = cfg.get("run", "seed", 0, int)
     out = _outdir(cfg)
     try:
         chain = load_chain(chain_file)
     except (OSError, ValueError) as exc:
         raise DataError(f"chain invalid: {exc}")
     _write_chain_summary(out, "summary.json", chain)
-    return seed
 
 
 def cmd_divergence(cfg):
@@ -412,7 +416,6 @@ def cmd_divergence(cfg):
     alphas = cfg.get("divergence", "alphas", (0.25, 0.5, 0.75), _list(float))
     if not alphas or not all(0 < a < 1 for a in alphas):
         raise ConfigError("[divergence] alphas must be values in (0, 1)")
-    seed = cfg.get("run", "seed", 0, int)
     out = _outdir(cfg)
     try:  # the report rejects unequal shapes, empty or non-finite matrices
         # and values outside the domain
@@ -431,7 +434,6 @@ def cmd_divergence(cfg):
             rep.hellinger_sq, "total"),
            ("tv_lower", "", rep.tv_lower, rep.tv_lower, "total"),
            ("tv_upper", "", rep.tv_upper, rep.tv_upper, "total")])
-    return seed
 
 
 def cmd_verify_bounds(cfg):
@@ -487,11 +489,12 @@ def _study_fields(cfg):
 
 
 def cmd_rate_study(cfg):
+    r_grid = cfg.get("study", "r_grid", cast=_list(int))
     study = _config(
         RateStudyConfig,
         family=family_from_config(cfg),
-        r_grid=cfg.get("study", "r_grid", cast=_list(int)),
-        n_ref=cfg.get("study", "n_ref", cast=int),
+        r_grid=r_grid,  # its extra ranks alone run at n_ref
+        n_ref=cfg.get("study", "n_ref", cast=int) if r_grid else None,
         tau_preset=cfg.get("prior", "tau_preset"),
         **_study_fields(cfg),
     )

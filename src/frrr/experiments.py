@@ -294,6 +294,8 @@ class RateStudyConfig:
 
     def __post_init__(self):
         _check_study(self, self.r_grid)
+        if self.n_ref < 1:
+            raise ValueError("n_ref must be at least 1")
         if self.tau_preset not in THEOREM_PRESETS:
             raise ValueError(f"rate study tau preset must be one of "
                              f"{', '.join(THEOREM_PRESETS)}, not "
@@ -470,14 +472,14 @@ class KLFit:
     restart_spread: float     # max distance between restart solutions
 
 
-def fit_kl_minimizer(true_spec, B0, fit_spec, X, restarts=0, rng=None):
+def fit_kl_minimizer(true_spec, B0, fit_spec, X, rng):
     """Numerical KL projection of the true law onto the fitted model class.
 
     B_bar maximises the fitted family's expected log-likelihood: the
     likelihood kernel with the true means mu0 as responses and theta free of
     the configured interval, so minus the kernel is the summed KL up to a
     B-free constant.  Fisher scoring runs from the zero matrix and from
-    ``restarts`` standard normal starts drawn from ``rng``, all in one
+    KL_RESTARTS standard normal starts drawn from ``rng``, all in one
     stack; the reported gradient norm is that of the per-entry average,
     whose scale does not grow with n.
 
@@ -494,18 +496,14 @@ def fit_kl_minimizer(true_spec, B0, fit_spec, X, restarts=0, rng=None):
     if fit_spec.family == "bernoulli_probit":
         raise ValueError("the KL projection cannot fit bernoulli_probit: its "
                          "likelihood kernel needs binary responses")
-    if restarts and rng is None:
-        raise ValueError("restarts need an rng to draw their starts from")
     X = np.asarray(X, dtype=float)
     B0 = np.asarray(B0, dtype=float)
     theta0 = theta_from_eta(true_spec, X @ B0)
     mu0 = b_prime(true_spec, theta0)
     core = DataStack(X, mu0, replace(fit_spec, theta_lo=-np.inf,
                                      theta_hi=np.inf))
-    starts = np.zeros((1,) + B0.shape)
-    if restarts:
-        starts = np.concatenate(
-            [starts, rng.standard_normal((restarts,) + B0.shape)])
+    starts = np.concatenate([np.zeros((1,) + B0.shape),
+                             rng.standard_normal((KL_RESTARTS,) + B0.shape)])
     sols, values, grads = _fisher_scoring(core, starts, 0.0)
     best_index = int(np.argmin(values))
     best = sols[best_index]
@@ -587,9 +585,8 @@ def _misspec_cell(cfg, ci, X, truth):
     fit_spec, al = MISSPEC_FIT_FAMILY, cfg.alpha
     fb = family_bounds(fit_spec)
     n = X.shape[0]
-    rng = np.random.default_rng([cfg.seed, 104729, ci])
     fit = fit_kl_minimizer(MISSPEC_TRUE_FAMILY, truth.b0, fit_spec, X,
-                           restarts=KL_RESTARTS, rng=rng)
+                           np.random.default_rng([cfg.seed, 104729, ci]))
     b_bar = fit.b_bar
     rank_bar = int(np.linalg.matrix_rank(b_bar))
     x_frob = float(np.linalg.norm(X))

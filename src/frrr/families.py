@@ -396,6 +396,8 @@ class Dataset:
             raise ValueError("X and Y must be matrices")
         if self.X.shape[0] != self.Y.shape[0]:
             raise ValueError("X and Y must have the same number of rows")
+        if not np.all(np.isfinite(self.X)):
+            raise ValueError("X has a non-finite entry")
         if not np.all(response_in_support(self.family, self.Y)):
             raise ValueError("Y has entries outside the family support")
 

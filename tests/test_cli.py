@@ -214,16 +214,23 @@ class TestGenerate:
         ("calibrate = true", 0), ("calibrate = false", 0),
         ("calibrate = yes", EXIT_CONFIG), ("calibrate = 1", EXIT_CONFIG),
         ("mode = fixed", EXIT_CONFIG),
+        ("calibrate = false\nscale = 0.5", 0),
+        ("calibrate = false\nscale = 0", EXIT_CONFIG),
+        ("calibrate = false\nscale = nan", EXIT_CONFIG),
+        ("scale = 0.5", EXIT_CONFIG),
     ], ids=["calibrate_true", "calibrate_false", "calibrate_yes",
-            "calibrate_1", "mode_fixed"])
+            "calibrate_1", "mode_fixed", "scale_uncalibrated", "scale_0",
+            "scale_nan", "scale_calibrated"])
     def test_bad_truth_or_design_is_config_error(self, tmp_path, line, code):
         """calibrate is true or false and the design mode a known one;
-        anything else exits 2 before any output."""
+        calibrate = false alone reads scale, which must be finite and
+        nonzero to scale a truth; anything else exits 2 before any
+        output, before [output] dir is made."""
         out = tmp_path / "d"
         section = "[design]" if line.startswith("mode") else "[truth]"
         text = GEN.format(out=out).replace(section, f"{section}\n{line}")
         assert main(["generate", write_ini(tmp_path / "g.ini", text)]) == code
-        assert (out / "X.csv").exists() == (code == 0)
+        assert (out / "X.csv").exists() == out.exists() == (code == 0)
 
     @pytest.mark.parametrize("old,new", [
         ("n = 40", "n = 0"), ("p = 4", "p = 0"), ("q = 3", "q = 0"),
@@ -420,6 +427,22 @@ class TestFitAndSummarize:
         assert "Traceback (most recent call last):" not in err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("prior", [
+        "tau_preset = theorem1", "tau_preset = manual\ntau_manual = 0.5"],
+        ids=["theorem1", "manual"])
+    def test_non_finite_design_is_data_error(self, tmp_path, capsys, prior):
+        """One NaN in X.csv exits 3 under either preset: not 2 from a
+        theorem preset's tau, which scales with the norm of X, and not 4
+        from a sampler that starts at a non-finite target."""
+        data = run_generate(tmp_path)
+        X = np.loadtxt(data / "X.csv", delimiter=",")
+        X[3, 1] = np.nan
+        cli.write_matrix(data / "X.csv", X)
+        text = FIT.format(data=data, out=tmp_path / "fit").replace(
+            "tau_preset = theorem1", prior)
+        assert main(["fit", write_ini(tmp_path / "f.ini", text)]) == EXIT_DATA
+        assert "X has a non-finite entry" in capsys.readouterr().err
+
     def test_zero_design_is_data_error(self, tmp_path, capsys):
         """A theorem preset scales tau by the norm of X, so an all-zero
         design is a data error."""
@@ -442,6 +465,9 @@ class TestFitAndSummarize:
         assert main(["summarize", scfg]) == 0
         assert (out / "bhat.csv").read_bytes() == \
             (sum_out / "bhat.csv").read_bytes()
+        # summarize draws no random number: its manifest records no seed
+        manifest = json.loads((sum_out / "manifest.json").read_text())
+        assert manifest["seed"] is None
 
     def test_missing_sidecar_is_data_error(self, tmp_path, capsys):
         """A sidecar that is missing, one value wide though its 3m values
@@ -499,10 +525,18 @@ class TestFitAndSummarize:
 
     def test_truncated_chain_samples_are_data_error(self, tmp_path,
                                                     capsys):
-        """A chain file cut inside its sample block exits 3 and writes no
+        """A chain file cut inside its sample block, or whose header gives
+        sizes of more bytes than a read can ask for, exits 3 and writes no
         summary."""
         assert self.summarize_cut_chain(tmp_path, slice(-8)) == EXIT_DATA
         assert "fewer than" in capsys.readouterr().err
+        chain_file = tmp_path / "fit" / "chain.bin"
+        big = 2 ** 31 - 1
+        chain_file.write_bytes(cli.CHAIN_MAGIC + cli.CHAIN_HEADER.pack(
+            big, big, big, 0.5, 0.1)
+            + chain_file.read_bytes()[8 + cli.CHAIN_HEADER.size:])
+        assert main(["summarize", str(tmp_path / "s.ini")]) == EXIT_DATA
+        assert "fewer than 2147483647 samples" in capsys.readouterr().err
         assert not (tmp_path / "sum" / "summary.json").exists()
 
     @pytest.mark.parametrize("samples", [np.zeros((0, 2, 2)),
@@ -731,12 +765,16 @@ class TestStudyConfigErrors:
         ("[output]", "[prior]\ntau_manual = 0.5\n[output]"),
         ("[output]", "[design]\nn = 50\n[output]"),
         ("thin = 5", "thin = 5\nr_grid = 9"),
+        ("thin = 5", "thin = 5\nr_grid = 2\nn_ref = 0"),
+        ("thin = 5", "thin = 5\nn_ref = 80"),
     ], ids=["manual_preset", "unknown_preset", "unknown_design_mode",
-            "tau_manual", "design_n", "r_grid_above_min_pq"])
+            "tau_manual", "design_n", "r_grid_above_min_pq", "n_ref_0",
+            "n_ref_without_r_grid"])
     def test_rate_study_bad_setting_is_config_error(self, tmp_path, old, new):
-        """The rate study reads neither tau_manual nor [design] n, and takes
-        no unknown preset or design mode; each is a config error, not a
-        PARTIAL row."""
+        """The rate study reads neither tau_manual nor [design] n, nor an
+        n_ref without the r_grid whose ranks run at it, and takes no unknown
+        preset or design mode and no n_ref below 1; each is a config error,
+        not a PARTIAL row."""
         out = tmp_path / "o"
         text = RATE.format(out=out).replace(old, new)
         cfg = write_ini(tmp_path / "c.ini", text)
@@ -834,8 +872,10 @@ class TestConfigContract:
         ("verify-bounds", VERIFY, "[sampler]", "alpha = 0.5"),
         ("rate-study", RATE, "[divergence]", "alphas = 0.5"),
         ("misspec", MISSPEC, "[study]", "r_grid = 2"),
+        ("summarize", SUMMARIZE, "[run]", "seed = 1"),
+        ("divergence", DIVERGENCE, "[run]", "seed = 1"),
     ], ids=["generate", "fit", "summarize", "divergence", "verify_bounds",
-            "rate", "misspec"])
+            "rate", "misspec", "summarize_seed", "divergence_seed"])
     def test_key_of_another_command_is_config_error(
             self, tmp_path, capsys, command, template, section, line):
         """Each key is one that only another command reads; the command

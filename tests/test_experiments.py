@@ -143,18 +143,18 @@ class TestFitKLMinimizer:
     def test_same_family_recovers_truth(self, spec, rng):
         X = make_design(60, 3, "iid", rng)
         B0 = 0.4 * rng.standard_normal((3, 2))
-        fit = fit_kl_minimizer(spec, B0, spec, X)
+        fit = fit_kl_minimizer(spec, B0, spec, X, rng)
         assert np.linalg.norm(fit.b_bar - B0) < 1e-5
         assert fit.kl_value < 1e-10
         assert fit.grad_norm < 1e-6
 
-    def test_single_cell_mean_matching(self):
+    def test_single_cell_mean_matching(self, rng):
         """Probit truth at eta=0 has mean 0.5; the logit projection matches it."""
         true_spec = FamilySpec("bernoulli_probit")
         fit_spec = FamilySpec("bernoulli_logit")
         X = np.ones((1, 1))
         B0 = np.zeros((1, 1))
-        fit = fit_kl_minimizer(true_spec, B0, fit_spec, X)
+        fit = fit_kl_minimizer(true_spec, B0, fit_spec, X, rng)
         theta = theta_from_eta(fit_spec, X @ fit.b_bar)
         assert abs(b_prime(fit_spec, theta)[0, 0] - 0.5) < 1e-8
 
@@ -163,17 +163,9 @@ class TestFitKLMinimizer:
         fit_spec = FamilySpec("bernoulli_logit")
         X = make_design(50, 3, "iid", rng)
         B0 = make_low_rank_truth(3, 2, 1, 0.5, rng).b0
-        fit = fit_kl_minimizer(true_spec, B0, fit_spec, X, restarts=5, rng=rng)
+        fit = fit_kl_minimizer(true_spec, B0, fit_spec, X, rng)
         assert fit.restart_spread < 1e-4
         assert fit.grad_norm < 1e-6
-
-    def test_restarts_without_rng_rejected(self, rng):
-        """Restarts draw their starts from rng, so asking for them without
-        one is an error, not a run from the zero start alone."""
-        spec = FamilySpec("bernoulli_logit")
-        X = make_design(20, 2, "iid", rng)
-        with pytest.raises(ValueError, match="rng"):
-            fit_kl_minimizer(spec, np.zeros((2, 1)), spec, X, restarts=3)
 
 
 class TestPosteriorAverageDivergence:
@@ -279,14 +271,14 @@ class TestCrossDivergences:
         spec = FamilySpec("poisson_log")
         X = make_design(30, 2, "iid", rng)
         B0 = 0.3 * rng.standard_normal((2, 2))
-        fit = fit_kl_minimizer(spec, B0, spec, X)
+        fit = fit_kl_minimizer(spec, B0, spec, X, rng)
         theta0 = theta_from_eta(spec, X @ B0)
         theta_bar = theta_from_eta(spec, X @ fit.b_bar)
         assert fit.kl_value == float(np.mean(
             kl_per_entry(spec, theta0, theta_bar)))
         assert fit.kl_value < 1e-10
 
-    def test_unsupported_pair(self, monkeypatch):
+    def test_unsupported_pair(self, monkeypatch, rng):
         """Laws that differ beyond the link (another family, or another
         dispersion a) are rejected before any minimising, and so is a probit
         fitted family, whose likelihood kernel needs binary responses."""
@@ -304,7 +296,7 @@ class TestCrossDivergences:
                 (FamilySpec("bernoulli_logit"), probit, "bernoulli_probit"),
                 (probit, probit, "bernoulli_probit")):
             with pytest.raises(ValueError, match=match):
-                fit_kl_minimizer(true_spec, B0, fit_spec, X)
+                fit_kl_minimizer(true_spec, B0, fit_spec, X, rng)
 
 
 class TestSmallStudies:

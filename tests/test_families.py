@@ -291,6 +291,9 @@ class TestLinearPredictorAndDataset:
         spec = FamilySpec("bernoulli_logit")
         with pytest.raises(ValueError):
             Dataset(X=np.zeros((2, 2)), Y=np.full((2, 1), 0.5), family=spec)
+        with pytest.raises(ValueError, match="X has a non-finite entry"):
+            Dataset(X=np.array([[0.0, np.nan], [1.0, 2.0]]),
+                    Y=np.ones((2, 1)), family=spec)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

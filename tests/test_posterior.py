@@ -748,10 +748,12 @@ def reference_mala(data, prior_cfg, alpha, gamma, n_steps, seed, init):
     return np.array(samples), np.array(log_post)
 
 
-class TestSamplerWorkspace:
-    """What a sampler block holds across ``_target`` calls: the stack's
-    ``families.cell_constants``, for unclipped probit the sign 2Y - 1, made
-    once when the stack is built, and the step buffers of ``_mala``."""
+class TestSignAndBlockChains:
+    """What a sampler block holds across ``_target`` calls, each checked
+    against the fresh kernel: the stack's ``families.cell_constants``, for
+    unclipped probit the sign 2Y - 1, made once when the stack is built,
+    and the chains of one block, which reuse the step buffers of
+    ``_mala``."""
 
     @staticmethod
     def far_stack(spec, R, rng, n=120, p=4, q=3):
