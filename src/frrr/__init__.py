@@ -6,9 +6,8 @@ for the associated contraction-rate bounds."""
 __version__ = "1.0.0"
 
 from .divergence import (DivergenceReport, LemmaBounds, RateFormulas, c_alpha,
-                         divergence_report, expected_log_ratio_sq,
-                         kl_bruteforce, kl_per_entry, lemma_bounds,
-                         misspec_kl_lhs, rate_formulas, renyi_bruteforce,
+                         divergence_report, kl_bruteforce, kl_per_entry,
+                         lemma_bounds, rate_formulas, renyi_bruteforce,
                          renyi_per_entry, tv_bruteforce)
 from .experiments import (KLFit, MisspecConfig, MisspecStudyResult,
                           RateStudyConfig, RateStudyResult, fit_kl_minimizer,
@@ -18,7 +17,7 @@ from .experiments import (KLFit, MisspecConfig, MisspecStudyResult,
 from .families import (FAMILY_IDS, Dataset, FamilyBounds, FamilySpec,
                        InvalidParameterError, b_and_prime, b_prime, b_second,
                        b_value, family_bounds, linear_predictor, link_terms,
-                       sample_response, theta_from_eta, theta_raw_from_eta)
+                       sample_response, theta_from_eta)
 from .posterior import (Chain, FractionalConfig, SamplerDivergence,
                         default_step_size, effective_rank, fisher_information,
                         grad_log_fractional_posterior, grad_log_likelihood,

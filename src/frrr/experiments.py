@@ -294,6 +294,9 @@ class RateStudyConfig:
 
     def __post_init__(self):
         _check_study(self, self.r_grid)
+        if len({self.r, *self.r_grid}) <= len(self.r_grid):
+            raise ValueError(f"each r_grid rank must differ from r = {self.r} "
+                             f"and from the other r_grid ranks")
         if self.n_ref < 1:
             raise ValueError("n_ref must be at least 1")
         if self.tau_preset not in THEOREM_PRESETS:
@@ -417,7 +420,7 @@ def _rate_cell(cfg, cell_index, n, r):
 def run_rate_study(cfg):
     """Replicated simulation across the (n, r) grid with theorem comparisons."""
     grid = [(n, cfg.r) for n in cfg.n_grid]
-    grid += [(cfg.n_ref, r) for r in cfg.r_grid if r != cfg.r]
+    grid += [(cfg.n_ref, r) for r in cfg.r_grid]
     cells = _run_cells([_rate_cell(cfg, i, n, r)
                         for i, (n, r) in enumerate(grid)])
     result = RateStudyResult(config=cfg, cells=cells)

@@ -311,11 +311,6 @@ def log_likelihood_terms(spec, Y, eta, constants=None):
     return Y * theta - b, (Y - mean) * dtheta
 
 
-def theta_raw_from_eta(spec, eta):
-    """Solve (h o b')(theta) = eta without clipping to the configured interval."""
-    return _raw_link(spec, eta)[0]
-
-
 def theta_from_eta(spec, eta):
     """Natural parameter for linear predictor eta, clipped into the interval."""
     return link_terms(spec, eta)[0]

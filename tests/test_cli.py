@@ -767,19 +767,22 @@ class TestStudyConfigErrors:
         ("thin = 5", "thin = 5\nr_grid = 9"),
         ("thin = 5", "thin = 5\nr_grid = 2\nn_ref = 0"),
         ("thin = 5", "thin = 5\nn_ref = 80"),
+        ("thin = 5", "thin = 5\nr_grid = 1\nn_ref = 80"),
+        ("thin = 5", "thin = 5\nr_grid = 2 0 2\nn_ref = 80"),
     ], ids=["manual_preset", "unknown_preset", "unknown_design_mode",
             "tau_manual", "design_n", "r_grid_above_min_pq", "n_ref_0",
-            "n_ref_without_r_grid"])
+            "n_ref_without_r_grid", "r_grid_repeats_r", "r_grid_repeats_rank"])
     def test_rate_study_bad_setting_is_config_error(self, tmp_path, old, new):
         """The rate study reads neither tau_manual nor [design] n, nor an
         n_ref without the r_grid whose ranks run at it, and takes no unknown
-        preset or design mode and no n_ref below 1; each is a config error,
-        not a PARTIAL row."""
+        preset or design mode, no n_ref below 1 and no r_grid rank that
+        repeats r or another r_grid rank; each is a config error, raised
+        before [output] dir is made."""
         out = tmp_path / "o"
         text = RATE.format(out=out).replace(old, new)
         cfg = write_ini(tmp_path / "c.ini", text)
         assert main(["rate-study", cfg]) == EXIT_CONFIG
-        assert not (out / "rate_cells.csv").exists()
+        assert not out.exists()
 
     def test_misspec_family_is_config_error(self, tmp_path):
         """misspec fixes its true and fitted families, so a [family]
@@ -940,8 +943,8 @@ class TestConfigContract:
 
 class TestStartUp:
     def test_import_leaves_out_stats_and_integrate(self):
-        """Only the brute-force oracles need scipy.stats and scipy.integrate,
-        so importing the CLI does not load them."""
+        """Only the brute-force oracles need scipy.stats, which loads
+        scipy.integrate, so importing the CLI loads neither."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         code = ("import sys, frrr.cli; print(sorted(m for m in sys.modules "
                 "if m in ('scipy.stats', 'scipy.integrate')))")

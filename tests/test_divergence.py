@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from frrr.divergence import (LemmaBounds, c_alpha, divergence_report,
-                             expected_log_ratio_sq, hellinger_sq,
-                             kl_bruteforce, kl_per_entry, lemma_bounds,
-                             misspec_kl_lhs, rate_formulas, renyi_bruteforce,
-                             renyi_per_entry, tv_bruteforce)
+                             hellinger_sq, kl_bruteforce, kl_per_entry,
+                             lemma_bounds, log_ratio_sq_per_entry,
+                             misspec_kl_per_entry, rate_formulas,
+                             renyi_bruteforce, renyi_per_entry, tv_bruteforce)
 from frrr.families import FamilyBounds, FamilySpec, family_bounds
 
 from conftest import bounded_specs
@@ -128,6 +128,13 @@ class TestBruteForceOracles:
         with pytest.raises(ValueError):
             tv_bruteforce(spec, [0.0, 1.0], [1.0, 2.0])
 
+    def test_tv_outcome_space_limit(self):
+        """15 bernoulli cells have 2^15 outcomes, more than the 2^14 of
+        MAX_OUTCOMES."""
+        spec = FamilySpec("bernoulli_logit")
+        with pytest.raises(ValueError, match="outcome space too large"):
+            tv_bruteforce(spec, np.zeros(15), np.ones(15))
+
 
 class TestDivergenceReport:
     def test_identical_parameters(self):
@@ -223,7 +230,8 @@ class TestLemmaBounds:
         T = rng.uniform(-1, 1, (3, 3))
         Z = rng.uniform(-1, 1, (3, 3))
         lb = lemma_bounds(fb, spec.a, T, Z)
-        assert expected_log_ratio_sq(spec, T, Z) <= lb.logsq_upper + 1e-12
+        lhs = np.mean(log_ratio_sq_per_entry(spec, T, Z))
+        assert lhs <= lb.logsq_upper + 1e-12
 
     def test_misspec_lemma(self, rng):
         spec = bounded_specs()["bernoulli_logit"]
@@ -231,7 +239,7 @@ class TestLemmaBounds:
         T0 = rng.uniform(-2, 2, (3, 2))
         TB = rng.uniform(-2, 2, (3, 2))
         Z = rng.uniform(-2, 2, (3, 2))
-        lhs = misspec_kl_lhs(spec, T0, TB, Z)
+        lhs = np.mean(misspec_kl_per_entry(spec, T0, TB, Z))
         lb = lemma_bounds(fb, spec.a, TB, Z)
         assert lhs <= lb.misspec_kl + 1e-12
 

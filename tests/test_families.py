@@ -4,12 +4,11 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr
 
 from frrr.families import (FAMILY_IDS, LOG_NDTR_BELOW, Dataset, FamilyBounds,
-                           FamilySpec, InvalidParameterError, b_prime,
-                           b_second, b_value, family_bounds,
+                           FamilySpec, InvalidParameterError, _raw_link,
+                           b_prime, b_second, b_value, family_bounds,
                            linear_predictor, link_terms,
                            log_norm_cdf_and_ratio, response_in_support,
-                           sample_response, theta_from_eta,
-                           theta_raw_from_eta)
+                           sample_response, theta_from_eta)
 
 from conftest import bounded_specs, default_specs
 
@@ -51,8 +50,8 @@ class TestThetaFromEta:
         spec = FamilySpec("gamma_log")
         # solve log(-1/theta) = 0 by bisection
         root = brentq(lambda t: np.log(-1.0 / t), -10.0, -0.1)
-        assert abs(theta_raw_from_eta(spec, 0.0) - root) < 1e-10
-        assert abs(theta_raw_from_eta(spec, 0.0) - (-1.0)) < 1e-12
+        assert abs(_raw_link(spec, 0.0)[0] - root) < 1e-10
+        assert abs(_raw_link(spec, 0.0)[0] - (-1.0)) < 1e-12
 
     def test_negbin_bisection_oracle(self):
         spec = FamilySpec("negbin_log", k=3.0)
@@ -60,7 +59,7 @@ class TestThetaFromEta:
         root = brentq(
             lambda t: np.log(spec.k * np.exp(t) / (1 - np.exp(t))) - eta,
             -20.0, -1e-9)
-        val = theta_raw_from_eta(spec, eta)
+        val = _raw_link(spec, eta)[0]
         assert abs(val - root) < 1e-8
         assert abs(val - np.log(0.5)) < 1e-12
 
@@ -69,7 +68,7 @@ class TestThetaFromEta:
         spec = default_specs()[fam]
         h = link_of(spec)
         etas = rng.uniform(-6.0, 6.0, size=1000)
-        theta = theta_raw_from_eta(spec, etas)
+        theta = _raw_link(spec, etas)[0]
         ok = (theta >= spec.theta_min) & (theta <= spec.theta_max)
         assert np.allclose(h(theta[ok]), etas[ok], atol=1e-8)
 
@@ -163,8 +162,8 @@ class TestDthetaDeta:
         spec = default_specs()[fam]
         etas = rng.uniform(-4.0, 4.0, size=1000)
         h = 1e-5
-        fd = (theta_raw_from_eta(spec, etas + h)
-              - theta_raw_from_eta(spec, etas - h)) / (2 * h)
+        fd = (_raw_link(spec, etas + h)[0]
+              - _raw_link(spec, etas - h)[0]) / (2 * h)
         dtheta = link_terms(spec, etas)[1]
         assert np.allclose(dtheta, fd, rtol=1e-5)
         assert np.all(dtheta > 0)

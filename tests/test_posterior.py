@@ -34,13 +34,19 @@ def make_data(fam_spec, n, p, q, rng, b_scale=0.5):
     return generate_dataset(X, truth, fam_spec, rng), B0
 
 
+def moments(b1, b2):
+    """b1, b2, b1^2, b2^2 and b1 b2, stacked on a last axis."""
+    return np.stack([b1, b2, b1 * b1, b2 * b2, b1 * b2], axis=-1)
+
+
 def assert_sampler_matches_a_grid_mean(b0, seed):
-    """The mean of 8 chains of 20k steps from the ridge fit lies within 4
-    between-chain standard errors of the grid posterior mean, per entry, for
-    a gaussian fit with a = 1.5 at alpha = 0.5, tau = 0.01 and n = 200 on
-    the rank-1 truth b0 with two entries, (2, 1) or (1, 2).  With B = b1
-    E1 + b2 E2, the closed-form density is summed over a grid of spacing
-    tau / 4 that holds b = 0, and its mass near b = 0 must be negligible."""
+    """The moments E b1, E b2, E b1^2, E b2^2 and E b1 b2 of 8 chains of 20k
+    steps from the ridge fit each lie within 4 between-chain standard errors
+    of the grid posterior's, for a gaussian fit with a = 1.5 at alpha = 0.5,
+    tau = 0.01 and n = 200 on the rank-1 truth b0 with two entries, (2, 1)
+    or (1, 2).  With B = b1 E1 + b2 E2, the closed-form density is summed
+    over a grid of spacing tau / 4 that holds b = 0, and its mass near b = 0
+    must be negligible."""
     n, tau, alpha, chains = 200, 0.01, 0.5, 8
     p, q = b0.shape
     spec = FamilySpec("gaussian", a=1.5)
@@ -62,13 +68,15 @@ def assert_sampler_matches_a_grid_mean(b0, seed):
     w = np.exp(log_density - log_density.max())
     w /= w.sum()
     assert w[b1 ** 2 + b2 ** 2 < 0.1 ** 2].sum() < 1e-6
-    reference = np.array([(w * b1).sum(), (w * b2).sum()])
+    reference = (w[..., None] * moments(b1, b2)).sum(axis=(0, 1))
 
     start = likelihood_ridge_fit([data])[0]
-    means = np.array([posterior_mean(chain).ravel() for chain in run_chains(
+    runs = run_chains(
         [data] * chains, [PriorConfig(tau=tau, p=p, q=q)] * chains,
         [FractionalConfig(alpha=alpha, n_steps=20000, seed=s, init=start)
-         for s in range(chains)])])
+         for s in range(chains)])
+    means = np.array([moments(*run.samples.reshape(-1, 2).T).mean(axis=0)
+                      for run in runs])
     se = means.std(axis=0, ddof=1) / np.sqrt(chains)
     assert np.all(np.abs(means.mean(axis=0) - reference) <= 4.0 * se)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frrr.cli import load_dataset, save_dataset
-from frrr.families import FamilySpec, sample_response, theta_raw_from_eta
+from frrr.families import FamilySpec, _raw_link, sample_response
 from frrr.simulate import (calibrate_scale, compute_kappa, generate_dataset,
                            make_design, make_low_rank_truth, prediction_error)
 
@@ -117,7 +117,7 @@ class TestGenerateDataset:
         truth = make_low_rank_truth(3, 4, 2, 3.0, np.random.default_rng(4))
         for spec in (FamilySpec("bernoulli_logit", theta_lo=-1.0,
                                 theta_hi=1.0), FamilySpec("gaussian")):
-            theta = np.clip(theta_raw_from_eta(spec, X @ truth.b0),
+            theta = np.clip(_raw_link(spec, X @ truth.b0)[0],
                             spec.theta_min, spec.theta_max)
             Y = generate_dataset(X, truth, spec, np.random.default_rng(5)).Y
             assert np.array_equal(
