@@ -16,7 +16,7 @@ SPECS = [
     FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0),
     FamilySpec("bernoulli_probit", theta_lo=-2.0, theta_hi=2.0),
     FamilySpec("poisson_log", theta_lo=-1.0, theta_hi=1.0),
-    FamilySpec("gamma_log", a=0.5, k=2.0, theta_lo=-5.0, theta_hi=-0.2),
+    FamilySpec("gamma_log", a=0.5, theta_lo=-5.0, theta_hi=-0.2),
     FamilySpec("negbin_log", k=2.0, theta_lo=-3.0, theta_hi=-0.1),
 ]
 

@@ -45,6 +45,7 @@ import os
 import struct
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
@@ -70,7 +71,7 @@ CHAIN_MAGIC = b"FRRRCHN1"
 CHAIN_HEADER = struct.Struct("<iiidd")  # p, q, sample count, alpha, step
 # the FamilySpec fields that a config's [family] and a dataset's meta.ini set
 # besides the family name
-FAMILY_KEYS = ("a", "k", "theta_lo", "theta_hi", "clip_margin")
+FAMILY_KEYS = tuple(f.name for f in fields(FamilySpec) if f.name != "family")
 
 
 class ConfigError(ValueError):
@@ -243,6 +244,11 @@ def load_dataset(dirpath):
     with open(os.path.join(dirpath, "meta.ini")) as fh:
         meta.read_file(fh)
     fam = meta["family"]
+    unread = set(fam) - {"family", *FAMILY_KEYS}
+    if unread:
+        raise DataError(f"meta.ini [family] holds {' '.join(sorted(unread))}"
+                        ", which this version does not read: regenerate "
+                        "the dataset")
     spec = FamilySpec(family=fam["family"],
                       **{key: float(fam[key]) for key in FAMILY_KEYS})
     X, Y = (read_matrix(os.path.join(dirpath, name))

@@ -68,8 +68,8 @@ def sampling_box(spec):
     """Working interval for random natural parameters: the configured interval
     intersected with [-BOX_HALF_WIDTH, BOX_HALF_WIDTH] (so unbounded families
     still get a finite box)."""
-    lo = max(spec.theta_min, -BOX_HALF_WIDTH)
-    hi = min(spec.theta_max, BOX_HALF_WIDTH)
+    lo = max(spec.theta_lo, -BOX_HALF_WIDTH)
+    hi = min(spec.theta_hi, BOX_HALF_WIDTH)
     if not lo < hi:
         raise ValueError("empty sampling box")
     return lo, hi

@@ -2,8 +2,9 @@
 
 Each family is described by its log-partition function b and a strictly
 increasing link, so that the natural parameter solves (h o b')(theta) = eta
-for a linear predictor eta.  Families with an open natural-parameter boundary
-(gamma-log, negbin-log) are clipped a configurable margin away from it so
+for a linear predictor eta, clipped into the spec's interval [theta_lo,
+theta_hi].  Families with an open natural-parameter boundary (gamma-log,
+negbin-log) keep theta_hi below it, CLIP_MARGIN away unless set lower, so
 that the curvature bounds stay finite.
 
 The posterior kernel's cell-wise work lives here too, in one eta-space
@@ -40,10 +41,10 @@ FAMILY_IDS = (
     "negbin_log",
 )
 
-# families whose natural domain is the open half-line (-inf, 0); they alone
-# read k and clip_margin
+# families whose natural domain is the open half-line (-inf, 0): their
+# theta_hi stays below 0, and negbin alone reads k
 _NEGATIVE_DOMAIN = ("gamma_log", "negbin_log")
-CLIP_MARGIN = 1e-3            # default distance kept from that boundary
+CLIP_MARGIN = 1e-3            # distance kept from 0 by an unset theta_hi
 
 # below this z, erfc(|z| / sqrt 2) = 2 Phi(z) leaves the normal doubles
 LOG_NDTR_BELOW = -37.0
@@ -56,60 +57,44 @@ class InvalidParameterError(ValueError):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One exponential family plus link, with a configured parameter interval.
+    """One exponential family plus link, with the natural-parameter interval
+    [theta_lo, theta_hi] that every caller uses.
 
-    ``a`` is the known dispersion; ``k`` is the gamma shape or the negative
-    binomial failure count, and 1 for the other families.  ``theta_lo``/
-    ``theta_hi`` restrict the natural parameter; they are intersected with
-    the family's natural domain, and ``clip_margin`` is the distance kept
-    from an open domain boundary, CLIP_MARGIN for a family without one.
+    ``a`` is the known dispersion (gamma's shape is 1/a); ``k`` is the
+    negative binomial failure count, and 1 for the other families.  For
+    gamma_log and negbin_log, whose domain is theta < 0, a ``theta_hi`` at
+    or above 0 (the default inf included) becomes -CLIP_MARGIN; one below 0
+    is kept as given.
     """
 
     family: str
     a: float = 1.0
-    k: float = None
+    k: float = 1.0
     theta_lo: float = -np.inf
     theta_hi: float = np.inf
-    clip_margin: float = CLIP_MARGIN
 
     def __post_init__(self):
         if self.family not in FAMILY_IDS:
             raise ValueError(f"unknown family {self.family!r}")
-        if not self.a > 0:
-            raise ValueError("dispersion a must be positive")
-        if not self.clip_margin > 0:
-            raise ValueError("clip_margin must be positive")
-        if self.k is None:
-            # gamma ties dispersion and shape as a = 1/k; negbin defaults to 1
-            k = 1.0 / self.a if self.family == "gamma_log" else 1.0
-            object.__setattr__(self, "k", float(k))
-        if not self.k > 0:
-            raise ValueError("k must be positive")
-        if self.family not in _NEGATIVE_DOMAIN and self.k != 1.0:
+        if not 0 < self.a < np.inf:
+            raise ValueError("dispersion a must be positive and finite")
+        if self.family == "gamma_log" and not 1.0 / self.a < np.inf:
+            raise ValueError("gamma_log needs a finite shape 1/a")
+        if not 0 < self.k < np.inf:
+            raise ValueError("k must be positive and finite")
+        if self.family != "negbin_log" and self.k != 1.0:
             raise ValueError(f"{self.family} reads no k: it must be 1")
-        if self.family not in _NEGATIVE_DOMAIN \
-                and self.clip_margin != CLIP_MARGIN:
-            raise ValueError(f"{self.family} has no open boundary: "
-                             f"clip_margin must be {CLIP_MARGIN}")
-        if self.family == "gamma_log" and abs(self.a * self.k - 1.0) > 1e-12:
-            raise ValueError("gamma_log requires a = 1/k")
         if self.family in ("bernoulli_logit", "bernoulli_probit",
                            "poisson_log", "negbin_log") and self.a != 1.0:
             raise ValueError(f"{self.family} has fixed dispersion a = 1")
-        if self.theta_min > self.theta_max:
+        if not -np.inf <= self.theta_lo < np.inf:
+            raise ValueError("theta_lo must be a number below +inf")
+        if not -np.inf < self.theta_hi <= np.inf:
+            raise ValueError("theta_hi must be a number above -inf")
+        if self.family in _NEGATIVE_DOMAIN and self.theta_hi >= 0:
+            object.__setattr__(self, "theta_hi", -CLIP_MARGIN)
+        if self.theta_lo > self.theta_hi:
             raise ValueError("configured theta interval is empty")
-
-    @property
-    def theta_min(self):
-        """Lower end of the effective natural-parameter interval."""
-        return self.theta_lo
-
-    @property
-    def theta_max(self):
-        """Upper end, kept clip_margin away from an open boundary."""
-        if self.family in _NEGATIVE_DOMAIN:
-            return min(self.theta_hi, -self.clip_margin)
-        return self.theta_hi
 
     @property
     def is_discrete(self):
@@ -260,7 +245,7 @@ def _raw_link(spec, eta):
 
 def _unclipped(spec):
     """Whether theta is free on the whole real line."""
-    return spec.theta_min == -np.inf and spec.theta_max == np.inf
+    return spec.theta_lo == -np.inf and spec.theta_hi == np.inf
 
 
 def has_sufficient_statistics(spec):
@@ -275,7 +260,7 @@ def link_terms(spec, eta):
     raw, d = _raw_link(spec, eta)
     if _unclipped(spec):
         return raw, d
-    lo, hi = spec.theta_min, spec.theta_max
+    lo, hi = spec.theta_lo, spec.theta_hi
     return np.clip(raw, lo, hi), np.where((raw < lo) | (raw > hi), 0.0, d)
 
 
@@ -324,7 +309,7 @@ def family_bounds(spec):
     sits at an end of the interval, an infinite end taking the limit there.
     Unbounded infima come out as 0 and suprema as +inf.
     """
-    ends = np.array([spec.theta_min, spec.theta_max])
+    ends = np.array([spec.theta_lo, spec.theta_hi])
     second = b_second(spec, ends)
     c_u = float(second.max())
     if spec.family in ("bernoulli_logit", "bernoulli_probit") \
@@ -337,7 +322,8 @@ def family_bounds(spec):
 def sample_response(spec, theta, rng):
     """Draw responses from the family at natural parameter theta."""
     theta = _check_domain(spec, theta)
-    if np.any(theta < spec.theta_min - 1e-12) or np.any(theta > spec.theta_max + 1e-12):
+    if np.any(theta < spec.theta_lo - 1e-12) \
+            or np.any(theta > spec.theta_hi + 1e-12):
         raise InvalidParameterError("theta outside the configured interval")
     f = spec.family
     if f == "gaussian":
@@ -348,8 +334,9 @@ def sample_response(spec, theta, rng):
     if f == "poisson_log":
         return rng.poisson(np.exp(theta)).astype(float)
     if f == "gamma_log":
-        # shape k, rate -k*theta: mean -1/theta, variance a/theta^2 with a = 1/k
-        return rng.gamma(spec.k, scale=-1.0 / (spec.k * theta))
+        # shape 1/a, rate -theta/a: mean -1/theta, variance a/theta^2
+        shape = 1.0 / spec.a
+        return rng.gamma(shape, scale=-1.0 / (shape * theta))
     return rng.negative_binomial(spec.k, 1.0 - np.exp(theta)).astype(float)
 
 

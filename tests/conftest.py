@@ -14,7 +14,7 @@ def bounded_specs():
         "bernoulli_probit": FamilySpec("bernoulli_probit",
                                        theta_lo=-2.0, theta_hi=2.0),
         "poisson_log": FamilySpec("poisson_log", theta_lo=-1.0, theta_hi=1.0),
-        "gamma_log": FamilySpec("gamma_log", a=0.5, k=2.0,
+        "gamma_log": FamilySpec("gamma_log", a=0.5,
                                 theta_lo=-5.0, theta_hi=-0.2),
         "negbin_log": FamilySpec("negbin_log", k=2.0,
                                  theta_lo=-3.0, theta_hi=-0.1),
@@ -28,7 +28,7 @@ def default_specs():
         "bernoulli_logit": FamilySpec("bernoulli_logit"),
         "bernoulli_probit": FamilySpec("bernoulli_probit"),
         "poisson_log": FamilySpec("poisson_log"),
-        "gamma_log": FamilySpec("gamma_log", a=0.5, k=2.0),
+        "gamma_log": FamilySpec("gamma_log", a=0.5),
         "negbin_log": FamilySpec("negbin_log", k=2.0),
     }
 

@@ -77,8 +77,8 @@ class TestCriterion2Oracles:
             spec = bounded_specs()[fam]
             kind = "discrete" if spec.is_discrete else "continuous"
             tol = 1e-8 if spec.is_discrete else 1e-6
-            lo = max(spec.theta_min, -3.0)
-            hi = min(spec.theta_max, 3.0)
+            lo = max(spec.theta_lo, -3.0)
+            hi = min(spec.theta_hi, 3.0)
             theta = rng.uniform(lo, hi, 200)
             zeta = rng.uniform(lo, hi, 200)
             for t, z in zip(theta, zeta):

@@ -14,7 +14,7 @@ from frrr import cli
 from frrr.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, ConfigReader,
                       canonical_text, family_from_config, main, read_config)
 from frrr.experiments import MisspecConfig, RateStudyConfig
-from frrr.families import FamilySpec
+from frrr.families import FamilySpec, theta_from_eta
 from frrr.posterior import FractionalConfig, run_sampler
 from frrr.prior import PriorConfig
 
@@ -247,12 +247,13 @@ class TestGenerate:
         assert not out.exists()
 
     @pytest.mark.parametrize("family", [
-        "gaussian\nk = 7", "poisson_log\nclip_margin = 0.5"],
-        ids=["gaussian_k", "poisson_log_clip_margin"])
+        "gaussian\nk = 7", "poisson_log\nclip_margin = 0.5",
+        "gamma_log\nk = 2"],
+        ids=["gaussian_k", "poisson_log_clip_margin", "gamma_log_k"])
     def test_setting_the_law_never_reads_is_config_error(self, tmp_path,
                                                          family):
-        """Only gamma_log and negbin_log read k and clip_margin; another
-        family given either exits 2 before any output."""
+        """Only negbin_log reads k (gamma's shape is 1/a), and no family
+        reads a clip_margin; either given exits 2 before any output."""
         out = tmp_path / "d"
         text = GEN.format(out=out).replace("family = gaussian",
                                            f"family = {family}")
@@ -260,12 +261,19 @@ class TestGenerate:
             == EXIT_CONFIG
         assert not out.exists()
 
-    @pytest.mark.parametrize("family", ["gaussian", "poisson_log",
-                                        "negbin_log"])
-    def test_meta_ini_round_trip(self, tmp_path, family):
-        """meta.ini writes k and clip_margin for every family, at their
-        defaults where the law reads neither; fit loads the dataset and
-        takes a [family] section naming the family as matching it."""
+    @pytest.mark.parametrize("family,spec", [
+        ("gaussian", FamilySpec("gaussian")),
+        ("poisson_log", FamilySpec("poisson_log")),
+        ("negbin_log", FamilySpec("negbin_log")),
+        ("gamma_log\na = 0.5\ntheta_hi = -1e-6",
+         FamilySpec("gamma_log", a=0.5, theta_hi=-1e-6)),
+    ], ids=["gaussian", "poisson_log", "negbin_log", "gamma_log"])
+    def test_meta_ini_round_trip(self, tmp_path, family, spec):
+        """meta.ini writes the five [family] keys, k at 1 where the law
+        does not read it and the resolved theta_hi; fit loads the dataset
+        and takes a [family] section with the same settings as matching
+        it.  A linear predictor past the interval lands on the loaded
+        theta_hi."""
         data, out = tmp_path / "data", tmp_path / "fit"
         for command, template in (("generate", GEN), ("fit", FIT)):
             text = template.format(out=out if command == "fit" else data,
@@ -273,7 +281,44 @@ class TestGenerate:
             cfg = write_ini(tmp_path / f"{command}.ini", text.replace(
                 "family = gaussian", f"family = {family}"))
             assert main([command, cfg]) == 0
-        assert cli.load_dataset(data).family == FamilySpec(family)
+        meta = read_config(data / "meta.ini")["family"]
+        assert sorted(meta) == ["a", "family", "k", "theta_hi", "theta_lo"]
+        loaded = cli.load_dataset(data).family
+        assert loaded == spec and loaded.k == 1.0
+        assert theta_from_eta(loaded, 20.0) == min(loaded.theta_hi, 20.0)
+
+    @pytest.mark.parametrize("family", [
+        "gaussian\ntheta_lo = nan", "gaussian\ntheta_hi = nan",
+        "gaussian\ntheta_lo = inf", "gaussian\na = inf",
+        "negbin_log\nk = inf"],
+        ids=["theta_lo_nan", "theta_hi_nan", "theta_lo_inf", "a_inf",
+             "negbin_k_inf"])
+    def test_non_finite_family_value_is_config_error(self, tmp_path, family):
+        """A NaN interval end, theta_lo = +inf, or a non-finite a or k
+        exits 2 before [output] dir is made, not 4 (or 0) after it."""
+        out = tmp_path / "d"
+        text = GEN.format(out=out).replace("family = gaussian",
+                                           f"family = {family}")
+        assert main(["generate", write_ini(tmp_path / "g.ini", text)]) \
+            == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_gamma_theta_hi_below_the_margin_is_used(self, tmp_path):
+        """On gamma_log a theta_hi between -CLIP_MARGIN and 0 is the upper
+        end that clipped cells are drawn at, so it changes Y.csv; one at or
+        above 0 resolves to -CLIP_MARGIN, the default.  An uncalibrated
+        truth puts some cells past the clip."""
+        ys = []
+        for name, line in (("default", ""), ("above", "\ntheta_hi = 5"),
+                           ("below", "\ntheta_hi = -1e-6")):
+            out = tmp_path / name
+            text = GEN.format(out=out).replace(
+                "family = gaussian", "family = gamma_log" + line).replace(
+                "r = 2", "r = 2\ncalibrate = false\nscale = 3")
+            assert main(["generate", write_ini(tmp_path / f"{name}.ini",
+                                               text)]) == 0
+            ys.append((out / "Y.csv").read_bytes())
+        assert ys[0] == ys[1] != ys[2]
 
     def test_calibrate_false_keeps_the_scale(self, tmp_path):
         """calibrate = false leaves the drawn truth at [truth] scale; the
@@ -408,22 +453,29 @@ class TestFitAndSummarize:
                         FIT.format(data=tmp_path / "nope", out=tmp_path / "f"))
         assert main(["fit", cfg]) == EXIT_DATA
 
-    @pytest.mark.parametrize("line", ["clip_margin", "[family]"],
-                             ids=["no_clip_margin", "no_section_header"])
-    def test_broken_meta_ini_is_data_error(self, tmp_path, capsys, line):
-        """A meta.ini that lacks a key (KeyError) or that configparser
-        cannot parse exits 3 with its message on stderr, not a
-        traceback."""
+    @pytest.mark.parametrize("old,new,cause", [
+        ("theta_hi = inf\n", "", "KeyError"),
+        ("[family]\n", "", "MissingSectionHeaderError"),
+        ("[family]\n", "[family]\nclip_margin = 0.001\n",
+         "DataError: meta.ini [family] holds clip_margin")],
+        ids=["no_theta_hi", "no_section_header", "extra_clip_margin"])
+    def test_broken_meta_ini_is_data_error(self, tmp_path, capsys, old, new,
+                                           cause):
+        """A meta.ini that lacks a key, that configparser cannot parse, or
+        whose [family] holds a key load_dataset does not read (the
+        clip_margin of a dataset written before theta_hi held the upper
+        end) exits 3 with its cause on stderr, not a traceback."""
         data = run_generate(tmp_path)
         meta = data / "meta.ini"
-        lines = meta.read_text().splitlines(True)
-        meta.write_text("".join(x for x in lines if not x.startswith(line)))
+        text = meta.read_text()
+        assert old in text
+        meta.write_text(text.replace(old, new))
         out = tmp_path / "fit"
         cfg = write_ini(tmp_path / "f.ini", FIT.format(data=data, out=out))
         capsys.readouterr()
         assert main(["fit", cfg]) == EXIT_DATA
         err = capsys.readouterr().err.splitlines()
-        assert err[0].startswith("data error: dataset invalid: ")
+        assert err[0].startswith("data error: dataset invalid: " + cause)
         assert "Traceback (most recent call last):" not in err
         assert os.listdir(out) == []
 

@@ -14,8 +14,8 @@ ALPHAS = (0.25, 0.5, 0.75)
 
 
 def random_pairs(spec, n, rng, half_width=3.0):
-    lo = max(spec.theta_min, -half_width)
-    hi = min(spec.theta_max, half_width)
+    lo = max(spec.theta_lo, -half_width)
+    hi = min(spec.theta_hi, half_width)
     return rng.uniform(lo, hi, size=n), rng.uniform(lo, hi, size=n)
 
 

@@ -70,7 +70,7 @@ class TestVerifyDivergenceBounds:
                 misspec_kl_per_entry(spec, T0, T, Z))
 
     def test_sampling_box(self):
-        spec = FamilySpec("gamma_log", a=0.5, k=2.0,
+        spec = FamilySpec("gamma_log", a=0.5,
                           theta_lo=-5.0, theta_hi=-0.2)
         lo, hi = sampling_box(spec)
         assert lo == -3.0 and hi == -0.2

@@ -3,8 +3,9 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import log_ndtr
 
-from frrr.families import (FAMILY_IDS, LOG_NDTR_BELOW, Dataset, FamilyBounds,
-                           FamilySpec, InvalidParameterError, _raw_link,
+from frrr.families import (CLIP_MARGIN, FAMILY_IDS, LOG_NDTR_BELOW, Dataset,
+                           FamilyBounds, FamilySpec, InvalidParameterError,
+                           _raw_link,
                            b_prime, b_second, b_value, family_bounds,
                            linear_predictor, link_terms,
                            log_norm_cdf_and_ratio, response_in_support,
@@ -69,7 +70,7 @@ class TestThetaFromEta:
         h = link_of(spec)
         etas = rng.uniform(-6.0, 6.0, size=1000)
         theta = _raw_link(spec, etas)[0]
-        ok = (theta >= spec.theta_min) & (theta <= spec.theta_max)
+        ok = (theta >= spec.theta_lo) & (theta <= spec.theta_hi)
         assert np.allclose(h(theta[ok]), etas[ok], atol=1e-8)
 
     @pytest.mark.parametrize("fam", FAMILY_IDS)
@@ -117,7 +118,7 @@ class TestBFunctions:
     @pytest.mark.parametrize("fam", FAMILY_IDS)
     def test_bprime_bsecond_are_derivatives(self, fam, rng):
         spec = bounded_specs()[fam]
-        theta = rng.uniform(spec.theta_min, spec.theta_max, size=50)
+        theta = rng.uniform(spec.theta_lo, spec.theta_hi, size=50)
         h = 1e-6
         fd1 = (b_value(spec, theta + h) - b_value(spec, theta - h)) / (2 * h)
         fd2 = (b_prime(spec, theta + h) - b_prime(spec, theta - h)) / (2 * h)
@@ -218,7 +219,7 @@ class TestFamilyBounds:
     @pytest.mark.parametrize("fam", FAMILY_IDS)
     def test_grid_check(self, fam):
         spec = bounded_specs()[fam]
-        grid = np.linspace(spec.theta_min, spec.theta_max, 2000)
+        grid = np.linspace(spec.theta_lo, spec.theta_hi, 2000)
         fb = family_bounds(spec)
         vals = b_second(spec, grid)
         assert np.all(vals >= fb.c_l - 1e-12)
@@ -226,7 +227,7 @@ class TestFamilyBounds:
         assert np.all(np.abs(b_prime(spec, grid)) <= fb.u_1 + 1e-12)
 
     def test_gamma_unbounded_marker(self):
-        spec = FamilySpec("gamma_log", clip_margin=1e-9)
+        spec = FamilySpec("gamma_log", theta_hi=-1e-9)
         fb = family_bounds(spec)
         assert fb.c_u > 1e17  # blows up as theta_hi -> 0
 
@@ -251,7 +252,7 @@ class TestSampleResponse:
     @pytest.mark.parametrize("fam", FAMILY_IDS)
     def test_moments_match_b(self, fam, rng):
         spec = bounded_specs()[fam]
-        theta = 0.5 * (spec.theta_min + spec.theta_max)
+        theta = 0.5 * (spec.theta_lo + spec.theta_hi)
         draws = sample_response(spec, np.full(10 ** 5, theta), rng)
         mean, var = b_prime(spec, theta), spec.a * b_second(spec, theta)
         se_mean = np.sqrt(var / draws.size)
@@ -294,37 +295,50 @@ class TestLinearPredictorAndDataset:
             Dataset(X=np.array([[0.0, np.nan], [1.0, 2.0]]),
                     Y=np.ones((2, 1)), family=spec)
 
+    def test_open_boundary_resolves_theta_hi(self):
+        """gamma_log and negbin_log turn a theta_hi at or above 0 into
+        -CLIP_MARGIN and keep one below 0; other families keep it."""
+        for fam in ("gamma_log", "negbin_log"):
+            for hi in (np.inf, 5.0, 0.0):
+                assert FamilySpec(fam, theta_hi=hi).theta_hi == -CLIP_MARGIN
+            assert FamilySpec(fam, theta_hi=-1e-6).theta_hi == -1e-6
+        assert FamilySpec("gaussian", theta_hi=5.0).theta_hi == 5.0
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             FamilySpec("nope")
         with pytest.raises(ValueError):
             FamilySpec("gaussian", a=-1.0)
-        with pytest.raises(ValueError):
-            FamilySpec("gamma_log", a=0.5, k=3.0)  # needs a = 1/k
 
     @pytest.mark.parametrize("family,settings,message", [
         ("poisson_log", dict(a=2.0), "fixed dispersion"),
         ("bernoulli_logit", dict(a=0.5), "fixed dispersion"),
         ("negbin_log", dict(a=2.0), "fixed dispersion"),
+        ("gaussian", dict(a=np.inf), "a must be positive and finite"),
+        ("gamma_log", dict(a=1e-320), "finite shape"),
         ("gaussian", dict(theta_lo=1.0, theta_hi=-1.0), "empty"),
         ("gamma_log", dict(theta_lo=-0.5, theta_hi=-1.0), "empty"),
-        ("negbin_log", dict(theta_lo=-0.01, clip_margin=0.1), "empty"),
+        ("negbin_log", dict(theta_lo=-1e-4), "empty"),
+        ("gaussian", dict(theta_lo=np.nan), "theta_lo must be a number"),
+        ("gaussian", dict(theta_hi=np.nan), "theta_hi must be a number"),
+        ("gamma_log", dict(theta_hi=np.nan), "theta_hi must be a number"),
+        ("gaussian", dict(theta_lo=np.inf), "below \\+inf"),
+        ("poisson_log", dict(theta_hi=-np.inf), "above -inf"),
         ("negbin_log", dict(k=0.0), "k must be positive"),
         ("gamma_log", dict(k=-2.0), "k must be positive"),
-        ("gamma_log", dict(clip_margin=0.0), "clip_margin must be positive"),
-        ("negbin_log", dict(clip_margin=-1e-3), "clip_margin must be positive"),
+        ("negbin_log", dict(k=np.inf), "k must be positive and finite"),
+        ("negbin_log", dict(k=np.nan), "k must be positive and finite"),
         ("gaussian", dict(k=7.0), "reads no k"),
         ("bernoulli_probit", dict(k=2.0), "reads no k"),
         ("poisson_log", dict(k=0.5), "reads no k"),
-        ("gaussian", dict(clip_margin=0.5), "no open boundary"),
-        ("bernoulli_logit", dict(clip_margin=1e-2), "no open boundary"),
-        ("poisson_log", dict(clip_margin=0.5), "no open boundary"),
-    ], ids=["poisson_a", "bernoulli_a", "negbin_a", "gaussian_empty",
-            "gamma_empty", "negbin_empty_by_margin", "negbin_k_0",
-            "gamma_k_negative", "gamma_clip_margin_0",
-            "negbin_clip_margin_negative", "gaussian_k", "probit_k",
-            "poisson_k", "gaussian_clip_margin", "logit_clip_margin",
-            "poisson_clip_margin"])
+        ("gamma_log", dict(a=0.5, k=2.0), "reads no k"),
+    ], ids=["poisson_a", "bernoulli_a", "negbin_a", "gaussian_a_inf",
+            "gamma_a_tiny", "gaussian_empty", "gamma_empty",
+            "negbin_empty_by_margin", "gaussian_theta_lo_nan",
+            "gaussian_theta_hi_nan", "gamma_theta_hi_nan",
+            "gaussian_theta_lo_inf", "poisson_theta_hi_minus_inf",
+            "negbin_k_0", "gamma_k_negative", "negbin_k_inf", "negbin_k_nan",
+            "gaussian_k", "probit_k", "poisson_k", "gamma_k"])
     def test_spec_rejects(self, family, settings, message):
         with pytest.raises(ValueError, match=message):
             FamilySpec(family, **settings)

@@ -147,7 +147,7 @@ class TestGradients:
         data, B0 = make_data(spec, 300, 4, 3, rng)
         B = 2.0 * B0
         eta = data.X @ B
-        clipped = (eta < spec.theta_min) | (eta > spec.theta_max)
+        clipped = (eta < spec.theta_lo) | (eta > spec.theta_hi)
         assert clipped.mean() > 0.1
         fd = central_diff(lambda M: log_likelihood(data, M), B)
         g = grad_log_likelihood(data, B)

@@ -118,7 +118,7 @@ class TestGenerateDataset:
         for spec in (FamilySpec("bernoulli_logit", theta_lo=-1.0,
                                 theta_hi=1.0), FamilySpec("gaussian")):
             theta = np.clip(_raw_link(spec, X @ truth.b0)[0],
-                            spec.theta_min, spec.theta_max)
+                            spec.theta_lo, spec.theta_hi)
             Y = generate_dataset(X, truth, spec, np.random.default_rng(5)).Y
             assert np.array_equal(
                 Y, sample_response(spec, theta, np.random.default_rng(5)))
