@@ -45,17 +45,16 @@ import os
 import struct
 import sys
 import warnings
-from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .divergence import divergence_report
+from .divergence import RENYI_ORDERS, divergence_report
 from .experiments import (MisspecConfig, RateStudyConfig,
                           hellinger_consistency_check, run_misspec_study,
                           run_rate_study, sampling_box,
                           verify_divergence_bounds)
-from .families import Dataset, FamilySpec
+from .families import FAMILY_KEYS, Dataset, FamilySpec
 from .posterior import (Chain, FractionalConfig, effective_rank,
                         posterior_mean, run_sampler)
 from .prior import THEOREM_PRESETS, PriorConfig, check_tau, tau_preset
@@ -69,9 +68,6 @@ EXIT_NUMERIC = 4
 
 CHAIN_MAGIC = b"FRRRCHN1"
 CHAIN_HEADER = struct.Struct("<iiidd")  # p, q, sample count, alpha, step
-# the FamilySpec fields that a config's [family] and a dataset's meta.ini set
-# besides the family name
-FAMILY_KEYS = tuple(f.name for f in fields(FamilySpec) if f.name != "family")
 
 
 class ConfigError(ValueError):
@@ -191,10 +187,12 @@ def write_manifest(cfg, seed):
 
 
 def _write_json(path, obj):
-    """Indented JSON with sorted keys and a trailing newline."""
+    """Indented JSON with sorted keys and a trailing newline; a NaN or an
+    infinity, which JSON cannot hold, raises before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=float,
+                      allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_table(path, header, fmt, rows):
@@ -419,7 +417,7 @@ def cmd_divergence(cfg):
     zeta_file = cfg.get("divergence", "zeta_file")
     if theta_file is None or zeta_file is None:
         raise ConfigError("[divergence] requires theta_file and zeta_file")
-    alphas = cfg.get("divergence", "alphas", (0.25, 0.5, 0.75), _list(float))
+    alphas = cfg.get("divergence", "alphas", RENYI_ORDERS, _list(float))
     if not alphas or not all(0 < a < 1 for a in alphas):
         raise ConfigError("[divergence] alphas must be values in (0, 1)")
     out = _outdir(cfg)

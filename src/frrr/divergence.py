@@ -17,6 +17,8 @@ import numpy as np
 
 from .families import b_prime, b_second, b_value, _check_domain
 
+RENYI_ORDERS = (0.25, 0.5, 0.75)   # Renyi orders of reports and lemma sweeps
+
 
 def _log_ratio_mean(spec, theta0, theta, zeta):
     """a E_theta0 log(p_theta / p_zeta) = b'(theta0)(theta - zeta) - b(theta) + b(zeta)."""
@@ -69,7 +71,7 @@ class DivergenceReport:
     tv_upper: float
 
 
-def divergence_report(spec, Theta, Zeta, alphas=(0.25, 0.5, 0.75)):
+def divergence_report(spec, Theta, Zeta, alphas=RENYI_ORDERS):
     """Divergences between the product laws at parameter matrices Theta, Zeta,
     which must have the same shape, at least one entry and finite entries."""
     Theta = np.asarray(Theta, dtype=float)
@@ -114,12 +116,12 @@ def _entry_dist(spec, theta):
     from scipy import stats
     from scipy.special import expit
 
-    f = spec.family
-    if f in ("bernoulli_logit", "bernoulli_probit"):
+    f = spec.law
+    if f == "bernoulli":
         return stats.bernoulli(expit(theta))
-    if f == "poisson_log":
+    if f == "poisson":
         return stats.poisson(np.exp(theta))
-    if f == "negbin_log":
+    if f == "negbin":
         return stats.nbinom(spec.k, 1.0 - np.exp(theta))
     if f == "gaussian":
         return stats.norm(theta, np.sqrt(spec.a))
@@ -128,7 +130,7 @@ def _entry_dist(spec, theta):
 
 def _count_support(spec, theta, zeta):
     """Truncated outcome range certified to miss < COUNT_TAIL of both laws."""
-    if spec.family.startswith("bernoulli"):
+    if spec.law == "bernoulli":
         return np.arange(2)
     d1, d2 = _entry_dist(spec, theta), _entry_dist(spec, zeta)
     top = 1.0 - COUNT_TAIL / 10
@@ -182,7 +184,7 @@ def tv_bruteforce(spec, Theta, Zeta):
     """
     Theta = np.asarray(Theta, dtype=float).ravel()
     Zeta = np.asarray(Zeta, dtype=float).ravel()
-    if spec.family == "gaussian":
+    if spec.law == "gaussian":
         if Theta.size != 1:
             raise ValueError("gaussian TV supported only for a single cell")
         from scipy import stats

@@ -16,9 +16,9 @@ chains.  The rate study computes D_alpha at its fractional power alpha and
 at 1/2 (for the Hellinger check); the misspecification study at alpha,
 against the KL projection B_bar of the true law onto the fitted class
 (``fit_kl_minimizer``, from the zero matrix and KL_RESTARTS random starts).
-That study fixes its laws: a MISSPEC_TRUE_FAMILY probit truth and a
-MISSPEC_FIT_FAMILY logit fit on [-2, 2].  They share a law up to the link,
-so the closed-form divergences of the fitted family apply to the pair.
+That study fixes its families: a MISSPEC_TRUE_FAMILY probit truth and a
+MISSPEC_FIT_FAMILY logit fit on [-2, 2].  Both have the bernoulli law, so
+the closed-form divergences of the fitted family apply to the pair.
 
 The ridge start and the KL projection minimise the sampler's own likelihood
 kernel, ``posterior.log_likelihood_and_grad``, through one damped
@@ -33,9 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divergence import (c_alpha, hellinger_sq, kl_per_entry, lemma_rhs,
-                         log_ratio_sq_per_entry, misspec_kl_per_entry,
-                         rate_formulas, renyi_per_entry)
+from .divergence import (RENYI_ORDERS, c_alpha, hellinger_sq, kl_per_entry,
+                         lemma_rhs, log_ratio_sq_per_entry,
+                         misspec_kl_per_entry, rate_formulas, renyi_per_entry)
 from .families import (Dataset, FamilySpec, b_prime, family_bounds,
                        has_sufficient_statistics, theta_from_eta)
 from .posterior import (BLOCK_CELLS, DataStack, FractionalConfig,
@@ -51,7 +51,6 @@ FIT_MAXITER = 100             # iterations and step halvings of a fit
 FIT_RTOL = 1e-14              # squared Newton decrement over the objective
 DIVERGENCE_SAMPLES = 40       # chain samples per posterior-average D_alpha
 BOX_HALF_WIDTH = 3.0          # half-width of the lemma sweeps' theta box
-LEMMA_ALPHAS = (0.25, 0.5, 0.75)   # Renyi orders of the lemma sweeps
 MISSPEC_TRUE_FAMILY = FamilySpec("bernoulli_probit")  # misspec study truth
 # the tight interval keeps the KL floor clear of the O(1/n) posterior
 # spread, so the D_alpha plateau shows at desk-scale n
@@ -77,7 +76,7 @@ def sampling_box(spec):
 
 def verify_divergence_bounds(spec, trials, rng):
     """Check the four divergence lemmas on random clipped parameter pairs,
-    the Renyi lemma at each order of LEMMA_ALPHAS.
+    the Renyi lemma at each order of RENYI_ORDERS.
 
     Returns a dict of per-trial arrays (exact values, bound values and
     satisfied flags) plus satisfied fractions per lemma.
@@ -92,9 +91,9 @@ def verify_divergence_bounds(spec, trials, rng):
     rhs = lemma_rhs(bounds, spec.a, diff_sq, 1)
     kl_exact = kl_per_entry(spec, theta, zeta)
     renyi_lower = {al: lemma_rhs(bounds, spec.a, diff_sq, 1, al).renyi_lower
-                   for al in LEMMA_ALPHAS}
+                   for al in RENYI_ORDERS}
     renyi_exact = {al: renyi_per_entry(spec, theta, zeta, al)
-                   for al in LEMMA_ALPHAS}
+                   for al in RENYI_ORDERS}
     logsq_exact = log_ratio_sq_per_entry(spec, theta, zeta)
     mis_exact = misspec_kl_per_entry(spec, theta0, theta, zeta)
 
@@ -103,7 +102,7 @@ def verify_divergence_bounds(spec, trials, rng):
         "kl_upper": kl_exact <= rhs.kl_upper * (1 + 1e-9) + tol,
         "renyi_lower": np.all(
             [renyi_exact[al] >= renyi_lower[al] * (1 - 1e-9) - tol
-             for al in LEMMA_ALPHAS],
+             for al in RENYI_ORDERS],
             axis=0),
         "log_sq": logsq_exact <= rhs.logsq_upper * (1 + 1e-9) + tol,
         "misspec_kl": mis_exact <= rhs.misspec_kl * (1 + 1e-9) + tol,
@@ -175,8 +174,12 @@ def likelihood_ridge_fit(datasets):
     and the family, as an (R, p, q) stack: the chain starts of a study
     cell.  The fit frees theta from the family's configured interval, so
     the objective is smooth; for an unclipped gaussian family one step
-    gives the closed form (G/a + RIDGE I)^-1 C/a."""
-    free = replace(datasets[0].family, theta_lo=-np.inf, theta_hi=np.inf)
+    gives the closed form (G/a + RIDGE I)^-1 C/a.  Raises ValueError on
+    datasets of different families or, cell-wise, different X."""
+    spec = datasets[0].family
+    if any(d.family != spec for d in datasets):
+        raise ValueError("the datasets of one fit must share the family")
+    free = replace(spec, theta_lo=-np.inf, theta_hi=np.inf)
     data = stack_datasets([replace(d, family=free) for d in datasets])
     start = np.zeros((len(datasets), datasets[0].p, datasets[0].q))
     return _fisher_scoring(data, start, RIDGE)[0]
@@ -303,8 +306,10 @@ class RateStudyConfig:
             raise ValueError(f"rate study tau preset must be one of "
                              f"{', '.join(THEOREM_PRESETS)}, not "
                              f"{self.tau_preset!r}")
-        if family_bounds(self.family).c_l <= 0:
-            raise ValueError("rate study requires a family with positive C_L")
+        bounds = family_bounds(self.family)
+        if not (bounds.c_l > 0 and bounds.c_u < np.inf):
+            raise ValueError("rate study requires a family with positive C_L "
+                             "and finite C_U")
 
 
 @dataclass
@@ -361,9 +366,11 @@ class RateStudyResult:
         return [c for c in self.cells if c.r == self.config.r]
 
     def summary(self):
+        """The cells and the log-log slope, with None for a slope or
+        standard error that is NaN (fewer than two or three sizes)."""
         return {
-            "slope": self.slope,
-            "slope_se": self.slope_se,
+            "slope": self.slope if np.isfinite(self.slope) else None,
+            "slope_se": self.slope_se if np.isfinite(self.slope_se) else None,
             "cells": [dict(
                 n=c.n, r=c.r, tau=c.tau, kappa=c.kappa,
                 mean_pred_err=float(np.mean(c.pred_err)),
@@ -486,14 +493,15 @@ def fit_kl_minimizer(true_spec, B0, fit_spec, X, rng):
     stack; the reported gradient norm is that of the per-entry average,
     whose scale does not grow with n.
 
-    The two families must share a law up to the link (both bernoulli, or
-    equal family, a and k), so the KL has the fitted family's closed form.
+    The two families must share the law, a and k, and may differ only in
+    the link, so the KL has the fitted family's closed form.
     A bernoulli_probit fitted family is rejected: the one eta-space
     function, ``families.log_likelihood_terms``, takes the unclipped probit
     likelihood as log Phi((2y - 1) eta), which holds only for binary y, and
     mu0 lies strictly between 0 and 1.
     """
-    if _law(true_spec) != _law(fit_spec):
+    if (true_spec.law, true_spec.a, true_spec.k) \
+            != (fit_spec.law, fit_spec.a, fit_spec.k):
         raise ValueError("true and fitted families must share a law up to "
                          "the link")
     if fit_spec.family == "bernoulli_probit":
@@ -519,14 +527,6 @@ def fit_kl_minimizer(true_spec, B0, fit_spec, X, rng):
         grad_norm=gnorm,
         restart_spread=spread,
     )
-
-
-def _law(spec):
-    """What the entry law depends on besides theta (the link is not part of
-    it): b and a, fixed for the bernoulli links, else family, a and k."""
-    if spec.family.startswith("bernoulli"):
-        return "bernoulli"
-    return spec.family, spec.a, spec.k
 
 
 @dataclass

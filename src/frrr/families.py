@@ -1,11 +1,11 @@
 """Natural exponential families with canonical and non-canonical links.
 
-Each family is described by its log-partition function b and a strictly
-increasing link, so that the natural parameter solves (h o b')(theta) = eta
-for a linear predictor eta, clipped into the spec's interval [theta_lo,
-theta_hi].  Families with an open natural-parameter boundary (gamma-log,
-negbin-log) keep theta_hi below it, CLIP_MARGIN away unless set lower, so
-that the curvature bounds stay finite.
+A family is a law, its log-partition function b, named by
+``FamilySpec.law`` (the id without its link), and a strictly increasing
+link h: the natural parameter solves (h o b')(theta) = eta for a linear
+predictor eta, clipped into the spec's interval [theta_lo, theta_hi].  The
+laws with an open natural-parameter boundary (gamma, negbin) keep theta_hi
+below it, CLIP_MARGIN away unless set lower, so the bounds stay finite.
 
 The posterior kernel's cell-wise work lives here too, in one eta-space
 function, ``log_likelihood_terms``: a times each cell's log-likelihood,
@@ -28,7 +28,7 @@ only inside ``log_norm_cdf_and_ratio`` (``erfc``, and ``log_ndtr`` in the
 far tail), so only the probit link loads ``scipy.special``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,9 +41,10 @@ FAMILY_IDS = (
     "negbin_log",
 )
 
-# families whose natural domain is the open half-line (-inf, 0): their
-# theta_hi stays below 0, and negbin alone reads k
-_NEGATIVE_DOMAIN = ("gamma_log", "negbin_log")
+_COUNT_LAWS = ("bernoulli", "poisson", "negbin")   # dispersion a fixed at 1
+# laws whose natural domain is the open half-line (-inf, 0): their theta_hi
+# stays below 0, and negbin alone reads k
+_NEGATIVE_DOMAIN = ("gamma", "negbin")
 CLIP_MARGIN = 1e-3            # distance kept from 0 by an unset theta_hi
 
 # below this z, erfc(|z| / sqrt 2) = 2 Phi(z) leaves the normal doubles
@@ -78,28 +79,35 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}")
         if not 0 < self.a < np.inf:
             raise ValueError("dispersion a must be positive and finite")
-        if self.family == "gamma_log" and not 1.0 / self.a < np.inf:
+        if self.law == "gamma" and not 1.0 / self.a < np.inf:
             raise ValueError("gamma_log needs a finite shape 1/a")
         if not 0 < self.k < np.inf:
             raise ValueError("k must be positive and finite")
-        if self.family != "negbin_log" and self.k != 1.0:
+        if self.law != "negbin" and self.k != 1.0:
             raise ValueError(f"{self.family} reads no k: it must be 1")
-        if self.family in ("bernoulli_logit", "bernoulli_probit",
-                           "poisson_log", "negbin_log") and self.a != 1.0:
+        if self.is_discrete and self.a != 1.0:
             raise ValueError(f"{self.family} has fixed dispersion a = 1")
         if not -np.inf <= self.theta_lo < np.inf:
             raise ValueError("theta_lo must be a number below +inf")
         if not -np.inf < self.theta_hi <= np.inf:
             raise ValueError("theta_hi must be a number above -inf")
-        if self.family in _NEGATIVE_DOMAIN and self.theta_hi >= 0:
+        if self.law in _NEGATIVE_DOMAIN and self.theta_hi >= 0:
             object.__setattr__(self, "theta_hi", -CLIP_MARGIN)
         if self.theta_lo > self.theta_hi:
             raise ValueError("configured theta interval is empty")
 
     @property
+    def law(self):
+        """The log-partition b: the id without its link."""
+        return self.family.split("_")[0]
+
+    @property
     def is_discrete(self):
-        return self.family in ("bernoulli_logit", "bernoulli_probit",
-                               "poisson_log", "negbin_log")
+        return self.law in _COUNT_LAWS
+
+
+# the fields [family], meta.ini and Dataset.digest hold besides the id
+FAMILY_KEYS = tuple(f.name for f in fields(FamilySpec) if f.name != "family")
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,7 @@ class FamilyBounds:
 
 def _check_domain(spec, theta):
     theta = np.asarray(theta, dtype=float)
-    if spec.family in _NEGATIVE_DOMAIN and np.any(theta >= 0):
+    if spec.law in _NEGATIVE_DOMAIN and np.any(theta >= 0):
         raise InvalidParameterError(
             f"{spec.family} requires theta < 0, got max {np.max(theta)}")
     return theta
@@ -126,17 +134,17 @@ def _check_domain(spec, theta):
 def b_value(spec, theta):
     """Log-partition b(theta)."""
     theta = _check_domain(spec, theta)
-    f = spec.family
+    f = spec.law
     if f == "gaussian":
         return theta ** 2 / 2.0
-    if f in ("bernoulli_logit", "bernoulli_probit"):
+    if f == "bernoulli":
         # log(1 + e^theta), several times faster than np.logaddexp
         return np.maximum(theta, 0.0) + np.log1p(np.exp(-np.abs(theta)))
-    if f == "poisson_log":
+    if f == "poisson":
         return np.exp(theta)
-    if f == "gamma_log":
+    if f == "gamma":
         return -np.log(-theta)
-    # negbin_log: -k log(1 - e^theta)
+    # negbin: -k log(1 - e^theta)
     return -spec.k * np.log1p(-np.exp(theta))
 
 
@@ -147,14 +155,14 @@ def b_and_prime(spec, theta):
     +inf, and the poisson mean is b itself."""
     theta = np.asarray(theta, dtype=float)
     b = b_value(spec, theta)
-    f = spec.family
+    f = spec.law
     if f == "gaussian":
         return b, theta + 0.0
-    if f in ("bernoulli_logit", "bernoulli_probit"):
+    if f == "bernoulli":
         return b, -np.expm1(-b)
-    if f == "poisson_log":
+    if f == "poisson":
         return b, b
-    if f == "gamma_log":
+    if f == "gamma":
         return b, -1.0 / theta
     e = np.exp(theta)
     return b, spec.k * e / (1.0 - e)
@@ -168,15 +176,15 @@ def b_prime(spec, theta):
 def b_second(spec, theta):
     """Variance function b''(theta), always nonnegative."""
     theta = _check_domain(spec, theta)
-    f = spec.family
+    f = spec.law
     if f == "gaussian":
         return np.ones_like(theta)
-    if f in ("bernoulli_logit", "bernoulli_probit"):
+    if f == "bernoulli":
         b, s = b_and_prime(spec, theta)
         return s * np.exp(-b)       # s (1 - s), which cancels near s = 1
-    if f == "poisson_log":
+    if f == "poisson":
         return np.exp(theta)
-    if f == "gamma_log":
+    if f == "gamma":
         return 1.0 / theta ** 2
     e = np.exp(theta)
     return spec.k * e / (1.0 - e) ** 2
@@ -312,8 +320,7 @@ def family_bounds(spec):
     ends = np.array([spec.theta_lo, spec.theta_hi])
     second = b_second(spec, ends)
     c_u = float(second.max())
-    if spec.family in ("bernoulli_logit", "bernoulli_probit") \
-            and ends[0] <= 0.0 <= ends[1]:
+    if spec.law == "bernoulli" and ends[0] <= 0.0 <= ends[1]:
         c_u = 0.25
     return FamilyBounds(float(second.min()), c_u,
                         float(np.abs(b_prime(spec, ends)).max()))
@@ -325,15 +332,15 @@ def sample_response(spec, theta, rng):
     if np.any(theta < spec.theta_lo - 1e-12) \
             or np.any(theta > spec.theta_hi + 1e-12):
         raise InvalidParameterError("theta outside the configured interval")
-    f = spec.family
+    f = spec.law
     if f == "gaussian":
         return rng.normal(theta, np.sqrt(spec.a))
-    if f in ("bernoulli_logit", "bernoulli_probit"):
+    if f == "bernoulli":
         mean = b_prime(spec, theta)
         return (rng.random(np.shape(theta)) < mean).astype(float)
-    if f == "poisson_log":
+    if f == "poisson":
         return rng.poisson(np.exp(theta)).astype(float)
-    if f == "gamma_log":
+    if f == "gamma":
         # shape 1/a, rate -theta/a: mean -1/theta, variance a/theta^2
         shape = 1.0 / spec.a
         return rng.gamma(shape, scale=-1.0 / (shape * theta))
@@ -343,12 +350,12 @@ def sample_response(spec, theta, rng):
 def response_in_support(spec, y):
     """Boolean mask of entries lying in the family support."""
     y = np.asarray(y, dtype=float)
-    f = spec.family
+    f = spec.law
     if f == "gaussian":
         return np.isfinite(y)
-    if f in ("bernoulli_logit", "bernoulli_probit"):
+    if f == "bernoulli":
         return np.isin(y, (0.0, 1.0))
-    if f == "gamma_log":
+    if f == "gamma":
         return np.isfinite(y) & (y > 0)
     return np.isfinite(y) & (y >= 0) & (y == np.floor(y))
 
@@ -396,13 +403,13 @@ class Dataset:
         return self.Y.shape[1]
 
     def digest(self):
-        """Content hash used to tie chains to the data they were run on."""
+        """sha256 of the family id, each FAMILY_KEYS value as a float64, X
+        and Y: ties chains to the data they were run on."""
         import hashlib
 
-        h = hashlib.sha256()
-        h.update(self.family.family.encode())
-        h.update(np.float64(self.family.a).tobytes())
-        h.update(np.float64(self.family.k).tobytes())
+        h = hashlib.sha256(self.family.family.encode())
+        for key in FAMILY_KEYS:
+            h.update(np.float64(getattr(self.family, key)).tobytes())
         h.update(np.ascontiguousarray(self.X).tobytes())
         h.update(np.ascontiguousarray(self.Y).tobytes())
         return h.hexdigest()

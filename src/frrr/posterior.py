@@ -142,12 +142,17 @@ def stack_datasets(datasets, dispersion=None):
     """The kernel's view of datasets that share the family, at
     ``dispersion`` (None: the family's a; the sampler passes a / alpha):
     the sufficient statistics of each, divided by the dispersion once,
-    where the family has them, else the shared X of the first and the
-    stacked responses."""
-    spec = datasets[0].family
+    where the family has them, else the shared X and the stacked
+    responses.  Raises ValueError unless every dataset has the first one's
+    family and, cell-wise, an equal X."""
+    spec, X = datasets[0].family, datasets[0].X
+    if any(d.family != spec for d in datasets):
+        raise ValueError("the datasets of one stack must share the family")
     if not has_sufficient_statistics(spec):
-        return DataStack(datasets[0].X, np.stack([d.Y for d in datasets]),
-                         spec, dispersion=dispersion)
+        if not all(np.array_equal(d.X, X) for d in datasets):
+            raise ValueError("cell-wise datasets of one stack must share X")
+        return DataStack(X, np.stack([d.Y for d in datasets]), spec,
+                         dispersion=dispersion)
     scale = spec.a if dispersion is None else dispersion
     return DataStack(None, None, spec,
                      np.stack([d.X.T @ d.X for d in datasets]) / scale,

@@ -125,6 +125,14 @@ dir = {out}
 """
 
 
+def strict_json(path):
+    """The JSON file at ``path``, parsed as RFC 8259 has it: NaN, Infinity
+    and -Infinity are errors."""
+    def reject(name):
+        raise ValueError(f"{path} holds {name}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def run_generate(tmp_path):
     data_dir = tmp_path / "data"
     cfg = write_ini(tmp_path / "gen.ini", GEN.format(out=data_dir))
@@ -344,6 +352,34 @@ class TestFitAndSummarize:
         assert 0.0 < summary["acceptance_rate"] <= 1.0
         bhat = np.loadtxt(out / "bhat.csv", delimiter=",")
         assert bhat.shape == (4, 3)
+
+    def test_digest_reads_the_interval(self, tmp_path):
+        """A dataset whose meta.ini interval is edited fits to another
+        bhat.csv and reports another dataset_digest."""
+        data = tmp_path / "data"
+        gen = GEN.format(out=data).replace(
+            "family = gaussian",
+            "family = bernoulli_logit\ntheta_lo = -2\ntheta_hi = 2").replace(
+            "seed = 5", "seed = 1")
+        assert main(["generate", write_ini(tmp_path / "g.ini", gen)]) == 0
+        outs = []
+        for lo, hi in (("-2", "2"), ("-0.5", "0.5")):
+            meta = (data / "meta.ini").read_text()
+            meta = re.sub(r"theta_lo = \S+", f"theta_lo = {lo}", meta)
+            (data / "meta.ini").write_text(
+                re.sub(r"theta_hi = \S+", f"theta_hi = {hi}", meta))
+            out = tmp_path / f"fit{lo}"
+            # a wide prior, so that B reaches cells the intervals clip
+            fit = FIT.format(data=data, out=out).replace(
+                "[family]\nfamily = gaussian\n", "").replace(
+                "seed = 5", "seed = 1").replace(
+                "theorem1", "manual\ntau_manual = 1")
+            assert main(["fit", write_ini(tmp_path / "f.ini", fit)]) == 0
+            outs.append(out)
+        a, b = (strict_json(out / "fit_summary.json") for out in outs)
+        assert (outs[0] / "bhat.csv").read_bytes() \
+            != (outs[1] / "bhat.csv").read_bytes()
+        assert a["dataset_digest"] != b["dataset_digest"]
 
     @pytest.mark.parametrize("old,new", [
         ("n_steps = 300", "n_steps = 0"),
@@ -739,6 +775,28 @@ class TestRateStudyCommand:
         assert set(summary) == {"cells", "hellinger_check", "slope",
                                 "slope_se"}
         assert_same_bytes(out, again)
+
+    @pytest.mark.parametrize("n_grid", ["40", "40 80"])
+    def test_summary_is_strict_json(self, tmp_path, n_grid):
+        """One size has no slope and two sizes no standard error: each is
+        null, where a bare NaN would not be JSON."""
+        out = tmp_path / "o"
+        text = RATE.format(out=out).replace("n_grid = 40 80",
+                                            f"n_grid = {n_grid}")
+        assert main(["rate-study", write_ini(tmp_path / "c.ini", text)]) == 0
+        summary = strict_json(out / "summary.json")
+        assert summary["slope_se"] is None
+        assert (summary["slope"] is None) == (n_grid == "40")
+
+    def test_unbounded_curvature_is_config_error(self, tmp_path):
+        """poisson_log unbounded above has C_U = inf, so every theorem bound
+        would be infinite: exit 2 before the output dir is made."""
+        out = tmp_path / "o"
+        text = RATE.format(out=out).replace(
+            "family = gaussian", "family = poisson_log\ntheta_lo = -2")
+        assert main(["rate-study", write_ini(tmp_path / "c.ini", text)]) \
+            == EXIT_CONFIG
+        assert not out.exists()
 
 
     def test_sampler_alpha_is_the_reported_order(self, tmp_path):

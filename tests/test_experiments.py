@@ -117,6 +117,28 @@ class TestLikelihoodRidgeFit:
         for fit, d in zip(fits, datasets):
             assert np.array_equal(fit, likelihood_ridge_fit([d])[0])
 
+    def test_cellwise_designs_must_be_equal(self, rng):
+        """Cell-wise datasets of one fit share X: a second design is
+        rejected, not replaced by the first."""
+        spec = FamilySpec("bernoulli_logit")
+        datasets = [
+            Dataset(X=rng.standard_normal((40, 3)),
+                    Y=(rng.random((40, 2)) < 0.5).astype(float), family=spec)
+            for _ in range(2)]
+        with pytest.raises(ValueError, match="share X"):
+            likelihood_ridge_fit(datasets)
+
+    def test_families_must_be_equal_as_passed(self, rng):
+        """Two intervals of one family are two families, though the fit
+        frees theta of both."""
+        X = rng.standard_normal((40, 3))
+        Y = (rng.random((40, 2)) < 0.5).astype(float)
+        with pytest.raises(ValueError, match="share the family"):
+            likelihood_ridge_fit([
+                Dataset(X=X, Y=Y, family=FamilySpec(
+                    "bernoulli_logit", theta_lo=-lo, theta_hi=lo))
+                for lo in (2.0, 1.0)])
+
     @pytest.mark.parametrize("spec", [
         FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0),
         FamilySpec("poisson_log", theta_lo=-1.0, theta_hi=1.0),
@@ -373,6 +395,14 @@ class TestSmallStudies:
         # the config rejects C_L = 0, before any study work
         with pytest.raises(ValueError, match="positive C_L"):
             RateStudyConfig(family=FamilySpec("poisson_log"))
+
+    def test_rate_study_requires_finite_cu(self):
+        # C_U = inf makes every theorem bound infinite, which summary.json
+        # cannot hold; the config rejects it before any study work
+        spec = FamilySpec("poisson_log", theta_lo=-2.0)
+        assert family_bounds(spec).c_u == np.inf
+        with pytest.raises(ValueError, match="finite C_U"):
+            RateStudyConfig(family=spec)
 
     def test_misspec_smoke(self):
         cfg = MisspecConfig(p=3, q=2, r=1, n_grid=(60,), replications=2,

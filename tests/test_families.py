@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -303,6 +305,34 @@ class TestLinearPredictorAndDataset:
                 assert FamilySpec(fam, theta_hi=hi).theta_hi == -CLIP_MARGIN
             assert FamilySpec(fam, theta_hi=-1e-6).theta_hi == -1e-6
         assert FamilySpec("gaussian", theta_hi=5.0).theta_hi == 5.0
+
+    @pytest.mark.parametrize("family", FAMILY_IDS)
+    def test_law_is_the_id_without_its_link(self, family):
+        law = {"gaussian": "gaussian", "bernoulli_logit": "bernoulli",
+               "bernoulli_probit": "bernoulli", "poisson_log": "poisson",
+               "gamma_log": "gamma", "negbin_log": "negbin"}[family]
+        assert FamilySpec(family).law == law
+        assert FamilySpec(family).is_discrete \
+            == (law in ("bernoulli", "poisson", "negbin"))
+
+    def test_law_is_not_a_field(self):
+        """[family] and meta.ini are built from the fields: law is derived."""
+        assert [f.name for f in fields(FamilySpec)] \
+            == ["family", "a", "k", "theta_lo", "theta_hi"]
+
+    def test_digest_hashes_every_field(self, rng):
+        """Datasets that differ only in one end of the interval differ in
+        digest; a NumPy-scalar field hashes as the float it equals."""
+        X = rng.standard_normal((6, 2))
+        Y = (rng.random((6, 3)) < 0.5).astype(float)
+        base = FamilySpec("bernoulli_logit", theta_lo=-2.0, theta_hi=2.0)
+        digests = [Dataset(X=X, Y=Y, family=replace(base, **change)).digest()
+                   for change in ({}, dict(theta_lo=-0.5),
+                                  dict(theta_hi=0.5))]
+        assert len(set(digests)) == 3
+        scalar = replace(base, theta_lo=np.float64(-2.0),
+                         theta_hi=np.float32(2.0))
+        assert Dataset(X=X, Y=Y, family=scalar).digest() == digests[0]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

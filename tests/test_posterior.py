@@ -522,6 +522,18 @@ class TestBatchedSampler:
             cellwise = np.sum(d.Y * eta - eta ** 2 / 2.0) / spec.a
             assert abs(value[r] - cellwise) <= 1e-12 * abs(cellwise)
 
+    @pytest.mark.parametrize("specs", [
+        (FamilySpec("gaussian"), FamilySpec("gaussian", a=2.0)),
+        (FamilySpec("bernoulli_logit"), FamilySpec("bernoulli_probit"))],
+        ids=["gaussian_dispersions", "bernoulli_links"])
+    def test_stack_rejects_mixed_families(self, specs, rng):
+        """Each dataset keeps its own family: a stack of two families is
+        rejected, not read with the first one's."""
+        X = rng.standard_normal((30, 3))
+        Y = (rng.random((30, 2)) < 0.5).astype(float)
+        with pytest.raises(ValueError, match="share the family"):
+            stack_datasets([Dataset(X=X, Y=Y, family=s) for s in specs])
+
     def test_sufficient_statistics_gradient(self, rng):
         spec = FamilySpec("gaussian", a=2.0)
         data, _ = make_data(spec, 60, 4, 3, rng)
