@@ -258,8 +258,7 @@ def save_chain(path, chain):
     """Binary chain file: magic, p, q, count (int32 LE), alpha/gamma (f64),
     then row-major float64 sample matrices.  A sidecar CSV
     (step, log_post, accepted) is written next to it."""
-    m = len(chain.samples)
-    p, q = chain.samples.shape[1:] if m else (0, 0)
+    m, p, q = chain.samples.shape
     with open(path, "wb") as fh:
         fh.write(CHAIN_MAGIC)
         fh.write(CHAIN_HEADER.pack(p, q, m, chain.alpha, chain.step_size))

@@ -7,7 +7,8 @@ proofs insert); totals are exposed alongside.
 
 The KL, the log-ratio second moment and the misspecified-KL left-hand side
 share one per-entry core, ``_log_ratio_mean``; ``lemma_rhs`` alone writes
-the lemma right-hand sides.
+the lemma right-hand sides.  ``rate_formulas`` gives the rates the studies
+compare with: epsilon_n of Theorems 1 and 3 and r_n of Theorem 2.
 """
 
 import itertools
@@ -219,13 +220,9 @@ class LemmaBounds:
 
     kl_upper: float            # (C_U / 2a) ||zeta - theta||_F^2 / (nq)
     renyi_lower: float         # (alpha C_L / 2a) ||theta - zeta||_F^2 / (nq)
-    logsq_first: float         # (C_U / a)  ||theta - zeta||_F^2 / (nq)
-    logsq_second: float        # (C_U^2 / 4a^2) ||zeta - theta||_F^4 / (nq)
+    logsq_upper: float         # (C_U / a) ||theta - zeta||_F^2 / (nq)
+                               # + (C_U^2 / 4a^2) ||zeta - theta||_F^4 / (nq)
     misspec_kl: float          # (2 U_1 / a) ||zeta - theta||_F / sqrt(nq)
-
-    @property
-    def logsq_upper(self):
-        return self.logsq_first + self.logsq_second
 
 
 def lemma_rhs(bounds, a, sq, m, alpha=1.0):
@@ -234,8 +231,8 @@ def lemma_rhs(bounds, a, sq, m, alpha=1.0):
     return LemmaBounds(
         kl_upper=bounds.c_u / (2.0 * a) * sq / m,
         renyi_lower=alpha * bounds.c_l / (2.0 * a) * sq / m,
-        logsq_first=bounds.c_u / a * sq / m,
-        logsq_second=bounds.c_u ** 2 / (4.0 * a ** 2) * sq ** 2 / m,
+        logsq_upper=(bounds.c_u / a * sq / m
+                     + bounds.c_u ** 2 / (4.0 * a ** 2) * sq ** 2 / m),
         misspec_kl=2.0 * bounds.u_1 / a * np.sqrt(sq) / np.sqrt(m),
     )
 
@@ -285,7 +282,6 @@ def _log_term(r, p, q, scale, denom_sq):
 class RateFormulas:
     epsilon_n_thm1: float
     epsilon_n_thm3: float
-    epsilon_prime_n: float
     r_n: float
 
 
@@ -302,14 +298,11 @@ def rate_formulas(n, p, q, r, a, bounds, x_frob, b_frob):
     eps1 = c_u * _log_term(r, p, q, scale, 4.0 * a) / (n * q)
     eps3 = max(c_u ** 2 / (4.0 * n * q),
                c_u * _log_term(r, p, q, scale, 2.0 * a) / (n * q))
-    eps_prime = max(c_u / (a * n), c_u ** 2 / (4.0 * a ** 2 * n),
-                    _log_term(r, p, q, scale, 2.0) / n)
     rn_scale = x_frob * b_frob * 2.0 * np.sqrt(n * q) * np.sqrt(p * q) / a
     r_n = u_1 * _log_term(r, p, q, rn_scale, 2.0) / (n * q)
     return RateFormulas(
         epsilon_n_thm1=float(eps1),
         epsilon_n_thm3=float(eps3),
-        epsilon_prime_n=float(eps_prime),
         r_n=float(r_n),
     )
 

@@ -5,16 +5,20 @@ bounds; both sides are recorded.  Expectations over data are approximated by
 replication averages with the design matrix and truth held fixed per cell,
 and posterior integrals by averages over retained chain samples.
 
+The lemma sweeps draw natural parameters in ``sampling_box``, the
+configured interval cut to [-3, 3], and take C_L, C_U and U_1 over that box.
+
 Both studies run the replicates of a cell the same way (``_cell_chains``):
 draw each Y from the true family, start a MALA chain of the fitted model at
-the likelihood ridge fit, and average D_alpha to the true natural parameter
-over each chain (``posterior_average_divergence``: through X^T X where the
-family has sufficient statistics, else from theta(B) of each sample, in
-blocks of cells).  A study makes one sampler call for the chains of all its
-cells (``_run_cells``), then summarises each cell from its slice of the
-chains.  The rate study computes D_alpha at its fractional power alpha and
-at 1/2 (for the Hellinger check); the misspecification study at alpha,
-against the KL projection B_bar of the true law onto the fitted class
+the likelihood ridge fit, and average D_alpha to the true law, given by its
+family and B0, over each chain (``posterior_average_divergence``: through
+X^T X where the fitted family has sufficient statistics and is the true
+one, else from theta(B) of each sample, in blocks of cells).  A study makes
+one sampler call for the chains of all its cells (``_run_cells``), then
+summarises each cell from its slice of the chains.  The rate study computes
+D_alpha at its fractional power alpha and at 1/2 (for the Hellinger check);
+the misspecification study at alpha, and sets it against the KL floor at
+the KL projection B_bar of the true law onto the fitted class
 (``fit_kl_minimizer``, from the zero matrix and KL_RESTARTS random starts).
 That study fixes its families: a MISSPEC_TRUE_FAMILY probit truth and a
 MISSPEC_FIT_FAMILY logit fit on [-2, 2].  Both have the bernoulli law, so
@@ -75,14 +79,15 @@ def sampling_box(spec):
 
 
 def verify_divergence_bounds(spec, trials, rng):
-    """Check the four divergence lemmas on random clipped parameter pairs,
-    the Renyi lemma at each order of RENYI_ORDERS.
+    """Check the four divergence lemmas on random parameter pairs in the
+    sampling box, the Renyi lemma at each order of RENYI_ORDERS, with the
+    constants C_L, C_U and U_1 taken over that box.
 
     Returns a dict of per-trial arrays (exact values, bound values and
     satisfied flags) plus satisfied fractions per lemma.
     """
-    bounds = family_bounds(spec)
     lo, hi = sampling_box(spec)
+    bounds = family_bounds(replace(spec, theta_lo=lo, theta_hi=hi))
     theta = rng.uniform(lo, hi, size=trials)
     zeta = rng.uniform(lo, hi, size=trials)
     theta0 = rng.uniform(lo, hi, size=trials)
@@ -185,26 +190,23 @@ def likelihood_ridge_fit(datasets):
     return _fisher_scoring(data, start, RIDGE)[0]
 
 
-def posterior_average_divergence(spec, X, samples, theta_ref, alphas):
-    """Average per-entry-averaged D_alpha between theta(B) and the natural
-    parameter theta_ref over DIVERGENCE_SAMPLES evenly spaced retained chain
-    samples (all of them if fewer).
+def posterior_average_divergence(spec, X, samples, ref_spec, B_ref, alphas):
+    """Average per-entry-averaged D_alpha between theta(B) of ``spec`` and
+    the reference theta(B_ref) of ``ref_spec`` over DIVERGENCE_SAMPLES
+    evenly spaced retained chain samples (all of them if fewer).
 
-    Where the family has sufficient statistics, theta(B) = X B and D_alpha
-    per entry is (theta - zeta)^2 times the coefficient alpha / (2a) of the
-    closed form, so the average needs only X^T X: with theta_ref = X B_ref
-    + E, E orthogonal to the columns of X, the mean square of X B -
-    theta_ref is ``prediction_error(X, B, B_ref)`` + ||E||^2 / (nq), and no
-    n x q array is formed per sample.  Other families evaluate the samples
-    in blocks of at most BLOCK_CELLS cells."""
+    Where the family has sufficient statistics and is the reference's,
+    theta(B) = X B and D_alpha per entry is (theta - zeta)^2 times
+    alpha / (2a), so the average is that times the mean of
+    ``prediction_error(X, B, B_ref)``, through X^T X with no n x q array
+    per sample.  Otherwise the samples are evaluated in blocks of at most
+    BLOCK_CELLS cells."""
     idx = np.linspace(0, len(samples) - 1,
                       min(DIVERGENCE_SAMPLES, len(samples))).astype(int)
-    if has_sufficient_statistics(spec):
-        b_ref = np.linalg.lstsq(X, theta_ref, rcond=None)[0]
-        sq = (np.mean(prediction_error(X, samples[idx], b_ref))
-              + np.mean((theta_ref - X @ b_ref) ** 2))
-        return {al: float(renyi_per_entry(spec, 1.0, 0.0, al) * sq)
-                for al in alphas}
+    if has_sufficient_statistics(spec) and ref_spec == spec:
+        sq = np.mean(prediction_error(X, samples[idx], B_ref))
+        return {al: float(al / (2.0 * spec.a) * sq) for al in alphas}
+    theta_ref = theta_from_eta(ref_spec, X @ B_ref)
     size = max(1, BLOCK_CELLS // theta_ref.size)
     vals = {al: [] for al in alphas}
     for i in range(0, len(idx), size):
@@ -402,13 +404,13 @@ def _rate_cell(cfg, cell_index, n, r):
     rates = rate_formulas(n, cfg.p, cfg.q, truth.rank, spec.a, fb,
                           x_frob, truth.frob)
 
-    theta0 = theta_from_eta(spec, X @ truth.b0)
     orders = sorted({cfg.alpha, 0.5})
 
     def finish(chains):
         b_hat = np.array([posterior_mean(chain) for chain in chains])
-        divs = [posterior_average_divergence(spec, X, chain.samples, theta0,
-                                             orders) for chain in chains]
+        divs = [posterior_average_divergence(spec, X, chain.samples, spec,
+                                             truth.b0, orders)
+                for chain in chains]
         return RateCell(
             n=n, r=r, alpha=cfg.alpha, tau=tau, kappa=compute_kappa(X),
             a=spec.a, c_l=fb.c_l, rates=rates,
@@ -605,8 +607,6 @@ def _misspec_cell(cfg, ci, X, truth):
                   # second Corollary term = 4a(1+alpha)/(C_L(1-alpha)) * r_n/2
                   + 4.0 * a * (1 + al) / (fb.c_l * (1 - al)) * r_n / 2.0)
 
-    theta0 = theta_from_eta(MISSPEC_TRUE_FAMILY, X @ truth.b0)
-
     def finish(chains):
         return MisspecCell(
             n=n, kl_floor=fit.kl_value, r_n=r_n, rank_bar=rank_bar,
@@ -614,8 +614,8 @@ def _misspec_cell(cfg, ci, X, truth):
             lhs_pred=np.array([np.mean(prediction_error(
                 X, chain.samples, truth.b0)) for chain in chains]),
             d_alpha=np.array([posterior_average_divergence(
-                fit_spec, X, chain.samples, theta0, (al,))[al]
-                for chain in chains]),
+                fit_spec, X, chain.samples, MISSPEC_TRUE_FAMILY, truth.b0,
+                (al,))[al] for chain in chains]),
             fit=fit)
 
     return _cell_chains(cfg, [cfg.seed, 104729, ci], X, truth,

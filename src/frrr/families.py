@@ -65,7 +65,7 @@ class FamilySpec:
     negative binomial failure count, and 1 for the other families.  For
     gamma_log and negbin_log, whose domain is theta < 0, a ``theta_hi`` at
     or above 0 (the default inf included) becomes -CLIP_MARGIN; one below 0
-    is kept as given.
+    is kept as given, unless b''(theta_hi) overflows there.
     """
 
     family: str
@@ -95,6 +95,12 @@ class FamilySpec:
             object.__setattr__(self, "theta_hi", -CLIP_MARGIN)
         if self.theta_lo > self.theta_hi:
             raise ValueError("configured theta interval is empty")
+        if self.law in _NEGATIVE_DOMAIN:
+            with np.errstate(divide="ignore", over="ignore"):
+                top = b_second(self, self.theta_hi)
+            if not np.isfinite(top):
+                raise ValueError(f"theta_hi = {self.theta_hi!r} is too close "
+                                 f"to 0: b'' overflows there")
 
     @property
     def law(self):

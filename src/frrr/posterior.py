@@ -93,7 +93,7 @@ class FractionalConfig:
 
 @dataclass
 class Chain:
-    """Retained sampler output; all lists share one length."""
+    """Retained sampler output; all lists share one length, at least 1."""
 
     samples: np.ndarray           # (m, p, q)
     log_post: np.ndarray          # (m,)
@@ -105,7 +105,9 @@ class Chain:
     def __post_init__(self):
         if not (len(self.samples) == len(self.log_post) == len(self.accept_flags)):
             raise ValueError("chain field lengths differ")
-        if len(self.log_post) and not np.all(np.isfinite(self.log_post)):
+        if len(self.samples) == 0:
+            raise ValueError("empty chain")
+        if not np.all(np.isfinite(self.log_post)):
             raise ValueError("non-finite log-posterior in retained samples")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("non-finite entries in retained samples")
@@ -447,8 +449,6 @@ def _check_floor(value, step, first):
 
 def posterior_mean(chain):
     """Entrywise average of the retained samples."""
-    if len(chain.samples) == 0:
-        raise ValueError("empty chain")
     return chain.samples.mean(axis=0)
 
 

@@ -17,11 +17,10 @@ ETA_QUANTILE = 0.99           # the quantile of |eta| set to ETA_CAP
 
 @dataclass(frozen=True)
 class SyntheticTruth:
-    """Exact-rank true coefficient matrix, its rank and its scale."""
+    """Exact-rank true coefficient matrix and its rank."""
 
     b0: np.ndarray
     rank: int
-    scale: float
 
     @property
     def frob(self):
@@ -36,14 +35,14 @@ def make_low_rank_truth(p, q, r, scale, rng):
     if not 0 <= r <= min(p, q):
         raise ValueError(f"rank {r} invalid for a {p} x {q} matrix")
     if r == 0:
-        return SyntheticTruth(np.zeros((p, q)), 0, scale)
+        return SyntheticTruth(np.zeros((p, q)), 0)
     for _ in range(100):
         U = rng.standard_normal((p, r))
         V = rng.standard_normal((q, r))
         B0 = scale * U @ V.T
         s = np.linalg.svd(B0, compute_uv=False)
         if s[r - 1] > 1e-10 * max(1.0, s[0]):
-            return SyntheticTruth(B0, r, scale)
+            return SyntheticTruth(B0, r)
     raise RuntimeError("could not draw a full-rank factor pair")
 
 
@@ -65,8 +64,7 @@ def calibrate_scale(X, truth):
     level = np.quantile(np.abs(X @ truth.b0), ETA_QUANTILE)
     if not level > 0:
         return truth
-    factor = ETA_CAP / level
-    return replace(truth, b0=truth.b0 * factor, scale=truth.scale * factor)
+    return replace(truth, b0=truth.b0 * (ETA_CAP / level))
 
 
 def generate_dataset(X, truth, spec, rng):

@@ -40,7 +40,7 @@ class TestCriterion1Gradients:
             from frrr.simulate import SyntheticTruth, generate_dataset
             X = rng.standard_normal((6, 3))
             B0 = 0.3 * rng.standard_normal((3, 2))
-            data = generate_dataset(X, SyntheticTruth(B0, 2, 0.3), spec, rng)
+            data = generate_dataset(X, SyntheticTruth(B0, 2), spec, rng)
             cfg = PriorConfig(tau=0.7, p=3, q=2)
             for _ in range(50):
                 B = 0.4 * rng.standard_normal((3, 2))
@@ -162,7 +162,7 @@ class TestCriterion5Sampler:
         from frrr.simulate import SyntheticTruth, generate_dataset
         X = rng.standard_normal((200, 2))
         B0 = rng.standard_normal((2, 1))
-        data = generate_dataset(X, SyntheticTruth(B0, 1, 1.0), spec, rng)
+        data = generate_dataset(X, SyntheticTruth(B0, 1), spec, rng)
         ols, *_ = np.linalg.lstsq(data.X, data.Y, rcond=None)
         prior_cfg = PriorConfig(tau=1e3, p=2, q=1)
         frac = FractionalConfig(alpha=0.5, n_steps=200000, thin=10, seed=1)

@@ -724,6 +724,39 @@ class TestVerifyBoundsCommand:
                                                 text)]) == EXIT_CONFIG
         assert not out.exists()
 
+    def test_unclipped_interval_gets_finite_bounds(self, tmp_path):
+        """An interval wider than the sampling box takes its constants over
+        the box, so no bound is infinite and the sweep tests something."""
+        out = tmp_path / "vb"
+        text = VERIFY.format(out=out).replace("family = gaussian",
+                                              "family = poisson_log")
+        assert main(["verify-bounds", write_ini(tmp_path / "v.ini",
+                                                text)]) == 0
+        assert "inf" not in (out / "bounds.csv").read_text()
+        rows = np.loadtxt(out / "bounds.csv", delimiter=",", skiprows=1)
+        assert np.all(rows[:, 5] > 0)           # renyi_lower
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["satisfied_fraction"] == 1.0
+
+    @pytest.mark.parametrize("command,template", [
+        ("verify-bounds", VERIFY), ("rate-study", RATE)],
+        ids=["verify_bounds", "rate"])
+    @pytest.mark.parametrize("family", [
+        "family = gamma_log\ntheta_lo = -2\ntheta_hi = -1e-200",
+        "family = negbin_log\nk = 2\ntheta_hi = -1e-200",
+    ], ids=["gamma", "negbin"])
+    def test_theta_hi_where_b2_overflows_is_config_error(
+            self, tmp_path, capsys, command, template, family):
+        """b''(theta_hi) overflows at a theta_hi this close to 0: the
+        command exits 2 before [output] dir is made, with no NumPy
+        warning."""
+        out = tmp_path / "o"
+        text = template.format(out=out).replace("family = gaussian", family)
+        assert main([command, write_ini(tmp_path / "c.ini", text)]) \
+            == EXIT_CONFIG
+        assert not out.exists()
+        assert "Warning" not in capsys.readouterr().err
+
     def test_interval_outside_sampling_box_is_config_error(self, tmp_path):
         """The lemmas are checked on the interval within [-3, 3]; one that
         misses it leaves no box to sample."""

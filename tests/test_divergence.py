@@ -269,12 +269,6 @@ class TestRateFormulas:
         log_term = 2 * 1 * 6 * np.log(1 + 20 / np.sqrt(2)) / 200
         assert abs(rf.epsilon_n_thm3 - max(1.0 / 800, log_term)) < 1e-12
 
-    def test_eps_prime(self):
-        rf = rate_formulas(100, 2, 2, 1, 2.0, self.FB, 10.0, 1.0)
-        log_term = 2 * 1 * 6 * np.log(1 + 20 / np.sqrt(2)) / 100
-        assert abs(rf.epsilon_prime_n
-                   - max(1 / 200, 1 / 1600, log_term)) < 1e-12
-
     def test_r_n_formula(self):
         rf = rate_formulas(100, 2, 2, 1, 1.0, self.FB, 10.0, 1.0)
         scale = 10 * 1 * 2 * np.sqrt(200) * np.sqrt(4) / 1.0

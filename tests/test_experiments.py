@@ -19,7 +19,7 @@ from frrr.posterior import BLOCK_CELLS, log_likelihood_and_grad
 from frrr.simulate import (SyntheticTruth, calibrate_scale, generate_dataset,
                            make_design, make_low_rank_truth)
 
-from conftest import bounded_specs
+from conftest import bounded_specs, default_specs
 
 
 class TestVerifyDivergenceBounds:
@@ -52,9 +52,11 @@ class TestVerifyDivergenceBounds:
 
     @pytest.mark.parametrize("name", sorted(bounded_specs()))
     def test_columns_are_the_library_lemmas(self, name, rng):
-        # The harness must check the exported formulas, not a copy of them.
+        # The harness must check the exported formulas, not a copy of them,
+        # with the constants of the box it samples.
         spec = bounded_specs()[name]
-        fb = family_bounds(spec)
+        lo, hi = sampling_box(spec)
+        fb = family_bounds(replace(spec, theta_lo=lo, theta_hi=hi))
         res = verify_divergence_bounds(spec, 50, rng)
         for i in range(50):
             T, Z = np.array([[res["theta"][i]]]), np.array([[res["zeta"][i]]])
@@ -69,6 +71,17 @@ class TestVerifyDivergenceBounds:
             assert res["misspec_exact"][i] == np.mean(
                 misspec_kl_per_entry(spec, T0, T, Z))
 
+    @pytest.mark.parametrize("name", sorted(default_specs()))
+    def test_unbounded_intervals_get_finite_bounds(self, name, rng):
+        """The constants come from the box the pairs are drawn in, so an
+        interval wider than the box still gets finite bounds that hold."""
+        res = verify_divergence_bounds(default_specs()[name], 200, rng)
+        for key in ("kl_bound", "logsq_bound", "misspec_bound"):
+            assert np.all(np.isfinite(res[key])), key
+        for lower in res["renyi_lower_bound"].values():
+            assert np.all(np.isfinite(lower)) and np.all(lower > 0)
+        assert all(v == 1.0 for v in res["satisfied_fraction"].values())
+
     def test_sampling_box(self):
         spec = FamilySpec("gamma_log", a=0.5,
                           theta_lo=-5.0, theta_hi=-0.2)
@@ -81,7 +94,7 @@ class TestLikelihoodRidgeFit:
         spec = FamilySpec("gaussian")
         X = make_design(200, 3, "iid", rng)
         B0 = 0.5 * rng.standard_normal((3, 2))
-        data = generate_dataset(X, SyntheticTruth(B0, 2, 0.5), spec, rng)
+        data = generate_dataset(X, SyntheticTruth(B0, 2), spec, rng)
         fit = likelihood_ridge_fit([data])[0]
         assert np.linalg.norm(fit - B0) < 0.5
 
@@ -94,7 +107,7 @@ class TestLikelihoodRidgeFit:
         unclipped closed form too."""
         X = make_design(80, 4, "iid", rng)
         B0 = rng.standard_normal((4, 3))
-        datasets = [generate_dataset(X, SyntheticTruth(B0, 3, 1.0), spec, rng)
+        datasets = [generate_dataset(X, SyntheticTruth(B0, 3), spec, rng)
                     for _ in range(3)]
         fits = likelihood_ridge_fit(datasets)
         G = X.T @ X / spec.a
@@ -205,54 +218,71 @@ class TestPosteriorAverageDivergence:
         run the blocks."""
         p, q = 5, 6
         X = make_design(n, p, "iid", rng)
-        theta_ref = theta_from_eta(spec, X @ (0.3 * rng.standard_normal(
-            (p, q))))
+        B_ref = 0.3 * rng.standard_normal((p, q))
         samples = 0.3 * rng.standard_normal((90, p, q))
         alphas = (0.25, 0.5)
-        got = posterior_average_divergence(spec, X, samples, theta_ref,
+        got = posterior_average_divergence(spec, X, samples, spec, B_ref,
                                            alphas)
-        idx = np.linspace(0, len(samples) - 1, 40).astype(int)
         assert (BLOCK_CELLS // (n * q) > 1) == (n == 100)
         for al in alphas:
-            ref = float(np.mean([float(np.mean(renyi_per_entry(
-                spec, theta_from_eta(spec, X @ samples[i]), theta_ref, al)))
-                for i in idx]))
-            assert got[al] == ref
+            assert got[al] == self.per_sample(spec, X, samples, spec, B_ref,
+                                              al)
 
     @staticmethod
-    def gaussian_inputs(rng, p, q, off_model, n=300):
+    def per_sample(spec, X, samples, ref_spec, B_ref, al):
+        """The mean of D_alpha over the 40 averaged samples, one at a
+        time."""
+        theta_ref = theta_from_eta(ref_spec, X @ B_ref)
+        idx = np.linspace(0, len(samples) - 1, 40).astype(int)
+        return np.mean([np.mean(renyi_per_entry(
+            spec, theta_from_eta(spec, X @ samples[i]), theta_ref, al))
+            for i in idx])
+
+    @staticmethod
+    def gaussian_inputs(rng, p, q, n=300):
         X = make_design(n, p, "iid", rng)
         B0 = rng.standard_normal((p, q))
-        theta_ref = X @ B0
-        if off_model:
-            theta_ref += 0.5 * rng.standard_normal((n, q))
         samples = B0 + 0.1 * rng.standard_normal((70, p, q))
-        return X, samples, theta_ref
+        return X, samples, B0
 
     @pytest.mark.parametrize("a", [1.0, 2.5])
-    @pytest.mark.parametrize("off_model", [False, True],
-                             ids=["on_model", "off_model"])
     @pytest.mark.parametrize("p,q", [(3, 5), (6, 4)])
     def test_sufficient_statistics_match_the_per_entry_closed_form(
-            self, p, q, off_model, a, rng):
-        """An unclipped gaussian family averages D_alpha through X^T X; a
-        reference off the column space of X enters through its residual."""
+            self, p, q, a, rng):
+        """An unclipped gaussian family against its own reference averages
+        D_alpha through X^T X."""
         spec = FamilySpec("gaussian", a=a)
-        X, samples, theta_ref = self.gaussian_inputs(rng, p, q, off_model)
+        X, samples, B0 = self.gaussian_inputs(rng, p, q)
         alphas = (0.25, 0.5)
-        got = posterior_average_divergence(spec, X, samples, theta_ref,
+        got = posterior_average_divergence(spec, X, samples, spec, B0,
                                            alphas)
-        idx = np.linspace(0, len(samples) - 1, 40).astype(int)
         for al in alphas:
-            ref = np.mean([np.mean(renyi_per_entry(
-                spec, theta_from_eta(spec, X @ samples[i]), theta_ref, al))
-                for i in idx])
+            ref = self.per_sample(spec, X, samples, spec, B0, al)
             assert abs(got[al] - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("ref_spec", [
+        FamilySpec("gaussian", a=2.0),
+        FamilySpec("gaussian", theta_lo=-1.0, theta_hi=1.0),
+    ], ids=["other_a", "clipped"])
+    def test_another_reference_family_is_cell_wise(self, ref_spec, rng,
+                                                   monkeypatch):
+        """A reference of another family takes the blocks, at theta of the
+        reference family."""
+        def no_gram(*args):
+            raise AssertionError("took the closed form")
+
+        monkeypatch.setattr(experiments, "prediction_error", no_gram)
+        spec = FamilySpec("gaussian")
+        X, samples, B0 = self.gaussian_inputs(rng, 4, 3)
+        got = posterior_average_divergence(spec, X, samples, ref_spec, B0,
+                                           (0.5,))
+        assert got[0.5] == self.per_sample(spec, X, samples, ref_spec, B0,
+                                           0.5)
 
     def test_sufficient_statistics_form_no_n_by_q_array(self, rng,
                                                         monkeypatch):
-        """The closed form is read once, at scalars, and theta(B) is never
-        formed."""
+        """The closed form reads renyi_per_entry at scalars if at all, and
+        theta(B) is never formed."""
         def no_theta(*args):
             raise AssertionError("formed theta(B) for a sample")
 
@@ -262,9 +292,10 @@ class TestPosteriorAverageDivergence:
 
         monkeypatch.setattr(experiments, "theta_from_eta", no_theta)
         monkeypatch.setattr(experiments, "renyi_per_entry", scalar_only)
-        X, samples, theta_ref = self.gaussian_inputs(rng, 4, 3, True)
-        got = posterior_average_divergence(FamilySpec("gaussian"), X,
-                                           samples, theta_ref, (0.5,))
+        X, samples, B0 = self.gaussian_inputs(rng, 4, 3)
+        spec = FamilySpec("gaussian")
+        got = posterior_average_divergence(spec, X, samples, spec, B0,
+                                           (0.5,))
         assert got[0.5] > 0
 
 

@@ -362,13 +362,16 @@ class TestLinearPredictorAndDataset:
         ("bernoulli_probit", dict(k=2.0), "reads no k"),
         ("poisson_log", dict(k=0.5), "reads no k"),
         ("gamma_log", dict(a=0.5, k=2.0), "reads no k"),
+        ("gamma_log", dict(theta_lo=-2.0, theta_hi=-1e-200), "overflows"),
+        ("negbin_log", dict(k=2.0, theta_hi=-1e-200), "overflows"),
     ], ids=["poisson_a", "bernoulli_a", "negbin_a", "gaussian_a_inf",
             "gamma_a_tiny", "gaussian_empty", "gamma_empty",
             "negbin_empty_by_margin", "gaussian_theta_lo_nan",
             "gaussian_theta_hi_nan", "gamma_theta_hi_nan",
             "gaussian_theta_lo_inf", "poisson_theta_hi_minus_inf",
             "negbin_k_0", "gamma_k_negative", "negbin_k_inf", "negbin_k_nan",
-            "gaussian_k", "probit_k", "poisson_k", "gamma_k"])
+            "gaussian_k", "probit_k", "poisson_k", "gamma_k",
+            "gamma_b2_overflow", "negbin_b2_overflow"])
     def test_spec_rejects(self, family, settings, message):
         with pytest.raises(ValueError, match=message):
             FamilySpec(family, **settings)

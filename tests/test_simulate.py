@@ -104,11 +104,12 @@ class TestGenerateDataset:
         before = snapshot(truth)
         scaled = calibrate_scale(X, truth)
         assert_unchanged(truth, before)
-        factor = scaled.scale / truth.scale
-        assert factor != 1.0
-        assert np.array_equal(scaled.b0, truth.b0 * factor)
+        ratio = scaled.b0 / truth.b0
+        assert np.allclose(ratio, ratio[0, 0], rtol=1e-14, atol=0.0)
+        assert ratio[0, 0] != 1.0
+        assert scaled.rank == truth.rank
         with pytest.raises(FrozenInstanceError):
-            scaled.scale = 1.0
+            scaled.b0 = truth.b0
 
     def test_samples_at_the_clipped_raw_link(self):
         """Y is drawn at the raw link clipped into the interval; an
