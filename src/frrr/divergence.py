@@ -129,11 +129,11 @@ def _entry_dist(spec, theta):
     return stats.gamma(1.0 / spec.a, scale=-spec.a / theta)
 
 
-def _count_support(spec, theta, zeta):
-    """Truncated outcome range certified to miss < COUNT_TAIL of both laws."""
+def _count_support(spec, d1, d2):
+    """Truncated outcome range certified to miss < COUNT_TAIL of both
+    frozen laws d1 and d2."""
     if spec.law == "bernoulli":
         return np.arange(2)
-    d1, d2 = _entry_dist(spec, theta), _entry_dist(spec, zeta)
     top = 1.0 - COUNT_TAIL / 10
     hi = int(np.max([d1.ppf(top), d2.ppf(top)])) + 10
     assert np.all(d1.sf(hi) < COUNT_TAIL) and np.all(d2.sf(hi) < COUNT_TAIL)
@@ -156,7 +156,7 @@ def kl_bruteforce(spec, theta, zeta):
     """Per-entry KL by direct summation (discrete) or quadrature (continuous)."""
     d1, d2 = _entry_dist(spec, theta), _entry_dist(spec, zeta)
     if spec.is_discrete:
-        ys = _count_support(spec, theta, zeta)
+        ys = _count_support(spec, d1, d2)
         p = d1.pmf(ys)
         ratio = d1.logpmf(ys) - d2.logpmf(ys)
         return float(np.sum(np.where(p > 0, p * ratio, 0.0)))
@@ -168,7 +168,7 @@ def renyi_bruteforce(spec, theta, zeta, alpha):
     """Per-entry alpha-Renyi by direct summation or quadrature."""
     d1, d2 = _entry_dist(spec, theta), _entry_dist(spec, zeta)
     if spec.is_discrete:
-        ys = _count_support(spec, theta, zeta)
+        ys = _count_support(spec, d1, d2)
         integ = np.exp(alpha * d1.logpmf(ys) + (1.0 - alpha) * d2.logpmf(ys))
         return float(np.log(np.sum(integ)) / (alpha - 1.0))
     log1, log2, w = _log_densities(d1, d2)
@@ -194,14 +194,14 @@ def tv_bruteforce(spec, Theta, Zeta):
         return float(2.0 * stats.norm.cdf(gap) - 1.0)
     if not spec.is_discrete:
         raise ValueError(f"TV enumeration unsupported for {spec.family}")
-    supports = [_count_support(spec, t, z) for t, z in zip(Theta, Zeta)]
+    laws = [(_entry_dist(spec, t), _entry_dist(spec, z))
+            for t, z in zip(Theta, Zeta)]
+    supports = [_count_support(spec, d1, d2) for d1, d2 in laws]
     total = np.prod([len(s) for s in supports])
     if total > MAX_OUTCOMES:
         raise ValueError(f"product outcome space too large ({total})")
-    logp = [ _entry_dist(spec, t).logpmf(s)
-             for t, s in zip(Theta, supports)]
-    logq = [ _entry_dist(spec, z).logpmf(s)
-             for z, s in zip(Zeta, supports)]
+    logp = [d1.logpmf(s) for (d1, _), s in zip(laws, supports)]
+    logq = [d2.logpmf(s) for (_, d2), s in zip(laws, supports)]
     tv = 0.0
     for combo in itertools.product(*(range(len(s)) for s in supports)):
         lp = sum(logp[i][j] for i, j in enumerate(combo))

@@ -369,14 +369,17 @@ class RateStudyResult:
 
     def summary(self):
         """The cells and the log-log slope, with None for a slope or
-        standard error that is NaN (fewer than two or three sizes)."""
+        standard error that is NaN (fewer than two or three sizes) and for
+        a cell's standard error of the mean at one replicate."""
+        m = self.config.replications
         return {
             "slope": self.slope if np.isfinite(self.slope) else None,
             "slope_se": self.slope_se if np.isfinite(self.slope_se) else None,
             "cells": [dict(
                 n=c.n, r=c.r, tau=c.tau, kappa=c.kappa,
                 mean_pred_err=float(np.mean(c.pred_err)),
-                se_pred_err=float(np.std(c.pred_err) / np.sqrt(len(c.pred_err))),
+                se_pred_err=float(np.std(c.pred_err, ddof=1) / np.sqrt(m))
+                if m > 1 else None,
                 mean_est_err=float(np.mean(c.est_err)),
                 epsilon_n_thm1=c.rates.epsilon_n_thm1,
                 epsilon_n_thm3=c.rates.epsilon_n_thm3,

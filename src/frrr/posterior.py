@@ -36,10 +36,14 @@ acceptance count and divergence checks, and is bit-identical to its
 one-chain run; a SamplerDivergence names a chain by its position in the
 call.  One rule rejects a proposal: a non-finite log-ratio, which a
 non-finite entry, value or gradient of the proposal makes.  A step fills
-buffers allocated once per block, in place; one pass over the chains
-draws each uniform, for a finite log-ratio only, as a raw word of its
-PCG64 stream, the value ``Generator.random()`` would return.  A step on
-which every chain accepts rebinds the state to the proposal.
+buffers allocated once per block, in place, and holds each chain's gamma
+and sqrt(2 gamma) as full (R, p, q) arrays, remade at each tuning window,
+so no elementwise product broadcasts.  The log-ratio's inner product is
+one batched matmul, whose rounding differs from a row sum's but is read
+only by the accept test.  One pass over the chains draws each uniform,
+for a finite log-ratio only, as a raw word of its PCG64 stream, the value
+``Generator.random()`` would return.  A step on which every chain accepts
+rebinds the state to the proposal.
 """
 
 from dataclasses import dataclass, field
@@ -174,7 +178,7 @@ def log_likelihood_and_grad(data, B):
     """
     if getattr(data, "gram", None) is not None:
         GB = data.gram @ B
-        value = (B * (data.cross - 0.5 * GB)).sum(axis=(-2, -1))
+        value = np.add.reduce(B * (data.cross - 0.5 * GB), axis=(-2, -1))
         return value, np.subtract(data.cross, GB, out=GB)
     d = getattr(data, "dispersion", data.family.a)
     cell, slope = log_likelihood_terms(data.family, data.Y,
@@ -182,7 +186,7 @@ def log_likelihood_and_grad(data, B):
                                        getattr(data, "cells", None))
     grad = data.X.T @ slope
     grad /= d
-    return cell.sum(axis=(-2, -1)) / d, grad
+    return np.add.reduce(cell, axis=(-2, -1)) / d, grad
 
 
 def fisher_information(data, B):
@@ -326,8 +330,11 @@ def _cellwise_blocks(datasets):
 
 def _mala(datasets, prior_cfgs, cfgs, first):
     """The chains of one block, whose first chain is chain ``first`` of the
-    ``run_chains`` call.  A step fills the buffers allocated here.  For
-    PCG64, the bit generator of ``np.random.default_rng``,
+    ``run_chains`` call.  A step fills the buffers allocated here: fwd
+    holds the noise times sqrt(2 gamma); drift holds gamma grad, then the
+    mean gradient h; prop the proposal; terms fwd + gamma h, whose inner
+    product with h is one matmul of (R, 1, pq) and (R, pq, 1) views into
+    ``dot``.  For PCG64, the bit generator of ``np.random.default_rng``,
     ``Generator.random()`` is the next raw word's top 53 bits times 2^-53,
     so a uniform is drawn as a raw word.  When every chain accepts, B
     swaps buffers with the proposal and takes its fresh value and gradient;
@@ -354,14 +361,15 @@ def _mala(datasets, prior_cfgs, cfgs, first):
     flags = np.empty((R, len(kept)), dtype=bool)
     fwd, prop, terms, drift = (np.empty((R, p, q)) for _ in range(4))
     noise = list(fwd)             # each chain's view, made once
-    terms_flat = terms.reshape(R, p * q)
-    log_ratio = np.empty(R)
+    terms_row, drift_col = terms.reshape(R, 1, p * q), drift.reshape(R, -1, 1)
+    dot = np.empty((R, 1, 1))
+    dot_flat, log_ratio = dot.reshape(R), np.empty(R)
     n_acc = np.zeros(R, dtype=int)
     n_acc_then = n_acc.copy()     # at the last window end, then at burn_in
     window = min(TUNE_WINDOW, cfg.burn_in)
     inf = np.inf
 
-    g = gamma[:, None, None]
+    g = gamma[:, None, None] * np.ones((p, q))
     scale = np.sqrt(2.0 * g)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value, grad = _target(data, B, prior)
@@ -382,13 +390,13 @@ def _mala(datasets, prior_cfgs, cfgs, first):
             drift *= 0.5
             np.multiply(g, drift, out=terms)
             terms += fwd
-            terms *= drift
+            np.matmul(terms_row, drift_col, out=dot)
             np.subtract(prop_value, value, out=log_ratio)
-            log_ratio -= terms_flat.sum(axis=1)
+            log_ratio -= dot_flat
             u = np.array([(draw() >> 11) * 2.0 ** -53 if -inf < x < inf
                           else inf
                           for draw, x in zip(draws, log_ratio.tolist())])
-            accepted = np.log(u) < log_ratio
+            accepted = np.log(u, out=u) < log_ratio
             n = np.count_nonzero(accepted)
             if n:
                 if n == R:
@@ -399,7 +407,7 @@ def _mala(datasets, prior_cfgs, cfgs, first):
                     np.copyto(grad, prop_grad, where=accepted[:, None, None])
                     np.copyto(value, prop_value, where=accepted)
                 n_acc += accepted
-                if value.min() < LOG_POST_FLOOR:
+                if np.minimum.reduce(value) < LOG_POST_FLOOR:
                     _check_floor(value, step, first)
 
             # step-size tuning, burn-in only so the retained chain has fixed
@@ -412,7 +420,7 @@ def _mala(datasets, prior_cfgs, cfgs, first):
                     rate = (n_acc - n_acc_then) / window
                     gamma = np.where(rate > 0.6, up * gamma,
                                      np.where(rate < 0.4, 0.5 * gamma, gamma))
-                    g = gamma[:, None, None]
+                    g = gamma[:, None, None] * np.ones((p, q))
                     scale = np.sqrt(2.0 * g)
                 if (step + 1) % window == 0 or step + 1 == cfg.burn_in:
                     n_acc_then = n_acc.copy()

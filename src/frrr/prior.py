@@ -80,16 +80,16 @@ class PriorConfig:
 @dataclass(frozen=True)
 class PriorStack:
     """The priors of R matrices on one (p, q), one tau each, and what a run
-    computes once: tau^2, half the p > q log-determinant term, (p - q) log
-    tau, and the two matrices that each ``stack_log_prior_and_grad``
-    overwrites.  With k = min(p, q) these are the matrix it factors, with
-    views of its Gram block M and of M's diagonal, and the factor, with
-    views of its top-left diagonal and of its lower-left block C =
-    chol(M)^{-T}."""
+    computes once: tau^2 as a column, half the p > q log-determinant term,
+    (p - q) log tau, and the two matrices that each
+    ``stack_log_prior_and_grad`` overwrites.  With k = min(p, q) these are
+    the matrix it factors, with views of its Gram block M and of M's
+    diagonal, and the factor, with views of its top-left diagonal, of its
+    lower-left block C = chol(M)^{-T} and of C^T."""
 
     p: int
     q: int
-    tau_sq: np.ndarray            # (R,)
+    tau_sq: np.ndarray            # (R, 1)
     half_logdet_shift: np.ndarray  # (R,)
     work: np.ndarray              # (R, 2k, 2k)
     gram: np.ndarray              # (R, k, k) view of work
@@ -97,20 +97,23 @@ class PriorStack:
     factor: np.ndarray            # (R, 2k, 2k)
     factor_diag: np.ndarray       # (R, k) view of factor
     lower: np.ndarray             # (R, k, k) view of factor, C
+    lower_t: np.ndarray           # (R, k, k) view of factor, C^T
 
 
 def stack_priors(cfgs):
     """The PriorStack of a list of PriorConfig that share p and q."""
     p, q = cfgs[0].p, cfgs[0].q
-    R, k, tau_sq = len(cfgs), min(p, q), np.array([c.tau ** 2 for c in cfgs])
+    R, k = len(cfgs), min(p, q)
+    tau_sq = np.array([[c.tau ** 2] for c in cfgs])
     work = np.zeros((R, 2 * k, 2 * k))
     work[:, :k, k:] = work[:, k:, :k] = np.eye(k)
-    work[:, k:, k:] = np.eye(k) * (2.0 / tau_sq[:, None, None])
+    work[:, k:, k:] = np.eye(k) * (2.0 / tau_sq[:, :, None])
     factor = np.zeros_like(work)
+    lower = factor[:, k:, :k]
     return PriorStack(p, q, tau_sq,
                       np.array([(p - q) * np.log(c.tau) for c in cfgs]),
                       work, work[:, :k, :k], _diagonal(work, k), factor,
-                      _diagonal(factor, k), factor[:, k:, :k])
+                      _diagonal(factor, k), lower, lower.transpose(0, 2, 1))
 
 
 def _diagonal(F, k):
@@ -165,15 +168,14 @@ def stack_log_prior_and_grad(B, prior):
     other matrices."""
     p, q = prior.p, prior.q
     W = B.transpose(0, 2, 1) if p > q else B
-    np.matmul(W, W.transpose(0, 2, 1), out=prior.gram)
-    np.add(prior.gram_diag, prior.tau_sq[:, None], out=prior.gram_diag)
+    np.matmul(W, B if p > q else B.transpose(0, 2, 1), out=prior.gram)
+    np.add(prior.gram_diag, prior.tau_sq, out=prior.gram_diag)
     _umath_linalg.cholesky_lo(prior.work, out=prior.factor)
-    value = np.log(prior.factor_diag).sum(axis=1)
+    value = np.add.reduce(np.log(prior.factor_diag), axis=1)
     if p > q:
         value += prior.half_logdet_shift
     value *= -(p + q + 2)
-    C = prior.lower
-    grad = C @ (C.transpose(0, 2, 1) @ W)
+    grad = prior.lower @ (prior.lower_t @ W)
     grad *= -(p + q + 2)
     return value, grad.transpose(0, 2, 1) if p > q else grad
 

@@ -821,6 +821,29 @@ class TestRateStudyCommand:
         assert summary["slope_se"] is None
         assert (summary["slope"] is None) == (n_grid == "40")
 
+    @pytest.mark.parametrize("replications", [1, 2])
+    def test_se_pred_err_is_the_sample_standard_error(self, tmp_path,
+                                                      replications):
+        """A cell's se_pred_err is the sample standard deviation (ddof = 1)
+        of its prediction errors in rate_cells.csv over the square root of
+        their count, and null at one replicate, which has no estimate."""
+        out = tmp_path / "o"
+        text = RATE.format(out=out).replace(
+            "replications = 2", f"replications = {replications}")
+        assert main(["rate-study", write_ini(tmp_path / "c.ini", text)]) == 0
+        rows = np.genfromtxt(out / "rate_cells.csv", delimiter=",",
+                             names=True)
+        cells = strict_json(out / "summary.json")["cells"]
+        assert [c["n"] for c in cells] == [40, 80]
+        for cell in cells:
+            err = rows["pred_err"][rows["n"] == cell["n"]]
+            assert len(err) == replications
+            if replications == 1:
+                assert cell["se_pred_err"] is None
+            else:
+                assert cell["se_pred_err"] == pytest.approx(
+                    np.std(err, ddof=1) / np.sqrt(replications), rel=1e-12)
+
     def test_unbounded_curvature_is_config_error(self, tmp_path):
         """poisson_log unbounded above has C_U = inf, so every theorem bound
         would be infinite: exit 2 before the output dir is made."""

@@ -743,16 +743,22 @@ class TestCellwiseKernel:
         assert found == []
 
 
-def reference_mala(data, prior_cfg, alpha, gamma, n_steps, seed, init):
-    """One MALA chain with a fixed step, no burn-in and thin 1, on the
-    public kernel ``value_and_grad``, whose arrays are fresh, drawing from
-    its stream as ``_mala`` does: the noise, then a raw-word uniform only
-    for a finite log-ratio.  Returns the samples and their log-posterior."""
+def reference_mala(data, prior_cfg, alpha, gamma, n_steps, seed, init,
+                   burn_in=0):
+    """One MALA chain with thin 1 on the public kernel ``value_and_grad``,
+    whose arrays are fresh, drawing from its stream as ``_mala`` does: the
+    noise, then a raw-word uniform only for a finite log-ratio.  During
+    burn-in the step size follows the rule ``run_chains`` documents, written
+    out apart from ``_mala``: after each window of min(50, burn_in) steps it
+    doubles at an acceptance above 0.6 and halves below 0.4, except that
+    the last update of burn-in only halves.  Returns the samples and their
+    log-posterior after burn-in, and the final step size."""
     draws = np.random.default_rng(seed)
+    window = min(50, burn_in)
     B = init
     value, grad = value_and_grad(data, B, prior_cfg, alpha)
-    samples, log_post = [], []
-    for _ in range(n_steps):
+    samples, log_post, accepted = [], [], 0
+    for step in range(n_steps):
         fwd = draws.standard_normal(B.shape) * np.sqrt(2.0 * gamma)
         prop = B + gamma * grad + fwd
         prop_value, prop_grad = value_and_grad(data, prop, prior_cfg, alpha)
@@ -763,9 +769,17 @@ def reference_mala(data, prior_cfg, alpha, gamma, n_steps, seed, init):
                 (draws.bit_generator.random_raw() >> 11) * 2.0 ** -53) \
                 < log_ratio:
             B, value, grad = prop, prop_value, prop_grad
-        samples.append(B)
-        log_post.append(value)
-    return np.array(samples), np.array(log_post)
+            accepted += 1
+        if step < burn_in and (step + 1) % window == 0:
+            rate, accepted = accepted / window, 0
+            if rate > 0.6 and step + 1 + window <= burn_in:
+                gamma = 2.0 * gamma
+            elif rate < 0.4:
+                gamma = 0.5 * gamma
+        if step >= burn_in:
+            samples.append(B)
+            log_post.append(value)
+    return np.array(samples), np.array(log_post), gamma
 
 
 class TestSignAndBlockChains:
@@ -851,11 +865,40 @@ class TestSignAndBlockChains:
                             fracs)
         for chain, frac in zip(chains, fracs):
             assert 0.2 < chain.acceptance_rate < 0.9
-            samples, log_post = reference_mala(ref, prior_cfg, 0.5, gamma,
-                                               n_steps, frac.seed, init)
+            samples, log_post, _ = reference_mala(ref, prior_cfg, 0.5, gamma,
+                                                  n_steps, frac.seed, init)
             assert np.array_equal(chain.samples,
                                   samples.reshape(chain.samples.shape))
             assert np.array_equal(chain.log_post, log_post.ravel())
+
+    @pytest.mark.parametrize("spec", [FamilySpec("gaussian"),
+                                      FamilySpec("bernoulli_probit")],
+                             ids=["gaussian", "probit"])
+    def test_tuned_chains_are_the_reference_chains(self, spec, rng):
+        """A two-chain block tuned over four windows of burn-in, one chain
+        started at a step too large and one at a step too small, is the
+        reference's tuned chains bit for bit, and its chains end at
+        different step sizes, each moved from its start: a step size or
+        sqrt(2 gamma) left stale after a window would part them."""
+        data, B0 = make_data(spec, 150, 4, 3, rng)
+        prior_cfg = PriorConfig(tau=0.3, p=4, q=3)
+        ref, init = (stack_datasets([data]), B0[None]) \
+            if has_sufficient_statistics(spec) else (data, B0)
+        n_steps, burn_in = 300, 200
+        fracs = [FractionalConfig(step_size=gamma, n_steps=n_steps,
+                                  burn_in=burn_in, thin=1, seed=seed,
+                                  init=B0)
+                 for seed, gamma in ((5, 0.08), (6, 1e-4))]
+        chains = run_chains([data] * 2, [prior_cfg] * 2, fracs)
+        for chain, frac in zip(chains, fracs):
+            samples, log_post, gamma = reference_mala(
+                ref, prior_cfg, 0.5, frac.step_size, n_steps, frac.seed,
+                init, burn_in)
+            assert np.array_equal(chain.samples,
+                                  samples.reshape(chain.samples.shape))
+            assert np.array_equal(chain.log_post, log_post.ravel())
+            assert chain.step_size == gamma != frac.step_size
+        assert chains[0].step_size != chains[1].step_size
 
 
 class TestPosteriorMeanAndRank:
