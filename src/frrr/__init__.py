@@ -6,9 +6,8 @@ for the associated contraction-rate bounds."""
 __version__ = "1.0.0"
 
 from .divergence import (DivergenceReport, LemmaBounds, RateFormulas, c_alpha,
-                         divergence_report, kl_bruteforce, kl_per_entry,
-                         lemma_bounds, rate_formulas, renyi_bruteforce,
-                         renyi_per_entry, tv_bruteforce)
+                         divergence_report, kl_per_entry, rate_formulas,
+                         renyi_per_entry)
 from .experiments import (KLFit, MisspecConfig, MisspecStudyResult,
                           RateStudyConfig, RateStudyResult, fit_kl_minimizer,
                           hellinger_consistency_check, likelihood_ridge_fit,

@@ -31,10 +31,9 @@ CSVs of ``write_matrix`` included) and ``_write_json`` for every JSON file.
 Config and data errors print their message alone, ``config error: ...``
 or ``data error: ...``, with no traceback.
 
-Importing this module loads no SciPy.  Only the probit link loads
-``scipy.special`` (for Phi); the brute-force oracles, which no command calls,
-load more.  The studies' ridge starts and KL projection are Fisher-scoring
-fits in NumPy.
+Importing this module loads no SciPy, and no command loads more of it than
+``scipy.special``, which the probit link needs for Phi.  The studies' ridge
+starts and KL projection are Fisher-scoring fits in NumPy.
 """
 
 import argparse

@@ -1,4 +1,4 @@
-"""Closed-form divergences, brute-force oracles and rate formulas.
+"""Closed-form divergences, the lemma right-hand sides and rate formulas.
 
 Per-entry KL and alpha-Renyi divergences have closed forms in the natural
 parameter; product-measure divergences are their sums.  Theorem-facing
@@ -9,9 +9,11 @@ The KL, the log-ratio second moment and the misspecified-KL left-hand side
 share one per-entry core, ``_log_ratio_mean``; ``lemma_rhs`` alone writes
 the lemma right-hand sides.  ``rate_formulas`` gives the rates the studies
 compare with: epsilon_n of Theorems 1 and 3 and r_n of Theorem 2.
+
+The test suite checks the closed forms against brute-force oracles built on
+``scipy``'s frozen laws (``tests/oracles.py``); the library needs no such law.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,111 +108,6 @@ def divergence_report(spec, Theta, Zeta, alphas=RENYI_ORDERS):
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles; scipy.stats is imported only here, which keeps it out
-# of the CLI's start-up
-
-COUNT_TAIL = 1e-10        # outcome mass a truncated count support may miss
-MAX_OUTCOMES = 1 << 14    # largest product outcome space tv_bruteforce sums
-
-
-def _entry_dist(spec, theta):
-    from scipy import stats
-    from scipy.special import expit
-
-    f = spec.law
-    if f == "bernoulli":
-        return stats.bernoulli(expit(theta))
-    if f == "poisson":
-        return stats.poisson(np.exp(theta))
-    if f == "negbin":
-        return stats.nbinom(spec.k, 1.0 - np.exp(theta))
-    if f == "gaussian":
-        return stats.norm(theta, np.sqrt(spec.a))
-    return stats.gamma(1.0 / spec.a, scale=-spec.a / theta)
-
-
-def _count_support(spec, d1, d2):
-    """Truncated outcome range certified to miss < COUNT_TAIL of both
-    frozen laws d1 and d2."""
-    if spec.law == "bernoulli":
-        return np.arange(2)
-    top = 1.0 - COUNT_TAIL / 10
-    hi = int(np.max([d1.ppf(top), d2.ppf(top)])) + 10
-    assert np.all(d1.sf(hi) < COUNT_TAIL) and np.all(d2.sf(hi) < COUNT_TAIL)
-    return np.arange(hi + 1)
-
-
-def _log_densities(d1, d2):
-    """Both laws' log densities at the nodes of a composite Gauss-Legendre
-    rule, 64 equal panels of 64 nodes over the union of their 1e-14 to
-    1 - 1e-14 quantile ranges, and the node weights."""
-    lo = min(d1.ppf(1e-14), d2.ppf(1e-14))
-    hi = max(d1.ppf(1.0 - 1e-14), d2.ppf(1.0 - 1e-14))
-    x, w = np.polynomial.legendre.leggauss(64)
-    half = 0.5 * (hi - lo) / 64
-    y = (lo + half * (2.0 * np.arange(64)[:, None] + 1.0 + x)).ravel()
-    return d1.logpdf(y), d2.logpdf(y), np.tile(half * w, 64)
-
-
-def kl_bruteforce(spec, theta, zeta):
-    """Per-entry KL by direct summation (discrete) or quadrature (continuous)."""
-    d1, d2 = _entry_dist(spec, theta), _entry_dist(spec, zeta)
-    if spec.is_discrete:
-        ys = _count_support(spec, d1, d2)
-        p = d1.pmf(ys)
-        ratio = d1.logpmf(ys) - d2.logpmf(ys)
-        return float(np.sum(np.where(p > 0, p * ratio, 0.0)))
-    log1, log2, w = _log_densities(d1, d2)
-    return float(np.sum(w * np.exp(log1) * (log1 - log2)))
-
-
-def renyi_bruteforce(spec, theta, zeta, alpha):
-    """Per-entry alpha-Renyi by direct summation or quadrature."""
-    d1, d2 = _entry_dist(spec, theta), _entry_dist(spec, zeta)
-    if spec.is_discrete:
-        ys = _count_support(spec, d1, d2)
-        integ = np.exp(alpha * d1.logpmf(ys) + (1.0 - alpha) * d2.logpmf(ys))
-        return float(np.log(np.sum(integ)) / (alpha - 1.0))
-    log1, log2, w = _log_densities(d1, d2)
-    val = np.sum(w * np.exp(alpha * log1 + (1.0 - alpha) * log2))
-    return float(np.log(val) / (alpha - 1.0))
-
-
-def tv_bruteforce(spec, Theta, Zeta):
-    """Total variation of the product law by outcome-space enumeration.
-
-    Supported: discrete families with a product outcome space of at most
-    MAX_OUTCOMES, and the single-cell gaussian closed form.  Anything else
-    raises.
-    """
-    Theta = np.asarray(Theta, dtype=float).ravel()
-    Zeta = np.asarray(Zeta, dtype=float).ravel()
-    if spec.law == "gaussian":
-        if Theta.size != 1:
-            raise ValueError("gaussian TV supported only for a single cell")
-        from scipy import stats
-
-        gap = abs(Theta[0] - Zeta[0]) / (2.0 * np.sqrt(spec.a))
-        return float(2.0 * stats.norm.cdf(gap) - 1.0)
-    if not spec.is_discrete:
-        raise ValueError(f"TV enumeration unsupported for {spec.family}")
-    laws = [(_entry_dist(spec, t), _entry_dist(spec, z))
-            for t, z in zip(Theta, Zeta)]
-    supports = [_count_support(spec, d1, d2) for d1, d2 in laws]
-    total = np.prod([len(s) for s in supports])
-    if total > MAX_OUTCOMES:
-        raise ValueError(f"product outcome space too large ({total})")
-    logp = [d1.logpmf(s) for (d1, _), s in zip(laws, supports)]
-    logq = [d2.logpmf(s) for (_, d2), s in zip(laws, supports)]
-    tv = 0.0
-    for combo in itertools.product(*(range(len(s)) for s in supports)):
-        lp = sum(logp[i][j] for i, j in enumerate(combo))
-        lq = sum(logq[i][j] for i, j in enumerate(combo))
-        tv += abs(np.exp(lp) - np.exp(lq))
-    return float(0.5 * tv)
-
-
-# ---------------------------------------------------------------------------
 # lemma bound quantities
 
 
@@ -227,7 +124,13 @@ class LemmaBounds:
 
 def lemma_rhs(bounds, a, sq, m, alpha=1.0):
     """Lemma right-hand sides from the squared gap ``sq`` = ||zeta - theta||_F^2
-    over ``m`` entries.  ``sq`` may be an array of per-trial gaps (m = 1)."""
+    over ``m`` entries.  ``sq`` may be an array of per-trial gaps (m = 1).
+
+    The Renyi lower bound carries the order alpha as a prefactor: strong
+    convexity of b gives a Jensen gap of at least alpha(1-alpha) C_L d^2 / 2,
+    so D_alpha >= alpha C_L d^2 / (2a), with equality for gaussian.  At
+    alpha = 1 (the default) this reduces to the KL lower bound.
+    """
     return LemmaBounds(
         kl_upper=bounds.c_u / (2.0 * a) * sq / m,
         renyi_lower=alpha * bounds.c_l / (2.0 * a) * sq / m,
@@ -235,18 +138,6 @@ def lemma_rhs(bounds, a, sq, m, alpha=1.0):
                      + bounds.c_u ** 2 / (4.0 * a ** 2) * sq ** 2 / m),
         misspec_kl=2.0 * bounds.u_1 / a * np.sqrt(sq) / np.sqrt(m),
     )
-
-
-def lemma_bounds(bounds, a, Theta, Zeta, alpha=1.0):
-    """Evaluate the lemma right-hand sides for parameter matrices Theta, Zeta.
-
-    The Renyi lower bound carries the order alpha as a prefactor: strong
-    convexity of b gives a Jensen gap of at least alpha(1-alpha) C_L d^2 / 2,
-    so D_alpha >= alpha C_L d^2 / (2a), with equality for gaussian.  At
-    alpha = 1 (the default) this reduces to the KL lower bound.
-    """
-    diff = np.asarray(Zeta, dtype=float) - np.asarray(Theta, dtype=float)
-    return lemma_rhs(bounds, a, float(np.sum(diff ** 2)), diff.size, alpha)
 
 
 def log_ratio_sq_per_entry(spec, theta, zeta):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1108,16 +1109,18 @@ class TestConfigContract:
 
 
 class TestStartUp:
-    def test_import_leaves_out_stats_and_integrate(self):
-        """Only the brute-force oracles need scipy.stats, which loads
-        scipy.integrate, so importing the CLI loads neither."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        code = ("import sys, frrr.cli; print(sorted(m for m in sys.modules "
-                "if m in ('scipy.stats', 'scipy.integrate')))")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+    def test_source_mentions_no_stats_or_integrate(self):
+        """No library file names scipy.stats or scipy.integrate, so no
+        command can load them, not even through an import inside a
+        function; the brute-force oracles that need them live in tests/."""
+        pkg = Path(cli.__file__).resolve().parent
+        pattern = re.compile(
+            r"scipy\.stats|from scipy import stats|scipy\.integrate")
+        hits = [f"{path.name}:{i}: {line.strip()}"
+                for path in sorted(pkg.rglob("*.py"))
+                for i, line in enumerate(path.read_text().splitlines(), 1)
+                if pattern.search(line)]
+        assert hits == []
 
     @pytest.mark.parametrize("extra,code", [
         ("", cli.EXIT_OK), ("zz = 1\n", EXIT_CONFIG)], ids=["ok", "unread_key"])

@@ -1,4 +1,5 @@
-"""Every shipped demo runs to completion."""
+"""Every shipped demo runs to completion and writes nothing to stderr, so a
+warning that escapes a demo fails the suite."""
 
 import os
 import subprocess
@@ -19,3 +20,4 @@ def test_demo_exits_zero(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == "", proc.stderr[-2000:]

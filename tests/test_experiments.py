@@ -10,9 +10,8 @@ from frrr.experiments import (RIDGE, MisspecConfig, RateStudyConfig,
                               posterior_average_divergence, run_misspec_study,
                               run_rate_study, sampling_box,
                               verify_divergence_bounds)
-from frrr.divergence import (kl_per_entry, lemma_bounds,
-                             log_ratio_sq_per_entry, misspec_kl_per_entry,
-                             renyi_per_entry)
+from frrr.divergence import (kl_per_entry, lemma_rhs, log_ratio_sq_per_entry,
+                             misspec_kl_per_entry, renyi_per_entry)
 from frrr.families import (Dataset, FamilySpec, b_prime, family_bounds,
                            theta_from_eta)
 from frrr.posterior import BLOCK_CELLS, log_likelihood_and_grad
@@ -61,7 +60,8 @@ class TestVerifyDivergenceBounds:
         for i in range(50):
             T, Z = np.array([[res["theta"][i]]]), np.array([[res["zeta"][i]]])
             T0 = np.array([[res["theta0"][i]]])
-            lb = lemma_bounds(fb, spec.a, T, Z, alpha=0.5)
+            lb = lemma_rhs(fb, spec.a, float(np.sum((Z - T) ** 2)), 1,
+                           alpha=0.5)
             assert res["kl_bound"][i] == lb.kl_upper
             assert res["logsq_bound"][i] == lb.logsq_upper
             assert res["misspec_bound"][i] == lb.misspec_kl
