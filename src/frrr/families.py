@@ -12,22 +12,28 @@ function, ``log_likelihood_terms``: a times each cell's log-likelihood,
 y theta - b(theta), and its eta-derivative, in one of two forms.  On the
 whole real line probit has log Phi(z) with z = (2y - 1) eta, a form that
 holds only for binary y; every other case takes the link pass
-``link_terms``.  The log Phi form reads the sign 2y - 1 from
-``cell_constants``, which a caller that evaluates the same responses many
-times makes once and passes in.
+``link_terms``.  The log Phi form reads three cell constants, the sign
+s = 2y - 1, s / sqrt 2 and s / sqrt(2 pi), from ``cell_constants``, which a
+caller that evaluates the same responses many times makes once and passes
+in.
 
 Both probit forms rest on one routine for the standard normal CDF Phi,
-``log_norm_cdf_and_ratio``: one erfc pass gives h = Phi(-|z|), then
-Phi(z) = h + [z >= 0] (1 - 2h) without a branch, one log, and one exp and a
-divide for phi(z) / Phi(z).  Cells below LOG_NDTR_BELOW, where h underflows,
-take ``log_ndtr``.  The probit link calls it at z = -|eta|, where log Phi is
-accurate to 1e-14 relative.
+``_signed_cdf_pass``: the likelihood calls it with the cell constants, and
+``log_norm_cdf_and_ratio`` with s = 1, as scalars.  It gives log Phi(z) and
+s phi(z) / Phi(z) at z = s eta in 12 array passes and one erfc call: with
+x = eta s / sqrt 2, e = erfc(|x|) and m = [x >= 0], Phi(z) = e (0.5 - m)
++ m without a branch, one log, and one exp and a divide for the ratio.
+One ``max |x|`` check sends a call with a cell beyond |z| = -LOG_NDTR_BELOW
+to the fallback, on either tail, where e underflows or exp(x^2) nears
+overflow: ``log_ndtr``, and the ratio in logs.  The probit link calls it at
+z = -|eta|, where log Phi is accurate to 1e-14 relative.
 
 Each law's mean b' is written once, in ``b_and_prime``.  SciPy is imported
-only inside ``log_norm_cdf_and_ratio`` (``erfc``, and ``log_ndtr`` in the
-far tail), so only the probit link loads ``scipy.special``.
+only inside ``_signed_cdf_pass`` (``erfc``, and ``log_ndtr`` in the
+fallback), so only the probit forms load ``scipy.special``.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,9 +53,14 @@ _COUNT_LAWS = ("bernoulli", "poisson", "negbin")   # dispersion a fixed at 1
 _NEGATIVE_DOMAIN = ("gamma", "negbin")
 CLIP_MARGIN = 1e-3            # distance kept from 0 by an unset theta_hi
 
-# below this z, erfc(|z| / sqrt 2) = 2 Phi(z) leaves the normal doubles
+# below this z, erfc(|z| / sqrt 2) = 2 Phi(z) leaves the normal doubles, and
+# above -LOG_NDTR_BELOW exp(z^2 / 2) nears overflow
 LOG_NDTR_BELOW = -37.0
 LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+# (s, s / sqrt 2, s / sqrt(2 pi)) at s = 1, the constants of the CDF pass
+_UNIT_SIGN = (1.0, np.sqrt(0.5), 1.0 / np.sqrt(2.0 * np.pi))
+# |x| = |z| / sqrt 2 at |z| = -LOG_NDTR_BELOW: any |z| beyond has |x| >= it
+_FAR_X = -LOG_NDTR_BELOW * _UNIT_SIGN[1]
 
 
 class InvalidParameterError(ValueError):
@@ -196,43 +207,64 @@ def b_second(spec, theta):
     return spec.k * e / (1.0 - e) ** 2
 
 
+def _signed_cdf_pass(eta, constants):
+    """log Phi(z) and s phi(z) / Phi(z) at z = s eta, for
+    ``constants`` = (s, s / sqrt 2, s / sqrt(2 pi)), arrays or scalars, with
+    s = +-1 and eta an array; both results are fresh.
+
+    With x = eta s / sqrt 2, m = [x >= 0] and e = erfc(|x|), Phi(z) is
+    e (0.5 - m) + m: exactly e / 2 for z < 0, and 1 - e / 2 rounded once
+    for z >= 0.  The ratio is (s / sqrt(2 pi)) / (exp(x^2) Phi).  One
+    ``max |x|`` check sends the call to the fallback when a cell is NaN or
+    has |z| > -LOG_NDTR_BELOW, where Phi or exp(x^2) leaves the normal
+    doubles: on both tails log Phi there is ``log_ndtr(z)`` and the ratio
+    s exp(-z^2 / 2 - LOG_SQRT_2PI - log Phi), from z = s eta itself.  Only
+    the fallback sets an errstate: no divide, overflow or invalid flag is
+    raised without it.
+    """
+    from scipy.special import erfc
+
+    sign, sign_sqrt_half, sign_inv_sqrt_2pi = constants
+    x = eta * sign_sqrt_half
+    e = np.abs(x)
+    far = not e.max(initial=0.0) < _FAR_X       # a NaN cell too
+    mask = np.greater_equal(x, 0.0, out=np.empty_like(x))
+    erfc(e, out=e)
+    with np.errstate(divide="ignore", over="ignore",
+                     invalid="ignore") if far else nullcontext():
+        cdf = 0.5 - mask
+        cdf *= e
+        cdf += mask
+        log_cdf = np.log(cdf)
+        ratio = np.square(x, out=x)
+        np.exp(ratio, out=ratio)
+        ratio *= cdf
+        np.divide(sign_inv_sqrt_2pi, ratio, out=ratio)
+        if far:
+            from scipy.special import log_ndtr
+
+            z = np.multiply(sign, eta)
+            cells = np.abs(z) > -LOG_NDTR_BELOW
+            s, z = np.broadcast_to(sign, z.shape)[cells], z[cells]
+            log_cdf[cells] = lc = log_ndtr(z)
+            ratio[cells] = s * np.exp(-0.5 * z ** 2 - LOG_SQRT_2PI - lc)
+    return log_cdf, ratio
+
+
 def log_norm_cdf_and_ratio(z):
     """log Phi(z) and phi(z) / Phi(z) of the standard normal, from one erfc
     pass; z may be 0-d.
 
-    With h = Phi(-|z|) = erfc(|z| / sqrt 2) / 2, Phi(z) is h + [z >= 0]
-    (1 - 2h): its log is accurate to 1e-14 relative for z < 0, and off by
-    at most about 1.1e-16 absolute for z >= 0.  The ratio takes one exp and
-    one divide.  Cells below LOG_NDTR_BELOW, where Phi and phi underflow,
-    take ``log_ndtr`` and the ratio exp(log phi(z) - log Phi(z)); one
-    ``z.min()`` tells whether there are any.
+    The module's one CDF routine, ``_signed_cdf_pass``, at s = 1: log Phi
+    is accurate to 1e-14 relative for z < 0 and off by at most about
+    1.1e-16 absolute for z >= 0, where Phi = 1 - erfc(z / sqrt 2) / 2
+    rounds once.  A call with a cell beyond |z| = -LOG_NDTR_BELOW, on
+    either tail, takes the fallback there: ``log_ndtr``, and the ratio
+    exp(log phi(z) - log Phi(z)).
     """
-    from scipy.special import erfc
-
     z = np.asarray(z, dtype=float)
-    shape, z = z.shape, np.atleast_1d(z)   # in-place passes need arrays
-    h = np.abs(z)
-    h *= np.sqrt(0.5)
-    erfc(h, out=h)
-    h *= 0.5
-    cdf = h * -2.0
-    cdf += 1.0
-    cdf *= z >= 0.0
-    cdf += h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_cdf = np.log(cdf)
-        ratio = np.square(z)
-        ratio *= -0.5
-        ratio -= LOG_SQRT_2PI
-        np.exp(ratio, out=ratio)
-        ratio /= cdf
-    if z.min(initial=0.0) < LOG_NDTR_BELOW:
-        from scipy.special import log_ndtr
-
-        far = z < LOG_NDTR_BELOW
-        log_cdf[far] = log_ndtr(z[far])
-        ratio[far] = np.exp(-0.5 * z[far] ** 2 - LOG_SQRT_2PI - log_cdf[far])
-    return log_cdf.reshape(shape), ratio.reshape(shape)
+    log_cdf, ratio = _signed_cdf_pass(np.atleast_1d(z), _UNIT_SIGN)
+    return log_cdf.reshape(z.shape), ratio.reshape(z.shape)
 
 
 def _raw_link(spec, eta):
@@ -286,8 +318,12 @@ def _probit_closed_form(spec):
 
 def cell_constants(spec, Y):
     """What ``log_likelihood_terms`` reads of responses Y on every call: for
-    unclipped probit, the sign 2Y - 1; None for the link pass."""
-    return 2.0 * Y - 1.0 if _probit_closed_form(spec) else None
+    unclipped probit, the sign s = 2Y - 1, s / sqrt 2 and s / sqrt(2 pi);
+    None for the link pass."""
+    if not _probit_closed_form(spec):
+        return None
+    sign = 2.0 * Y - 1.0
+    return tuple(sign * c for c in _UNIT_SIGN)
 
 
 def log_likelihood_terms(spec, Y, eta, constants=None):
@@ -296,15 +332,15 @@ def log_likelihood_terms(spec, Y, eta, constants=None):
     fresh arrays.
 
     Unclipped probit has log Phi(z), z = (2y - 1) eta, with derivative
-    (2y - 1) phi(z) / Phi(z), from one ``log_norm_cdf_and_ratio`` pass; that
-    form holds only for binary y.  Every other case takes the link pass.
-    ``constants`` is ``cell_constants(spec, Y)``, made here when None.
+    (2y - 1) phi(z) / Phi(z), from one pass of the module's CDF routine on
+    eta and the sign's three constants; that form holds only for binary y.
+    Every other case takes the link pass.  ``constants`` is
+    ``cell_constants(spec, Y)``, made here when None.
     """
     if _probit_closed_form(spec):
-        sign = cell_constants(spec, Y) if constants is None else constants
-        log_cdf, ratio = log_norm_cdf_and_ratio(sign * eta)
-        ratio *= sign
-        return log_cdf, ratio
+        if constants is None:
+            constants = cell_constants(spec, Y)
+        return _signed_cdf_pass(eta, constants)
     theta, dtheta = link_terms(spec, eta)
     b, mean = b_and_prime(spec, theta)
     return Y * theta - b, (Y - mean) * dtheta

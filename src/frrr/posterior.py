@@ -25,8 +25,10 @@ built; cell-wise, the sum and X^T S are divided by it once per call.  The
 sampler checks its start once and then calls the unchecked target
 ``_target``.  The value and gradient functions below return fresh arrays.
 A cell-wise stack holds what the family reads of its responses on every
-call, ``families.cell_constants`` (for unclipped probit the sign 2Y - 1),
-made once when the stack is built.
+call, ``families.cell_constants``, made once when the stack is built: for
+unclipped probit the sign s = 2Y - 1, s / sqrt 2 and s / sqrt(2 pi), which
+the family's CDF routine takes in place of the passes that would remake
+them from Y on every call.
 
 ``run_chains`` advances many chains together over an (R, p, q) state: a
 study makes one sampler call for the replicates of all its cells, each
@@ -126,7 +128,8 @@ class DataStack:
     has sufficient statistics, G_r / d and C_r / d, with G_r = X_r^T X_r,
     C_r = X_r^T Y_r and d the dispersion, stand in for X and Y, so the
     designs may differ; otherwise the stack also holds the family's
-    ``cell_constants`` of Y, made at build."""
+    ``cell_constants`` of Y, made at build: for unclipped probit the three
+    arrays s = 2Y - 1, s / sqrt 2 and s / sqrt(2 pi), else None."""
 
     X: np.ndarray                 # (n, p); None with gram and cross
     Y: np.ndarray                 # (R, n, q) or (n, q); None with gram

@@ -354,6 +354,28 @@ class TestFitAndSummarize:
         bhat = np.loadtxt(out / "bhat.csv", delimiter=",")
         assert bhat.shape == (4, 3)
 
+    def test_unclipped_probit_reruns_byte_identical(self, tmp_path):
+        """``frrr generate`` and ``frrr fit`` on unclipped bernoulli_probit,
+        whose fit runs the cell-wise kernel on the stack's cell constants,
+        write the same bytes twice, manifests aside."""
+        runs = []
+        for tag in ("a", "b"):
+            data, out = tmp_path / f"data_{tag}", tmp_path / f"fit_{tag}"
+            probit = "family = bernoulli_probit"
+            assert main(["generate", write_ini(
+                tmp_path / f"gen_{tag}.ini", GEN.format(out=data).replace(
+                    "family = gaussian", probit))]) == 0
+            assert main(["fit", write_ini(
+                tmp_path / f"fit_{tag}.ini", FIT.format(
+                    data=data, out=out).replace(
+                        "family = gaussian", probit))]) == 0
+            runs.append((data, out))
+        (data_a, out_a), (data_b, out_b) = runs
+        assert "bernoulli_probit" in (data_a / "meta.ini").read_text()
+        assert_same_bytes(data_a, data_b)
+        assert_same_bytes(out_a, out_b)
+        assert "chain.bin" in os.listdir(out_a)
+
     def test_digest_reads_the_interval(self, tmp_path):
         """A dataset whose meta.ini interval is edited fits to another
         bhat.csv and reports another dataset_digest."""

@@ -9,7 +9,7 @@ from frrr.families import (CLIP_MARGIN, FAMILY_IDS, LOG_NDTR_BELOW, Dataset,
                            FamilyBounds, FamilySpec, InvalidParameterError,
                            _raw_link,
                            b_prime, b_second, b_value, family_bounds,
-                           linear_predictor, link_terms,
+                           linear_predictor, link_terms, log_likelihood_terms,
                            log_norm_cdf_and_ratio, response_in_support,
                            sample_response, theta_from_eta)
 
@@ -175,8 +175,9 @@ class TestDthetaDeta:
 class TestLogNormCdf:
     def test_ratio_pass_matches_log_ndtr(self):
         """The kernel's pass: log Phi within 1e-14 relative for z < 0 and,
-        since Phi = h + (1 - 2h) rounds twice, within 1.2e-16 absolute for
-        z >= 0; phi / Phi within 1e-12 relative of the ratio in logs."""
+        since Phi = 1 - e / 2 rounds once, e = erfc(z / sqrt 2), within
+        1.2e-16 absolute for z >= 0; phi / Phi within 1e-12 relative of the
+        ratio in logs, on both sides of the fallback at |z| = 37."""
         switch = LOG_NDTR_BELOW
         z = np.concatenate([
             np.linspace(-45.0, 45.0, 180001),
@@ -192,6 +193,34 @@ class TestLogNormCdf:
                       <= 1e-14 * np.abs(want[neg]))
         assert np.all(np.abs(log_cdf - want)[~neg] <= 1.2e-16)
         assert np.all(np.abs(ratio - want_ratio) <= 1e-12 * want_ratio)
+
+    def test_no_flag_short_of_the_fallback(self):
+        """With every |z| short of -LOG_NDTR_BELOW the pass runs outside any
+        errstate, so it must raise no divide, overflow or invalid flag:
+        through ``log_norm_cdf_and_ratio`` and through the cell constants of
+        ``log_likelihood_terms``, at both signs."""
+        top = np.nextafter(-LOG_NDTR_BELOW, 0.0)
+        z = np.concatenate([np.linspace(-top, top, 20001),
+                            [-top, top, 0.0, -0.0]])
+        y = (np.arange(z.size) % 2).astype(float)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            log_cdf, ratio = log_norm_cdf_and_ratio(z)
+            cell, slope = log_likelihood_terms(
+                FamilySpec("bernoulli_probit"), y, z)
+        for v in (log_cdf, ratio, cell, slope):
+            assert np.all(np.isfinite(v))
+
+    def test_a_nan_cell_leaves_the_far_cells_to_the_fallback(self):
+        """A NaN z gives NaN and raises no flag, and the cells beyond
+        -LOG_NDTR_BELOW beside it get the bits they get without it."""
+        z = np.array([-40.0, -37.5, 38.0, 1.0])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            log_cdf, ratio = log_norm_cdf_and_ratio(np.append(z, np.nan))
+        assert np.isnan(log_cdf[-1]) and np.isnan(ratio[-1])
+        want, want_ratio = log_norm_cdf_and_ratio(z)
+        assert np.array_equal(log_cdf[:-1], want)
+        assert np.array_equal(ratio[:-1], want_ratio)
+        assert np.all(np.isfinite(want)) and np.all(want_ratio > 0.0)
 
 
 class TestFamilyBounds:

@@ -647,9 +647,11 @@ class TestProbitClosedForm:
 
     def test_matches_the_link_pass_across_the_fallback(self):
         """Cells whose z straddles LOG_NDTR_BELOW, where the erfc pass hands
-        over to log_ndtr, and cells out at z = +40."""
+        over to log_ndtr, cells whose z straddles -LOG_NDTR_BELOW, where the
+        fallback takes the right tail's ratio, and cells out at z = +40."""
         t = np.concatenate([np.linspace(-38.5, -36.0, 251),
-                            np.linspace(-3.0, 3.0, 61), [36.0, 38.5, 40.0]])
+                            np.linspace(-3.0, 3.0, 61), [36.0, 38.5, 40.0],
+                            np.linspace(36.0, 38.6, 27)])
         X = np.column_stack([t, np.ones_like(t)])
         Y = np.ones((len(t), 3))
         Y[::2, 1] = 0.0
@@ -660,6 +662,8 @@ class TestProbitClosedForm:
         assert z.min() < -38.0 and z.max() > 39.9
         assert np.any((z > -38.5) & (z < LOG_NDTR_BELOW))
         assert np.any((z >= LOG_NDTR_BELOW) & (z < -36.0))
+        assert np.any((z > -LOG_NDTR_BELOW) & (z < 38.6))
+        assert np.any((z <= -LOG_NDTR_BELOW) & (z > 36.0))
         value, grad = log_likelihood_and_grad(stack, B)
         want_value, want_grad = generic_likelihood(stack, B)
         for v, g in ((value, grad), (want_value, want_grad)):
@@ -785,7 +789,8 @@ def reference_mala(data, prior_cfg, alpha, gamma, n_steps, seed, init,
 class TestSignAndBlockChains:
     """What a sampler block holds across ``_target`` calls, each checked
     against the fresh kernel: the stack's ``families.cell_constants``, for
-    unclipped probit the sign 2Y - 1, made once when the stack is built,
+    unclipped probit the sign s = 2Y - 1, s / sqrt 2 and s / sqrt(2 pi),
+    made once when the stack is built,
     and the chains of one block, which reuse the step buffers of
     ``_mala``."""
 
@@ -809,9 +814,10 @@ class TestSignAndBlockChains:
              "clipped_probit_R3"])
     def test_matches_the_fresh_kernel_call_after_call(self, spec, R, rng,
                                                       monkeypatch):
-        """The sign held on the stack gives, at every call, through calls
-        with and without far-tail cells, the bits of the kernel on a stack
-        that holds none, whose sign is computed on each call."""
+        """The constants held on the stack are, bit for bit, those made from
+        Y, and give, at every call, through calls with and without far-tail
+        cells, the bits of the kernel on a stack that holds none, whose
+        constants are made on each call."""
         stack = self.far_stack(spec, R, rng)
         with monkeypatch.context() as m:
             m.setattr(frrr.posterior, "cell_constants", lambda spec, Y: None)
@@ -822,7 +828,11 @@ class TestSignAndBlockChains:
         if spec.theta_lo > -np.inf:
             assert stack.cells is None
         else:
-            assert np.array_equal(stack.cells, sign)
+            want = (sign, sign * np.sqrt(0.5), sign / np.sqrt(2.0 * np.pi))
+            assert len(stack.cells) == len(want)
+            for held, made in zip(stack.cells, want):
+                assert held.shape == made.shape
+                assert held.tobytes() == made.tobytes()
         prior = frrr.prior.stack_priors([PriorConfig(tau=0.3, p=4, q=3)] * R)
         far = rng.standard_normal((R, 4, 3))
         for B in (far, 0.01 * far, -far, far):
