@@ -21,7 +21,10 @@ CSVs of ``write_matrix`` included) and ``_write_json`` for every JSON file.
   0  success.
   2  ConfigError: a section or key unread, missing or out of range, or an
      ``[output] dir`` that cannot be made; raised before that dir is made,
-     but for a ``fit`` ``[family]`` that differs from the dataset's.
+     but for two ``fit`` checks that need the dataset, which leave it made
+     and empty: a ``[family]`` that differs from the dataset's, and a
+     ``tau_manual`` too small for the dataset's p + q, one at which
+     0.5 tau^2 / (p + q + 2) is not a normal double.
   3  DataError: an input file the config names is missing, unreadable or
      invalid; ``[output] dir`` is made, but nothing is written to it.
   4  any other exception, named by its type (``SamplerDivergence``, a failed

@@ -13,7 +13,9 @@ likelihood needs only X^T X and X^T Y, computed once per dataset, so a step
 costs the same at every n.  Otherwise it makes one eta = X @ B per matrix,
 one call of ``families.log_likelihood_terms`` for each cell's
 log-likelihood and its eta-derivative S, and one X^T S for the gradient.
-The prior takes one batched Cholesky factor and no solve.
+The prior takes one batched Cholesky factor and no solve.  Its unchecked
+kernel returns minus its gradient, with p + q + 2 already folded into the
+factor, and ``_target`` subtracts it from the likelihood's gradient.
 
 A stack holds the dispersion its likelihood is taken at.  For an
 exponential family with known dispersion a, alpha times the log-likelihood
@@ -225,11 +227,12 @@ def value_and_grad(data, B, prior_cfg, alpha):
 def _target(data, B, prior):
     """``value_and_grad`` without its checks, on a stack at dispersion
     a / alpha and a PriorStack for B: the likelihood's fresh arrays, with
-    the prior added in place."""
+    the prior added in place.  The prior kernel returns minus its gradient,
+    which is subtracted."""
     value, grad = log_likelihood_and_grad(data, B)
-    prior_value, prior_grad = stack_log_prior_and_grad(B, prior)
+    prior_value, minus_prior_grad = stack_log_prior_and_grad(B, prior)
     value += prior_value
-    grad += prior_grad
+    grad -= minus_prior_grad
     return value, grad
 
 

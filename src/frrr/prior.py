@@ -9,12 +9,15 @@ evaluation, with no solve.  A run allocates the factor once, in its
 ``PriorStack``, and the kernel writes it with one call of the LAPACK gufunc
 ``numpy.linalg._umath_linalg.cholesky_lo``, the one ``np.linalg.cholesky``
 wraps, skipping that wrapper's per-call checks and fresh output.  The
-log-determinant and the gradient computed from the factor are small fresh
+constants of the density live in the stack too: c = p + q + 2 is folded
+into the factored matrix, so the factor gives c M^{-1} W with no scaling
+pass, and the log-determinant is one product of the factor's log-diagonal
+with a column of weights.  The value and the gradient are small fresh
 arrays.  The gufunc sets a matrix it cannot factor to NaN, raises the
 floating-point invalid flag and leaves the other matrices of the stack
-alone, so a failed factor costs only its own matrix.  The unchecked kernel returns its
-non-finite value as it is; the checked ``log_prior_and_grad`` ignores the
-invalid and overflow flags and maps a non-finite value to NaN.
+alone, so a failed factor costs only its own matrix.  The unchecked kernel
+returns its non-finite value as it is; the checked ``log_prior_and_grad``
+ignores the invalid and overflow flags and maps a non-finite value to NaN.
 """
 
 from dataclasses import dataclass
@@ -43,9 +46,11 @@ def tau_preset(preset, n, p, q, a, x_frob):
 
 def check_tau(tau):
     """ValueError unless tau is positive with a finite, nonzero square and
-    2 / tau^2 finite: tau^2 enters the Gram diagonal and 2 / tau^2 the
-    prior's workspace, so a square that underflows to 0 or overflows, or
-    one so small that 2 / tau^2 overflows, gives a NaN prior at B = 0."""
+    2 / tau^2 finite: tau^2 enters the Gram diagonal, so a square that
+    underflows to 0 or overflows gives a NaN prior at B = 0.  This check
+    needs no p or q; the prior's workspace holds 2 (p + q + 2) / tau^2,
+    which ``PriorConfig`` keeps finite by asking 0.5 tau^2 / (p + q + 2)
+    to be a normal double, so that 2 (p + q + 2) / tau^2 <= 1 / tiny."""
     t = float(tau)            # a Python float overflows without a warning
     if not (t > 0 and 0 < t * t < np.inf and 2.0 / (t * t) < np.inf):
         raise ValueError(f"tau must be positive with a finite, nonzero "
@@ -80,17 +85,20 @@ class PriorConfig:
 @dataclass(frozen=True)
 class PriorStack:
     """The priors of R matrices on one (p, q), one tau each, and what a run
-    computes once: tau^2 as a column, half the p > q log-determinant term,
-    (p - q) log tau, and the two matrices that each
-    ``stack_log_prior_and_grad`` overwrites.  With k = min(p, q) these are
-    the matrix it factors, with views of its Gram block M and of M's
-    diagonal, and the factor, with views of its top-left diagonal, of its
-    lower-left block C = chol(M)^{-T} and of C^T."""
+    computes once.  With k = min(p, q) and c = p + q + 2 these are tau^2
+    as a column; the matrix that each ``stack_log_prior_and_grad``
+    factors, [[M, sqrt(c) I], [sqrt(c) I, (2 c / tau^2) I]], with views of
+    its Gram block M and of M's diagonal; its factor, with views of its
+    top-left diagonal, of its lower-left block C = sqrt(c) chol(M)^{-T}
+    and of C^T; a row (R, 1, k + 1) whose last entry is 1, with a view of
+    its first k entries, which the kernel overwrites with the log of that
+    diagonal; and the weights (R, k + 1, 1) that take the row to the
+    log-density, -c for each log-diagonal entry and -c (p - q) log tau,
+    0 unless p > q, for the 1."""
 
     p: int
     q: int
     tau_sq: np.ndarray            # (R, 1)
-    half_logdet_shift: np.ndarray  # (R,)
     work: np.ndarray              # (R, 2k, 2k)
     gram: np.ndarray              # (R, k, k) view of work
     gram_diag: np.ndarray         # (R, k) view of work
@@ -98,22 +106,29 @@ class PriorStack:
     factor_diag: np.ndarray       # (R, k) view of factor
     lower: np.ndarray             # (R, k, k) view of factor, C
     lower_t: np.ndarray           # (R, k, k) view of factor, C^T
+    log_row: np.ndarray           # (R, 1, k + 1)
+    log_diag: np.ndarray          # (R, k) view of log_row
+    weights: np.ndarray           # (R, k + 1, 1)
 
 
 def stack_priors(cfgs):
     """The PriorStack of a list of PriorConfig that share p and q."""
     p, q = cfgs[0].p, cfgs[0].q
-    R, k = len(cfgs), min(p, q)
-    tau_sq = np.array([[c.tau ** 2] for c in cfgs])
+    R, k, c = len(cfgs), min(p, q), p + q + 2
+    tau_sq = np.array([[cfg.tau ** 2] for cfg in cfgs])
     work = np.zeros((R, 2 * k, 2 * k))
-    work[:, :k, k:] = work[:, k:, :k] = np.eye(k)
-    work[:, k:, k:] = np.eye(k) * (2.0 / tau_sq[:, :, None])
+    work[:, :k, k:] = work[:, k:, :k] = np.sqrt(c) * np.eye(k)
+    work[:, k:, k:] = np.eye(k) * (2.0 * c / tau_sq[:, :, None])
     factor = np.zeros_like(work)
     lower = factor[:, k:, :k]
-    return PriorStack(p, q, tau_sq,
-                      np.array([(p - q) * np.log(c.tau) for c in cfgs]),
-                      work, work[:, :k, :k], _diagonal(work, k), factor,
-                      _diagonal(factor, k), lower, lower.transpose(0, 2, 1))
+    log_row = np.ones((R, 1, k + 1))
+    weights = np.full((R, k + 1, 1), -float(c))
+    weights[:, k, 0] = [-c * (max(p - q, 0) * np.log(cfg.tau))
+                        for cfg in cfgs]
+    return PriorStack(p, q, tau_sq, work, work[:, :k, :k],
+                      _diagonal(work, k), factor, _diagonal(factor, k),
+                      lower, lower.transpose(0, 2, 1), log_row,
+                      log_row[:, 0, :k], weights)
 
 
 def _diagonal(F, k):
@@ -148,36 +163,38 @@ def log_prior_and_grad(B, cfg):
     warning."""
     B, cfg = checked_stack(B, cfg)
     with np.errstate(invalid="ignore", over="ignore"):
-        value, grad = stack_log_prior_and_grad(B.reshape(-1, cfg.p, cfg.q),
-                                               cfg)
+        value, minus_grad = stack_log_prior_and_grad(
+            B.reshape(-1, cfg.p, cfg.q), cfg)
     value = np.where(np.isfinite(value), value, np.nan)
-    return value.reshape(B.shape[:-2])[()], grad.reshape(B.shape)
+    return value.reshape(B.shape[:-2])[()], -minus_grad.reshape(B.shape)
 
 
 def stack_log_prior_and_grad(B, prior):
     """``log_prior_and_grad`` unchecked, for a stack B (R, p, q) and its
-    PriorStack, as fresh arrays of shapes (R,) and (R, p, q).  With W = B
-    on the smaller Gram side and M = tau^2 I + W W^T, one Cholesky factor
-    of [[M, I], [I, (2 / tau^2) I]] gives both pieces: its top-left block is
-    chol(M), and its lower-left block C = chol(M)^{-T} makes M^{-1} W = C
-    (C^T W).  The factor exists whenever chol(M) does, as the Schur
-    complement (2 / tau^2) I - M^{-1} is at least I / tau^2.  The factor is
-    written into the stack's buffer by one gufunc call.  A Gram matrix that
-    overflows or is not numerically positive definite gets a non-finite
-    value, and raises the invalid or overflow flag, without touching the
-    other matrices."""
+    PriorStack, as fresh arrays of shapes (R,) and (R, p, q): the value and
+    *minus* the gradient, (p+q+2) (tau^2 I_p + B B^T)^{-1} B.  With W = B
+    on the smaller Gram side, M = tau^2 I + W W^T and c = p + q + 2, one
+    Cholesky factor of [[M, sqrt(c) I], [sqrt(c) I, (2 c / tau^2) I]]
+    gives both pieces: its top-left block is chol(M), and its lower-left
+    block C = sqrt(c) chol(M)^{-T} makes c M^{-1} W = C (C^T W).  The
+    factor exists whenever chol(M) does, as the Schur complement
+    (2 c / tau^2) I - c M^{-1} is at least (c / tau^2) I.  The factor is
+    written into the stack's buffer by one gufunc call, the log of its
+    diagonal into the stack's row, and the value is that row times the
+    stack's weights, one product per matrix.  Where c is a power of 4,
+    sqrt(c) is a power of 2 and both pieces are bit for bit the unscaled
+    factor's times -c.  A Gram matrix that overflows or is not numerically
+    positive definite gets a non-finite value, and raises the invalid or
+    overflow flag, without touching the other matrices."""
     p, q = prior.p, prior.q
     W = B.transpose(0, 2, 1) if p > q else B
     np.matmul(W, B if p > q else B.transpose(0, 2, 1), out=prior.gram)
     np.add(prior.gram_diag, prior.tau_sq, out=prior.gram_diag)
     _umath_linalg.cholesky_lo(prior.work, out=prior.factor)
-    value = np.add.reduce(np.log(prior.factor_diag), axis=1)
-    if p > q:
-        value += prior.half_logdet_shift
-    value *= -(p + q + 2)
-    grad = prior.lower @ (prior.lower_t @ W)
-    grad *= -(p + q + 2)
-    return value, grad.transpose(0, 2, 1) if p > q else grad
+    np.log(prior.factor_diag, out=prior.log_diag)
+    value = (prior.log_row @ prior.weights)[:, 0, 0]
+    minus_grad = prior.lower @ (prior.lower_t @ W)
+    return value, minus_grad.transpose(0, 2, 1) if p > q else minus_grad
 
 
 def log_prior(B, cfg):

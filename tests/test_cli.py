@@ -445,34 +445,42 @@ class TestFitAndSummarize:
                    and line.endswith(", in _mala") for line in trace)
         assert not (out / "chain.bin").exists()
 
-    @pytest.mark.parametrize("old,new", [
-        ("tau_preset = theorem1", "tau_preset = theorem2"),
-        ("tau_preset = theorem1", "tau_preset = manual\ntau_manual = 0"),
+    @pytest.mark.parametrize("old,new,made", [
+        ("tau_preset = theorem1", "tau_preset = theorem2", False),
+        ("tau_preset = theorem1", "tau_preset = manual\ntau_manual = 0",
+         False),
         ("tau_preset = theorem1",
-         "tau_preset = manual\ntau_manual = 1e-200"),
+         "tau_preset = manual\ntau_manual = 1e-200", False),
         ("tau_preset = theorem1",
-         "tau_preset = manual\ntau_manual = 1e-155"),
-        ("tau_preset = theorem1", "tau_preset = manual\ntau_manual = inf"),
+         "tau_preset = manual\ntau_manual = 1e-155", False),
+        ("tau_preset = theorem1", "tau_preset = manual\ntau_manual = inf",
+         False),
         ("tau_preset = theorem1",
-         "tau_preset = manual\ntau_manual = 2.1e-154"),
-        ("family = gaussian", "family = poisson_log"),
-        ("family = gaussian", "family = gaussian\na = 2"),
+         "tau_preset = manual\ntau_manual = 2.1e-154", True),
+        ("family = gaussian", "family = poisson_log", True),
+        ("family = gaussian", "family = gaussian\na = 2", True),
     ], ids=["unknown_preset", "manual_tau_0", "manual_tau_1e-200",
             "manual_tau_1e-155", "manual_tau_inf", "manual_tau_2.1e-154",
             "family", "dispersion"])
-    def test_bad_prior_or_family_is_config_error(self, tmp_path, old, new):
+    def test_bad_prior_or_family_is_config_error(self, tmp_path, old, new,
+                                                 made):
         """fit reads [family] and exits 2 where it differs from the
         dataset's meta.ini; a matching section (test_fit_pipeline) runs.
         A manual tau whose square underflows to 0 or overflows, or whose
         2 / tau^2 overflows (1e-155), would give a NaN prior at B = 0, so it
         is a config error too, and so is one whose default step size
-        0.5 tau^2 / (p + q + 2) is subnormal (2.1e-154 at p + q + 2 = 9)."""
+        0.5 tau^2 / (p + q + 2) is subnormal (2.1e-154 at p + q + 2 = 9).
+        The checks that need the dataset, [family] and a tau too small for
+        its p + q, run after [output] dir is made and leave it empty; the
+        others run before it is made."""
         data = run_generate(tmp_path)
         out = tmp_path / "fit"
         text = FIT.format(data=data, out=out)
         cfg = write_ini(tmp_path / "f.ini", text.replace(old, new))
         assert main(["fit", cfg]) == EXIT_CONFIG
         assert not (out / "chain.bin").exists()
+        assert out.exists() == made
+        assert not made or not any(out.iterdir())
 
     def test_manual_tau_is_the_sampled_prior(self, tmp_path):
         """Under tau_preset = manual, fit samples the prior at tau_manual:
